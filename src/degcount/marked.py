@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .degree_sets import DegreeSet
-from .tables import build_table
+from .tables import build_table, mixed_table_coefficient
 
 
 def _falling(n: int, k: int) -> int:
@@ -45,21 +45,6 @@ def disjointness_factor(n: int, m: int, j: int) -> Fraction:
     num = _falling(n, j) * _falling(m, j) * (2 * m) ** (2 * j)
     den = n ** j * m ** j * _falling(2 * m, 2 * j)
     return Fraction(num, den)
-
-
-def _mixed_from_tables(shifted_table, base_table, a, b, j):
-    comb = math.comb
-    row_a = shifted_table.row(a)
-    row_b = base_table.row(b)
-    total = 0
-    for k in range(j + 1):
-        wa = row_a[k]
-        if not wa:
-            continue
-        wb = row_b[j - k]
-        if wb:
-            total += comb(j, k) * wa * wb
-    return total
 
 
 def _term_tables(degree_set: DegreeSet, n: int, m: int):
@@ -94,7 +79,7 @@ def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
             a = 2 * k + ell
             b = n - a
             j = 2 * m - 4 * k - 2 * ell
-            mixed = _mixed_from_tables(shifted_table, base_table, a, b, j)
+            mixed = mixed_table_coefficient(shifted_table, base_table, a, b, j)
             if not mixed:
                 continue
             ways = (comb(n, 2 * k) * comb(n - 2 * k, ell)          # marked labels
@@ -131,7 +116,7 @@ def marked_multigraph_weight_series(degree_set: DegreeSet, n: int, m: int,
             if a == 0:
                 continue
             deg = 2 * m - 2 * j
-            mixed = _mixed_from_tables(shifted_table, base_table, j, n - j, deg)
+            mixed = mixed_table_coefficient(shifted_table, base_table, j, n - j, deg)
             if not mixed:
                 continue
             w_factor = Fraction(n, 4 * m) ** j if j else Fraction(1)

@@ -6,6 +6,7 @@ import pytest
 from degcount import (INFINITE, DegreeSet, build_table, infeasibility_reason,
                       mixed_power_coefficient, multigraph_weight,
                       power_coefficient)
+from degcount.tables import mixed_table_coefficient
 
 from conftest import FAMILY, FAMILY_IDS
 
@@ -170,3 +171,97 @@ class TestMixedCoefficient:
         from degcount import DegenerateShiftError
         with pytest.raises(DegenerateShiftError):
             mixed_power_coefficient(DegreeSet.finite([0, 1]), 1, 1, 2)
+
+
+# Sets beyond FAMILY whose single-coefficient routes differ: deeper minimum
+# degrees run the banded recurrence, 0,4,7 runs Miller's recurrence with a
+# nonzero constant term, and 3,6,9 steps it by periodicity 3.
+WIDER = [DegreeSet.min_degree(3), DegreeSet.min_degree(5),
+         DegreeSet.finite([0, 4, 7]), DegreeSet.finite([3, 6, 9])]
+ALL_ROUTES = FAMILY + WIDER
+ALL_ROUTE_IDS = FAMILY_IDS + [str(d) for d in WIDER]
+
+
+def zero_cell(ds, n, j):
+    """Whether (n, j) lies off the support of Set_D^n."""
+    r, mx, p = ds.valuation, ds.max_degree, ds.periodicity
+    if j < n * r or (mx is not INFINITE and j > n * mx):
+        return True
+    return p is not INFINITE and (j - n * r) % p != 0
+
+
+class TestPowerCoefficientRoutes:
+    @pytest.mark.parametrize("ds", ALL_ROUTES, ids=ALL_ROUTE_IDS)
+    def test_matches_reference_grid(self, ds):
+        ref = reference_table(ds, 8, 24)
+        for n in range(9):
+            for j in range(25):
+                assert power_coefficient(ds, n, j) == ref[n][j], (n, j)
+
+    @pytest.mark.parametrize("ds", ALL_ROUTES, ids=ALL_ROUTE_IDS)
+    def test_zero_cells(self, ds):
+        for n in range(9):
+            for j in range(25):
+                if zero_cell(ds, n, j):
+                    assert power_coefficient(ds, n, j) == 0, (n, j)
+        assert power_coefficient(ds, 0, 0) == 1
+        assert all(power_coefficient(ds, 0, j) == 0 for j in range(1, 25))
+
+    @pytest.mark.parametrize("n", [40, 61])
+    @pytest.mark.parametrize("ds", ALL_ROUTES, ids=ALL_ROUTE_IDS)
+    def test_matches_full_table_at_larger_n(self, ds, n):
+        low = n * ds.valuation
+        js = set(range(max(low - 3, 0), low + 25)) | {2 * n - 1, 2 * n, 2 * n + 1}
+        if ds.max_degree is not INFINITE:
+            top = n * ds.max_degree
+            js |= set(range(top - 3, top + 3))
+        t = build_table(ds, n, max(js))
+        nonzero = off = 0
+        for j in sorted(js):
+            value = power_coefficient(ds, n, j)
+            assert value == t.value(n, j), j
+            nonzero += value != 0
+            off += zero_cell(ds, n, j)
+        assert nonzero
+        # n^j has no zero cells; every other set has some among these j
+        assert off or ds == DegreeSet.min_degree(0)
+
+    def test_inexact_division_raises(self):
+        from degcount.tables import _exact_div
+        assert _exact_div(12, 4) == 3
+        with pytest.raises(ArithmeticError):
+            _exact_div(13, 4)
+
+
+class TestTableDegreeSetCheck:
+    def test_mismatched_table_rejected(self):
+        # An even table read for the odd set gave 5 where the true weight is 3
+        t = build_table(DegreeSet.even(), 6, 8)
+        assert multigraph_weight(DegreeSet.odd(), 4, 2) == 3
+        with pytest.raises(ValueError):
+            multigraph_weight(DegreeSet.odd(), 4, 2, table=t)
+
+    def test_equal_degree_set_accepted(self):
+        t = build_table(DegreeSet.finite([1, 3]), 6, 12)
+        assert (multigraph_weight(DegreeSet.finite([3, 1]), 6, 6, table=t)
+                == multigraph_weight(DegreeSet.finite([1, 3]), 6, 6))
+
+
+class TestMixedTableCoefficient:
+    def test_marked_sums_share_the_tables_routine(self):
+        from degcount import marked, tables
+        assert marked.mixed_table_coefficient is tables.mixed_table_coefficient
+
+    @pytest.mark.parametrize("ds", [d for d in ALL_ROUTES if str(d) != "2"],
+                             ids=str)
+    def test_matches_reference_convolution(self, ds):
+        shifted = ds.shift(2)
+        ref_a = reference_table(shifted, 4, 12)
+        ref_b = reference_table(ds, 4, 12)
+        ta, tb = build_table(shifted, 4, 12), build_table(ds, 4, 12)
+        for a in range(5):
+            for b in range(5):
+                for j in range(13):
+                    expected = sum(math.comb(j, k) * ref_a[a][k] * ref_b[b][j - k]
+                                   for k in range(j + 1))
+                    assert mixed_table_coefficient(ta, tb, a, b, j) == expected
