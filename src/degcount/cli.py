@@ -254,6 +254,16 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _boltzmann_infeasible(args, reason: str) -> dict:
+    return {
+        "command": "boltzmann",
+        "degrees": args.degrees,
+        "n": args.n,
+        "feasible": False,
+        "reason": reason,
+    }
+
+
 def _cmd_boltzmann(args) -> int:
     degree_set = parse_degree_set(args.degrees)
     if args.x is not None:
@@ -262,13 +272,7 @@ def _cmd_boltzmann(args) -> int:
         try:
             x = boltzmann_tune(degree_set, args.mean_degree)
         except (InfeasibleRegimeError, RegularDegreeSetError) as exc:
-            _emit_json(args, {
-                "command": "boltzmann",
-                "degrees": args.degrees,
-                "n": args.n,
-                "feasible": False,
-                "reason": str(exc),
-            })
+            _emit_json(args, _boltzmann_infeasible(args, str(exc)))
             return EXIT_INFEASIBLE
     seeds = np.random.SeedSequence(args.seed).spawn(args.samples)
     blocks = []
@@ -276,7 +280,11 @@ def _cmd_boltzmann(args) -> int:
     degree_total = 0
     for i in range(args.samples):
         rng = np.random.default_rng(seeds[i])
-        graph, report = boltzmann_sample(degree_set, args.n, x, rng)
+        try:
+            graph, report = boltzmann_sample(degree_set, args.n, x, rng)
+        except InfeasibleInstanceError as exc:
+            _emit_json(args, _boltzmann_infeasible(args, str(exc)))
+            return EXIT_INFEASIBLE
         blocks.append(graph.to_text())
         total = total.merge(report)
         degree_total += 2 * graph.num_edges
@@ -379,12 +387,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (flag, attribute, least allowed value) for the integer options that have one
+_LOWER_BOUNDS = (
+    ("--samples", "samples", 1),
+    ("--jobs", "jobs", 1),
+    ("--max-attempts", "max_attempts", 0),
+    ("--steps", "steps", 1),
+    ("--factor", "factor", 1),
+)
+
+
+def _out_of_bounds(args) -> str | None:
+    for flag, name, least in _LOWER_BOUNDS:
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            return f"{flag} must be at least {least}, got {value}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    problem = _out_of_bounds(args)
+    if problem is not None:
+        sys.stderr.write(f"degcount: {problem}\n")
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:

@@ -2,10 +2,12 @@
 
 Two generators are provided.  The exact one draws a degree sequence with
 probability proportional to prod 1/d_i! among all admissible sequences of
-fixed total, using the big-integer coefficient table; the draw compares a
-uniform random integer against exact integer prefix weights, so there is no
-floating-point bias at all.  The Boltzmann one draws degrees i.i.d. with
-P(d) proportional to x^d/d!, giving a random edge count.
+fixed total, using the big-integer coefficient table.  Each degree is chosen
+by a uniform u in [0, 1) known only to its leading 64-bit words: the interval
+those words pin u to is compared, in integers, against the exact prefix
+weights, and another word is drawn only when a boundary falls inside it.  So
+there is no floating-point bias at all.  The Boltzmann one draws degrees
+i.i.d. with P(d) proportional to x^d/d!, giving a random edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
 by its compensation factor; rejecting until simple therefore yields the
@@ -15,7 +17,6 @@ uniform distribution on simple graphs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,9 @@ from .saddlepoint import (InfeasibleRegimeError, RegularDegreeSetError,
                           acceptance_probability, solve_mean_degree)
 from .tables import CoefficientTable, build_table
 
-# Candidate lists no longer than this get a cached cumulative-weight row,
-# turning repeat visits into a bisect.
-_CACHE_WIDTH = 64
+# Bits per raw word of the generator; a degree draw reads one word, plus one
+# more each time the uniform interval straddles a prefix-weight boundary.
+_WORD_BITS = 64
 
 
 class InfeasibleInstanceError(ValueError):
@@ -83,21 +84,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _randbelow(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound), exact for arbitrary-size bounds."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    if bound <= (1 << 63):
-        return int(rng.integers(bound))
-    k = bound.bit_length()
-    nbytes = (k + 7) // 8
-    shift = 8 * nbytes - k
-    while True:
-        value = int.from_bytes(rng.bytes(nbytes), "big") >> shift
-        if value < bound:
-            return value
-
-
 def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
     """Uniform random pairing of the half-edges attached per the degrees.
 
@@ -120,15 +106,19 @@ def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
 class DegreeSequenceSampler:
     """Exact sampler of degree sequences and multigraphs at fixed (n, m).
 
-    Holds the coefficient table for its instance; immutable once built, so
-    one sampler can serve many concurrent generators as long as each worker
-    owns its own rng stream.
+    Holds the coefficient table for its instance and its default attempt
+    budget, all set in the constructor and never written afterwards, so one
+    sampler can serve many concurrent generators as long as each worker owns
+    its own rng stream.
     """
 
     def __init__(self, degree_set: DegreeSet, n: int, m: int,
                  table: CoefficientTable | None = None):
         if n < 0 or m < 0:
             raise ValueError("n and m must be nonnegative")
+        if table is not None and table.degree_set != degree_set:
+            raise ValueError(f"table was built for {table.degree_set}, "
+                             f"not {degree_set}")
         self.degree_set = degree_set
         self.n = n
         self.m = m
@@ -138,44 +128,38 @@ class DegreeSequenceSampler:
         if table.value(n, 2 * m) <= 0:
             raise InfeasibleInstanceError(
                 f"no degree sequence from {degree_set} on {n} vertices sums to {2 * m}")
-        self._rows: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        self._default_attempts: int | None = None
+        self._default_attempts = self._attempt_budget()
 
     # -- degree sequences ---------------------------------------------------
 
-    def _cached_row(self, i: int, j: int):
-        key = (i, j)
-        row = self._rows.get(key)
-        if row is None:
-            comb = math.comb
-            value = self.table.value
-            ds, cums = [], []
-            acc = 0
-            for d in self.degree_set.members_up_to(j):
-                w = comb(j, d) * value(i - 1, j - d)
-                if w:
-                    acc += w
-                    ds.append(d)
-                    cums.append(acc)
-            row = (ds, cums)
-            self._rows[key] = row
-        return row
+    def _draw_degree(self, i: int, j: int, word: int, raw) -> int:
+        """Degree of vertex i when vertices 1..i carry j half-edges.
 
-    def _draw_degree(self, i: int, j: int, rng) -> int:
+        The degree is the d with c_{d-1} <= u*T[i][j] < c_d, where c_d are
+        the prefix sums of comb(j, d)*T[i-1][j-d] over the members d.  `word`
+        holds the leading bits of u, so u*T lies in [lo, hi] after flooring;
+        the scan returns at the first c_d above that interval and skips every
+        c_d at or below it.  A c_d inside it appends the word `raw()` to u.
+        """
         total = self.table.value(i, j)
-        target = _randbelow(rng, total)
-        if self.degree_set.count_up_to(j) <= _CACHE_WIDTH:
-            ds, cums = self._cached_row(i, j)
-            return ds[bisect_right(cums, target)]
-        comb = math.comb
         value = self.table.value
+        comb = math.comb
+        bits = _WORD_BITS
+        scaled = word * total
+        lo, hi = scaled >> bits, (scaled + total - 1) >> bits
         acc = 0
         for d in self.degree_set.members_up_to(j):
             w = comb(j, d) * value(i - 1, j - d)
-            if w:
-                acc += w
-                if target < acc:
-                    return d
+            if not w:
+                continue
+            acc += w
+            while lo < acc <= hi:
+                word = (word << _WORD_BITS) | raw()
+                bits += _WORD_BITS
+                scaled = word * total
+                lo, hi = scaled >> bits, (scaled + total - 1) >> bits
+            if acc > hi:
+                return d
         raise AssertionError("prefix weights did not reach the row total")
 
     def sample_degrees(self, rng: np.random.Generator) -> list[int]:
@@ -183,16 +167,25 @@ class DegreeSequenceSampler:
 
         Drawn with probability proportional to prod 1/d_i! among all such
         sequences, exactly: the last degree is drawn from the table ratio law,
-        then the remainder recursively.
+        then the remainder recursively, down to vertex 1, which takes what is
+        left.  One call takes n - 1 64-bit words from the rng's bit generator
+        in one batch, plus one word per boundary straddle, which has
+        probability below 2^-64 per boundary.
         """
+        if self.n == 0:
+            return []
+        raw = rng.bit_generator.random_raw
+        words = raw(self.n - 1).tolist()
         degrees = [0] * self.n
         j = 2 * self.m
-        for i in range(self.n, 0, -1):
-            d = self._draw_degree(i, j, rng)
+        for i in range(self.n, 1, -1):
+            d = self._draw_degree(i, j, words[self.n - i], raw)
             degrees[i - 1] = d
             j -= d
-        if j != 0:
-            raise AssertionError("degree sequence does not exhaust the total")
+        # every draw kept T[i-1][j] > 0, and T[1][j] > 0 means j is allowed
+        if j not in self.degree_set:
+            raise AssertionError("the remaining total is not an allowed degree")
+        degrees[0] = j
         return degrees
 
     # -- multigraphs ----------------------------------------------------------
@@ -202,17 +195,18 @@ class DegreeSequenceSampler:
         return pair_half_edges(self.sample_degrees(rng), rng)
 
     def default_max_attempts(self) -> int:
-        if self._default_attempts is None:
-            try:
-                acc = acceptance_probability(self.degree_set, self.n, self.m)
-            except (RegularDegreeSetError, InfeasibleRegimeError,
-                    DegenerateShiftError):
-                acc = self._regular_acceptance()
-            if acc is None or acc <= 0.0:
-                self._default_attempts = 10 ** 6
-            else:
-                self._default_attempts = max(1, 10 * math.ceil(1.0 / acc))
+        """Ten times the predicted attempts per simple graph."""
         return self._default_attempts
+
+    def _attempt_budget(self) -> int:
+        try:
+            acc = acceptance_probability(self.degree_set, self.n, self.m)
+        except (RegularDegreeSetError, InfeasibleRegimeError,
+                DegenerateShiftError):
+            acc = self._regular_acceptance()
+        if acc is None or acc <= 0.0:
+            return 10 ** 6
+        return max(1, 10 * math.ceil(1.0 / acc))
 
     def _regular_acceptance(self):
         if self.degree_set.size != 1 or self.m == 0:
@@ -270,9 +264,15 @@ def boltzmann_sample(degree_set: DegreeSet, n: int, x: float,
 
     A sequence with odd total is discarded wholesale and redrawn; the report
     counts those retries.  The edge count of the output is random with mean
-    n * mean_degree(x) / 2.
+    n * mean_degree(x) / 2.  When every degree the law can draw is odd and n
+    is odd, no sequence has an even total, and InfeasibleInstanceError is
+    raised instead of redrawing forever.
     """
     support, probs = boltzmann_degree_law(degree_set, x)
+    if n % 2 and (support[probs > 0] % 2).all():
+        raise InfeasibleInstanceError(
+            f"every degree the law on {degree_set} can draw is odd, so {n} "
+            f"vertices cannot have an even degree sum")
     report = SampleReport(samples_requested=1)
     while True:
         degrees = rng.choice(support, size=n, p=probs)

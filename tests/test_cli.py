@@ -150,6 +150,14 @@ class TestSampling:
                         "--mean-degree", "1.5", "--samples", "1")
         assert code == 2
 
+    def test_boltzmann_parity_obstruction_exits_two(self, capsys, schema):
+        code, out = run(capsys, "boltzmann", "--degrees", "1,3", "--n", "5",
+                        "--mean-degree", "2", "--samples", "1")
+        assert code == 2
+        payload = validate_json_lines(schema, out)[0]
+        assert payload["feasible"] is False
+        assert "odd" in payload["reason"]
+
 
 class TestReport:
     def test_tsv_shape(self, capsys):
@@ -189,3 +197,33 @@ class TestUsageErrors:
                      "--m", "2", "--output", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["weight"] == "5/1"
+
+
+SAMPLE = ["sample", "--degrees", "min=1", "--n", "4", "--m", "3"]
+BOLTZMANN = ["boltzmann", "--degrees", "min=2", "--n", "10", "--x", "1.5"]
+REPORT = ["report", "--degrees", "even", "--n", "8", "--m", "4"]
+
+
+class TestOptionBounds:
+    @pytest.mark.parametrize("argv, flag", [
+        (SAMPLE + ["--samples", "-1"], "--samples"),
+        (BOLTZMANN + ["--samples", "0"], "--samples"),
+        (SAMPLE + ["--jobs", "0"], "--jobs"),
+        (SAMPLE + ["--max-attempts", "-2"], "--max-attempts"),
+        (REPORT + ["--steps", "0"], "--steps"),
+        (REPORT + ["--factor", "0"], "--factor"),
+    ], ids=["sample-samples", "boltzmann-samples", "jobs", "max-attempts",
+            "steps", "factor"])
+    def test_rejected_with_one_line(self, capsys, argv, flag):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"degcount: {flag} must be at least")
+
+    def test_smallest_values_accepted(self, capsys):
+        code, _ = run(capsys, *SAMPLE, "--samples", "1", "--jobs", "1",
+                      "--max-attempts", "0")
+        assert code == 0
+        code, _ = run(capsys, *REPORT, "--steps", "1", "--factor", "1")
+        assert code == 0

@@ -3,15 +3,18 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from degcount import (DegreeSet, DegreeSequenceSampler,
                       InfeasibleInstanceError, Multigraph, SamplerExhausted,
                       boltzmann_degree_law, boltzmann_sample, boltzmann_tune,
                       build_table, make_rng, mean_degree, pair_half_edges)
-from degcount.sampling import _randbelow
+from degcount.sampling import _WORD_BITS
 
 from conftest import FAMILY, FAMILY_IDS
+
+WORD = 1 << _WORD_BITS
 
 
 def sequence_law(ds, n, m):
@@ -28,17 +31,102 @@ def sequence_law(ds, n, m):
     return {seq: w / total for seq, w in weights.items()}
 
 
-class TestRandBelow:
-    def test_range_and_coverage(self):
-        rng = make_rng(0)
-        seen = {_randbelow(rng, 10) for _ in range(500)}
-        assert seen == set(range(10))
+class StubBits:
+    """Bit source that hands out fixed 64-bit words and counts them."""
 
-    def test_big_bounds(self):
-        rng = make_rng(1)
-        bound = 10 ** 50 + 7
-        for _ in range(50):
-            assert 0 <= _randbelow(rng, bound) < bound
+    def __init__(self, words):
+        self.words = list(words)
+        self.used = 0
+
+    def random_raw(self, size=None):
+        if size is None:
+            self.used += 1
+            return self.words.pop(0)
+        batch, self.words = self.words[:size], self.words[size:]
+        self.used += size
+        return np.array(batch, dtype=np.uint64)
+
+
+class StubRng:
+    def __init__(self, words):
+        self.bit_generator = StubBits(words)
+
+
+class TestLazyDraw:
+    # min=0, n=2, m=1: the last vertex has weights 1, 2, 1 over degrees 0, 1,
+    # 2 out of T = 4, so u in [1/4, 3/4) gives degree 1
+    def test_word_on_a_boundary_takes_the_upper_side(self):
+        sampler = DegreeSequenceSampler(DegreeSet.min_degree(0), 2, 1)
+        rng = StubRng([WORD // 4])  # a*T == c_0 * 2^64 exactly
+        assert sampler.sample_degrees(rng) == [1, 1]
+        assert rng.bit_generator.used == 1
+
+    def test_word_just_below_a_boundary_takes_the_lower_side(self):
+        sampler = DegreeSequenceSampler(DegreeSet.min_degree(0), 2, 1)
+        rng = StubRng([WORD // 4 - 1])
+        assert sampler.sample_degrees(rng) == [2, 0]
+        assert rng.bit_generator.used == 1
+
+    # {1,2}, n=3, m=2: the last vertex has weights 24, 12 over degrees 1, 2
+    # out of T = 36, so the boundary u = 2/3 is no multiple of 2^-64 and the
+    # word floor(2/3 * 2^64) straddles it
+    STRADDLE = (2 * WORD) // 3
+
+    @pytest.mark.parametrize("refine, degree", [(0, 1), (WORD - 1, 2)])
+    def test_straddle_reads_exactly_one_more_word(self, refine, degree):
+        sampler = DegreeSequenceSampler(DegreeSet.finite([1, 2]), 3, 2)
+        total = sampler.table.value(3, 4)
+        assert total == 36
+        assert self.STRADDLE * total < 24 * WORD < (self.STRADDLE + 1) * total
+        # the batch holds one word for each of vertices 3 and 2 (vertex 1
+        # takes what is left); the refinement is read after it
+        rng = StubRng([self.STRADDLE, 0, refine, 7])
+        seq = sampler.sample_degrees(rng)
+        assert seq[2] == degree
+        assert sum(seq) == 4
+        assert rng.bit_generator.used == 3
+        assert rng.bit_generator.words == [7]
+
+    @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
+    def test_words_next_to_every_boundary(self, ds):
+        # u just below a prefix-weight boundary c_d takes d, just above it
+        # takes the next member; a word whose interval holds the boundary
+        # reads one more word, and that word picks the side
+        def no_refine():
+            raise AssertionError("read a refinement word")
+
+        n, m = 4, 4
+        sampler = DegreeSequenceSampler(ds, n, m)
+        table = sampler.table
+        for i in range(2, n + 1):
+            for j in range(2 * m + 1):
+                total = table.value(i, j)
+                if not total:
+                    continue
+                cums = []
+                for d in ds.members_up_to(j):
+                    w = math.comb(j, d) * table.value(i - 1, j - d)
+                    if w:
+                        cums.append((d, (cums[-1][1] if cums else 0) + w))
+                for (d, c), (after, _) in zip(cums, cums[1:]):
+                    a, rem = divmod(c * WORD, total)
+                    draw = sampler._draw_degree
+                    assert draw(i, j, a - 1, no_refine) == d
+                    if rem == 0:
+                        assert draw(i, j, a, no_refine) == after
+                    else:
+                        assert draw(i, j, a, lambda: 0) == d
+                        assert draw(i, j, a, lambda: WORD - 1) == after
+                        assert draw(i, j, a + 1, no_refine) == after
+
+    def test_rng_stream_is_one_word_per_drawn_vertex(self):
+        # n - 1 words from the bit generator and nothing else
+        sampler = DegreeSequenceSampler(DegreeSet.even(), 30, 20)
+        rng = make_rng(3)
+        twin = make_rng(3)
+        sampler.sample_degrees(rng)
+        twin.bit_generator.random_raw(29)
+        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
 
 
 class TestDegreeSequences:
@@ -51,6 +139,17 @@ class TestDegreeSequences:
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleInstanceError):
             DegreeSequenceSampler(DegreeSet.finite([1, 3]), 3, 2)
+
+    def test_table_of_another_set_rejected(self):
+        table = build_table(DegreeSet.even(), 6, 8)
+        with pytest.raises(ValueError, match="table was built for"):
+            DegreeSequenceSampler(DegreeSet.odd(), 4, 2, table=table)
+
+    def test_matching_table_reused(self):
+        table = build_table(DegreeSet.odd(), 6, 8)
+        sampler = DegreeSequenceSampler(DegreeSet.odd(), 4, 2, table=table)
+        assert sampler.table is table
+        assert sampler.sample_degrees(make_rng(1)) == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_sum_and_membership_invariants(self, ds):
@@ -194,6 +293,14 @@ class TestSimpleSampling:
         sampler = DegreeSequenceSampler(DegreeSet.even(), 20, 10)
         assert sampler.default_max_attempts() >= 10
 
+    def test_drawing_leaves_sampler_state_unchanged(self):
+        sampler = DegreeSequenceSampler(DegreeSet.finite([2, 3]), 12, 15)
+        before = dict(vars(sampler))
+        rng = make_rng(4)
+        for _ in range(5):
+            sampler.sample_simple(rng, max_attempts=10_000)
+        assert vars(sampler) == before
+
     def test_determinism(self):
         ds = DegreeSet.min_degree(1)
         runs = []
@@ -228,6 +335,19 @@ class TestBoltzmann:
         mean = 2 * g.num_edges / 100_000
         assert abs(mean - target) / target < 0.01
         assert all(d in ds for d in g.degrees())
+
+    @pytest.mark.parametrize("ds", [DegreeSet.odd(), DegreeSet.finite([1, 3])],
+                             ids=["odd", "1,3"])
+    def test_all_odd_degrees_on_odd_n_raise(self, ds):
+        # every sum is odd; this used to redraw forever
+        with pytest.raises(InfeasibleInstanceError):
+            boltzmann_sample(ds, 5, 1.5, make_rng(0))
+
+    def test_all_odd_degrees_on_even_n_sample(self):
+        g, report = boltzmann_sample(DegreeSet.finite([1, 3]), 6, 1.5,
+                                     make_rng(0))
+        assert report.odd_sum_retries == 0
+        assert all(d in (1, 3) for d in g.degrees())
 
     def test_tune_identity_for_exp(self):
         assert boltzmann_tune(DegreeSet.min_degree(0), 3.0) == pytest.approx(
