@@ -27,9 +27,15 @@ from .saddlepoint import (InfeasibleRegimeError, RegularDegreeSetError,
                           acceptance_probability, solve_mean_degree)
 from .tables import CoefficientTable, build_table
 
-# Bits per raw word of the generator; a degree draw reads one word, plus one
-# more each time the uniform interval straddles a prefix-weight boundary.
+# Bits per word; a degree draw reads one word, plus one more each time the
+# uniform interval straddles a prefix-weight boundary.
 _WORD_BITS = 64
+
+# Bit generators whose random_raw() yields uniform 64-bit words.  Others
+# (MT19937 yields 32-bit ones) are read through Generator.integers, which
+# gives these the same stream but costs about 10 us more per call.
+_RAW_WORD_SOURCES = frozenset({np.random.PCG64, np.random.PCG64DXSM,
+                               np.random.Philox, np.random.SFC64})
 
 
 class InfeasibleInstanceError(ValueError):
@@ -77,6 +83,17 @@ class SampleReport:
             "odd_sum_retries": self.odd_sum_retries,
             "empirical_acceptance": self.empirical_acceptance,
         }
+
+
+def _word_source(rng: np.random.Generator):
+    """Readers of uniform 64-bit words: (batch(size) -> list, one() -> int)."""
+    bits = rng.bit_generator
+    if type(bits) in _RAW_WORD_SOURCES:
+        raw = bits.random_raw
+        return (lambda size: raw(size).tolist()), raw
+    high = 1 << _WORD_BITS
+    return ((lambda size: rng.integers(high, size=size, dtype=np.uint64).tolist()),
+            (lambda: int(rng.integers(high, dtype=np.uint64))))
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -132,14 +149,14 @@ class DegreeSequenceSampler:
 
     # -- degree sequences ---------------------------------------------------
 
-    def _draw_degree(self, i: int, j: int, word: int, raw) -> int:
+    def _draw_degree(self, i: int, j: int, word: int, one) -> int:
         """Degree of vertex i when vertices 1..i carry j half-edges.
 
         The degree is the d with c_{d-1} <= u*T[i][j] < c_d, where c_d are
         the prefix sums of comb(j, d)*T[i-1][j-d] over the members d.  `word`
         holds the leading bits of u, so u*T lies in [lo, hi] after flooring;
         the scan returns at the first c_d above that interval and skips every
-        c_d at or below it.  A c_d inside it appends the word `raw()` to u.
+        c_d at or below it.  A c_d inside it appends the word `one()` to u.
         """
         total = self.table.value(i, j)
         value = self.table.value
@@ -154,7 +171,7 @@ class DegreeSequenceSampler:
                 continue
             acc += w
             while lo < acc <= hi:
-                word = (word << _WORD_BITS) | raw()
+                word = (word << _WORD_BITS) | one()
                 bits += _WORD_BITS
                 scaled = word * total
                 lo, hi = scaled >> bits, (scaled + total - 1) >> bits
@@ -168,18 +185,18 @@ class DegreeSequenceSampler:
         Drawn with probability proportional to prod 1/d_i! among all such
         sequences, exactly: the last degree is drawn from the table ratio law,
         then the remainder recursively, down to vertex 1, which takes what is
-        left.  One call takes n - 1 64-bit words from the rng's bit generator
-        in one batch, plus one word per boundary straddle, which has
-        probability below 2^-64 per boundary.
+        left.  One call takes n - 1 uniform 64-bit words from the rng in one
+        batch, plus one word per boundary straddle, which has probability
+        below 2^-64 per boundary.
         """
         if self.n == 0:
             return []
-        raw = rng.bit_generator.random_raw
-        words = raw(self.n - 1).tolist()
+        batch, one = _word_source(rng)
+        words = batch(self.n - 1)
         degrees = [0] * self.n
         j = 2 * self.m
         for i in range(self.n, 1, -1):
-            d = self._draw_degree(i, j, words[self.n - i], raw)
+            d = self._draw_degree(i, j, words[self.n - i], one)
             degrees[i - 1] = d
             j -= d
         # every draw kept T[i-1][j] > 0, and T[1][j] > 0 means j is allowed

@@ -31,25 +31,27 @@ def sequence_law(ds, n, m):
     return {seq: w / total for seq, w in weights.items()}
 
 
-class StubBits:
-    """Bit source that hands out fixed 64-bit words and counts them."""
+class StubRng:
+    """Generator stand-in whose integers() hands out fixed 64-bit words.
+
+    Its bit generator is no known 64-bit source, so the sampler reads every
+    word through integers(), which counts them.
+    """
+
+    bit_generator = None
 
     def __init__(self, words):
         self.words = list(words)
         self.used = 0
 
-    def random_raw(self, size=None):
+    def integers(self, high, size=None, dtype=None):
+        assert high == WORD and dtype == np.uint64
         if size is None:
             self.used += 1
-            return self.words.pop(0)
+            return np.uint64(self.words.pop(0))
         batch, self.words = self.words[:size], self.words[size:]
         self.used += size
         return np.array(batch, dtype=np.uint64)
-
-
-class StubRng:
-    def __init__(self, words):
-        self.bit_generator = StubBits(words)
 
 
 class TestLazyDraw:
@@ -59,13 +61,13 @@ class TestLazyDraw:
         sampler = DegreeSequenceSampler(DegreeSet.min_degree(0), 2, 1)
         rng = StubRng([WORD // 4])  # a*T == c_0 * 2^64 exactly
         assert sampler.sample_degrees(rng) == [1, 1]
-        assert rng.bit_generator.used == 1
+        assert rng.used == 1
 
     def test_word_just_below_a_boundary_takes_the_lower_side(self):
         sampler = DegreeSequenceSampler(DegreeSet.min_degree(0), 2, 1)
         rng = StubRng([WORD // 4 - 1])
         assert sampler.sample_degrees(rng) == [2, 0]
-        assert rng.bit_generator.used == 1
+        assert rng.used == 1
 
     # {1,2}, n=3, m=2: the last vertex has weights 24, 12 over degrees 1, 2
     # out of T = 36, so the boundary u = 2/3 is no multiple of 2^-64 and the
@@ -84,8 +86,8 @@ class TestLazyDraw:
         seq = sampler.sample_degrees(rng)
         assert seq[2] == degree
         assert sum(seq) == 4
-        assert rng.bit_generator.used == 3
-        assert rng.bit_generator.words == [7]
+        assert rng.used == 3
+        assert rng.words == [7]
 
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_words_next_to_every_boundary(self, ds):
@@ -127,6 +129,33 @@ class TestLazyDraw:
         sampler.sample_degrees(rng)
         twin.bit_generator.random_raw(29)
         assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+    def test_32_bit_generator_reads_full_words(self):
+        # MT19937's random_raw() yields 32-bit words, so its words come from
+        # integers(), two raw outputs per word, in the same count
+        sampler = DegreeSequenceSampler(DegreeSet.even(), 30, 20)
+        rng = np.random.Generator(np.random.MT19937(3))
+        twin = np.random.Generator(np.random.MT19937(3))
+        sampler.sample_degrees(rng)
+        twin.integers(WORD, size=29, dtype=np.uint64)
+        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox,
+                                      np.random.SFC64, np.random.PCG64DXSM])
+    def test_exact_law_for_other_bit_generators(self, bits):
+        # empirical frequencies against the enumerated law, 4 sigma slack
+        ds, n, m = DegreeSet.min_degree(0), 3, 2
+        law = sequence_law(ds, n, m)
+        sampler = DegreeSequenceSampler(ds, n, m)
+        rng = np.random.Generator(bits(11))
+        trials = 20_000
+        counts = Counter(tuple(sampler.sample_degrees(rng))
+                         for _ in range(trials))
+        assert set(counts) <= set(law)
+        for seq, prob in law.items():
+            p = float(prob)
+            sigma = math.sqrt(p * (1 - p) / trials)
+            assert abs(counts[seq] / trials - p) <= 4 * sigma + 1e-9
 
 
 class TestDegreeSequences:
