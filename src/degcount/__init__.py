@@ -6,11 +6,11 @@ from .degree_sets import (INFINITE, DegenerateShiftError, DegreeSet,
 from .marked import (disjointness_factor, marked_multigraph_weight,
                      marked_multigraph_weight_series)
 from .multigraph import GraphClass, Multigraph
-from .saddlepoint import (AsymptoticCount, InfeasibleRegimeError,
+from .saddlepoint import (AsymptoticCount, InfeasibleRegimeError, Regime,
                           RegularDegreeSetError, SaddlePoint,
                           acceptance_probability, loop_intensity, mean_degree,
                           mean_degree_slope, multigraph_count_asymptotic,
-                          saddle_point, simple_graph_count_asymptotic,
+                          resolve, saddle_point, simple_graph_count_asymptotic,
                           solve_mean_degree)
 from .sampling import (DegreeSequenceSampler, InfeasibleInstanceError,
                        SampleReport, SamplerExhausted, boltzmann_degree_law,
@@ -33,6 +33,7 @@ __all__ = [
     "InfeasibleInstanceError",
     "InfeasibleRegimeError",
     "Multigraph",
+    "Regime",
     "RegularDegreeSetError",
     "SaddlePoint",
     "SampleReport",
@@ -56,6 +57,7 @@ __all__ = [
     "pair_half_edges",
     "parse_degree_set",
     "power_coefficient",
+    "resolve",
     "saddle_point",
     "simple_graph_count_asymptotic",
     "solve_mean_degree",

@@ -14,17 +14,18 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
-from .degree_sets import DegenerateShiftError, parse_degree_set
+from .degree_sets import parse_degree_set
 from .marked import marked_multigraph_weight
 from .sampling import (DegreeSequenceSampler, InfeasibleInstanceError,
                        SampleReport, SamplerExhausted, boltzmann_sample,
                        boltzmann_tune, make_rng)
-from .saddlepoint import (AsymptoticCount, InfeasibleRegimeError,
-                          RegularDegreeSetError, multigraph_count_asymptotic,
-                          saddle_point, simple_graph_count_asymptotic)
+from .saddlepoint import (InfeasibleRegimeError, RegularDegreeSetError,
+                          multigraph_count_asymptotic,
+                          simple_graph_count_asymptotic)
 from .tables import infeasibility_reason, multigraph_weight
 
 EXIT_OK = 0
@@ -88,10 +89,18 @@ def _cmd_count_exact(args) -> int:
     return EXIT_OK
 
 
-def _estimate_payload(command: str, args, estimate: AsymptoticCount,
-                      degree_set) -> dict:
+def _cmd_estimate(args, simple: bool) -> int:
+    command = "sg-estimate" if simple else "count-asymptotic"
+    degree_set = parse_degree_set(args.degrees)
+    compute = (simple_graph_count_asymptotic if simple
+               else multigraph_count_asymptotic)
+    estimate = compute(degree_set, args.n, args.m)
+    if not estimate.feasible:
+        _emit_json(args, _infeasible_payload(command, args, estimate.reason))
+        return EXIT_INFEASIBLE
     mantissa, exponent = estimate.mantissa_exponent()
-    payload = {
+    sp = estimate.saddle
+    _emit_json(args, {
         "command": command,
         "degrees": args.degrees,
         "n": args.n,
@@ -101,34 +110,10 @@ def _estimate_payload(command: str, args, estimate: AsymptoticCount,
         "log10": estimate.log10_value,
         "mantissa": mantissa,
         "exponent": exponent,
-        "saddle_point": None,
-        "saddle_slope": None,
-        "loop_intensity": None,
-    }
-    if degree_set.size != 1:
-        sp = saddle_point(degree_set, args.n, args.m)
-        payload["saddle_point"] = sp.x
-        payload["saddle_slope"] = sp.slope
-        payload["loop_intensity"] = sp.loop_intensity
-    return payload
-
-
-def _cmd_estimate(args, simple: bool) -> int:
-    command = "sg-estimate" if simple else "count-asymptotic"
-    degree_set = parse_degree_set(args.degrees)
-    compute = (simple_graph_count_asymptotic if simple
-               else multigraph_count_asymptotic)
-    try:
-        estimate = compute(degree_set, args.n, args.m)
-    except (InfeasibleRegimeError, DegenerateShiftError) as exc:
-        _emit_json(args, _infeasible_payload(command, args, str(exc)))
-        return EXIT_INFEASIBLE
-    if not estimate.feasible:
-        reason = infeasibility_reason(degree_set, args.n, args.m) \
-            or "regular instance requires 2m = n*d"
-        _emit_json(args, _infeasible_payload(command, args, reason))
-        return EXIT_INFEASIBLE
-    _emit_json(args, _estimate_payload(command, args, estimate, degree_set))
+        "saddle_point": None if sp is None else sp.x,
+        "saddle_slope": None if sp is None else sp.slope,
+        "loop_intensity": None if sp is None else sp.loop_intensity,
+    })
     return EXIT_OK
 
 
@@ -140,11 +125,7 @@ def _cmd_marked(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"bad rational argument: {exc}\n")
         return EXIT_USAGE
-    try:
-        value = marked_multigraph_weight(degree_set, args.n, args.m, u, v)
-    except DegenerateShiftError as exc:
-        _emit_json(args, _infeasible_payload("marked", args, str(exc)))
-        return EXIT_INFEASIBLE
+    value = marked_multigraph_weight(degree_set, args.n, args.m, u, v)
     _emit_json(args, {
         "command": "marked",
         "degrees": args.degrees,
@@ -167,44 +148,33 @@ def _init_worker(degrees_text: str, n: int, m: int):
     _WORKER_SAMPLER = DegreeSequenceSampler(parse_degree_set(degrees_text), n, m)
 
 
-def _run_one_sample(task):
-    index, seed_seq, allow_multi, max_attempts = task
+def _run_one_sample(task, sampler=None):
+    # pool workers pass no sampler and use the one _init_worker built
+    seed_seq, allow_multi, max_attempts = task
     rng = np.random.default_rng(seed_seq)
-    sampler = _WORKER_SAMPLER
+    if sampler is None:
+        sampler = _WORKER_SAMPLER
     if allow_multi:
         graph = sampler.sample_multigraph(rng)
         report = SampleReport(samples_requested=1, samples_produced=1)
     else:
         graph, report = sampler.sample_simple(rng, max_attempts)
-    return index, graph.to_text(), report.as_dict()
+    return graph.to_text(), report
 
 
 def _collect_samples(args, sampler) -> tuple[list[str], SampleReport]:
     seeds = np.random.SeedSequence(args.seed).spawn(args.samples)
     max_attempts = args.max_attempts or sampler.default_max_attempts()
-    tasks = [(i, seeds[i], args.allow_multi, max_attempts)
-             for i in range(args.samples)]
-    blocks = [""] * args.samples
-    total = SampleReport()
+    tasks = [(seed, args.allow_multi, max_attempts) for seed in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(
                 max_workers=args.jobs, initializer=_init_worker,
                 initargs=(args.degrees, args.n, args.m)) as pool:
-            for index, text, report in pool.map(_run_one_sample, tasks):
-                blocks[index] = text
-                total = total.merge(SampleReport(**{
-                    k: report[k] for k in ("samples_requested",
-                                           "samples_produced", "rejections",
-                                           "odd_sum_retries")}))
+            results = list(pool.map(_run_one_sample, tasks))
     else:
-        _init_worker(args.degrees, args.n, args.m)
-        for task in tasks:
-            index, text, report = _run_one_sample(task)
-            blocks[index] = text
-            total = total.merge(SampleReport(**{
-                k: report[k] for k in ("samples_requested", "samples_produced",
-                                       "rejections", "odd_sum_retries")}))
-    return blocks, total
+        results = [_run_one_sample(task, sampler) for task in tasks]
+    blocks, reports = zip(*results)
+    return list(blocks), reduce(SampleReport.merge, reports, SampleReport())
 
 
 def _render_samples(args, blocks: list[str], report: SampleReport,

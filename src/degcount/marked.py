@@ -48,9 +48,19 @@ def disjointness_factor(n: int, m: int, j: int) -> Fraction:
 
 
 def _term_tables(degree_set: DegreeSet, n: int, m: int):
+    """(cap, D-2 table, D table), cap bounding the marked structures.
+
+    An empty D-2 (max(D) below 2) admits no marked loop or double edge, so
+    cap is 0; only row 0 of the D-2 table, the constant 1, is then read, and
+    the D table's row 0 is that same row.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    base = build_table(degree_set, n, 2 * m)
+    if degree_set.max_degree < 2:
+        return 0, base, base
     cap = min(n, m)
-    shifted = degree_set.shift(2)
-    return (build_table(shifted, cap, 2 * m), build_table(degree_set, n, 2 * m))
+    return cap, build_table(degree_set.shift(2), cap, 2 * m), base
 
 
 def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
@@ -64,12 +74,9 @@ def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
     twice-shifted degree set.  At (0, 0) this is exactly the total
     multigraph weight.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
     u = Fraction(u)
     v = Fraction(v)
-    shifted_table, base_table = _term_tables(degree_set, n, m)
-    cap = min(n, m)
+    cap, shifted_table, base_table = _term_tables(degree_set, n, m)
     comb = math.comb
     fact = math.factorial
     total = Fraction(0)
@@ -99,12 +106,9 @@ def marked_multigraph_weight_series(degree_set: DegreeSet, n: int, m: int,
     the loop-intensity series; each power collapses to one mixed coefficient
     because the series is (n/4m) x^2 Set_{D-2}(x) / Set_D(x) times Set_D^n.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
     u = Fraction(u)
     v = Fraction(v)
-    shifted_table, base_table = _term_tables(degree_set, n, m)
-    cap = min(n, m)
+    cap, shifted_table, base_table = _term_tables(degree_set, n, m)
     fact = math.factorial
     prefactor = Fraction(fact(2 * m), (1 << m) * fact(m))
     total = Fraction(0)

@@ -5,6 +5,13 @@ from min(D) to max(D) on the positive axis whenever the set has at least two
 members; its unique preimage of 2m/n is the saddle point driving every
 asymptotic formula here.  Everything is computed in natural-log space since
 the counts overflow doubles around n = 90.
+
+:func:`resolve` decides each (D, n, m) instance once.  It is infeasible, or
+forced (2m equals n*min(D) or n*max(D), which covers a one-member D, m = 0
+and n = 0, so every degree takes one value and the closed regular form is
+exact), or interior (2m/n strictly inside D's range, where the saddle point
+exists).  An empty D-2 reads as Set_{D-2} = 0: no loop or double edge can
+occur, so L = 0.
 """
 
 from __future__ import annotations
@@ -23,31 +30,37 @@ class RegularDegreeSetError(ValueError):
 
 
 class InfeasibleRegimeError(ValueError):
-    """2m/n is not strictly between min(D) and max(D)."""
+    """2m/n is not strictly between min(D) and max(D), or no instance exists."""
 
 
-def mean_degree(degree_set: DegreeSet, x: float) -> float:
-    """x * Set_{D-1}(x) / Set_D(x): the Boltzmann expected degree at x."""
-    if degree_set.size == 1:
-        raise RegularDegreeSetError(
-            "mean-degree function is degenerate for a one-member set")
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    ratio = math.exp(degree_set.shift(1).egf_log(x) - degree_set.egf_log(x))
-    return x * ratio
-
-
-def mean_degree_slope(degree_set: DegreeSet, x: float) -> float:
-    """Derivative of :func:`mean_degree`; positive on the whole axis."""
+def _shift1_ratio(degree_set: DegreeSet, x: float) -> tuple[float, float]:
+    # (log Set_D(x), Set_{D-1}(x) / Set_D(x)) for the mean-degree curve
     if degree_set.size == 1:
         raise RegularDegreeSetError(
             "mean-degree function is degenerate for a one-member set")
     if x <= 0:
         raise ValueError("argument must be positive")
     log0 = degree_set.egf_log(x)
-    r1 = math.exp(degree_set.shift(1).egf_log(x) - log0)
-    r2 = math.exp(degree_set.shift(2).egf_log(x) - log0)
-    return r1 + x * r2 - x * r1 * r1
+    return log0, math.exp(degree_set.shift(1).egf_log(x) - log0)
+
+
+def _shift2_ratio(degree_set: DegreeSet, x: float, log0: float) -> float:
+    # Set_{D-2}(x) / Set_D(x) given log0 = log Set_D(x).  An empty D-2 allows
+    # no loop or double edge, so it reads as Set_{D-2} = 0.
+    if degree_set.max_degree < 2:
+        return 0.0
+    return math.exp(degree_set.shift(2).egf_log(x) - log0)
+
+
+def mean_degree(degree_set: DegreeSet, x: float) -> float:
+    """x * Set_{D-1}(x) / Set_D(x): the Boltzmann expected degree at x."""
+    return x * _shift1_ratio(degree_set, x)[1]
+
+
+def mean_degree_slope(degree_set: DegreeSet, x: float) -> float:
+    """Derivative of :func:`mean_degree`; positive on the whole axis."""
+    log0, r1 = _shift1_ratio(degree_set, x)
+    return r1 + x * _shift2_ratio(degree_set, x, log0) - x * r1 * r1
 
 
 def solve_mean_degree(degree_set: DegreeSet, target: float) -> float:
@@ -125,7 +138,7 @@ def loop_intensity(degree_set: DegreeSet, n: int, m: int, x: float) -> float:
     """
     if x <= 0:
         raise ValueError("argument must be positive")
-    ratio = math.exp(degree_set.shift(2).egf_log(x) - degree_set.egf_log(x))
+    ratio = _shift2_ratio(degree_set, x, degree_set.egf_log(x))
     return (n / (4.0 * m)) * x * x * ratio
 
 
@@ -156,13 +169,49 @@ def saddle_point(degree_set: DegreeSet, n: int, m: int) -> SaddlePoint:
 
 
 @dataclass(frozen=True)
+class Regime:
+    """One of: infeasible (`reason`), forced to `degree`, interior (`saddle`).
+
+    `loop_intensity` is L, the limiting expected number of loops.
+    """
+
+    reason: str | None = None
+    degree: int | None = None
+    saddle: SaddlePoint | None = None
+    loop_intensity: float = 0.0
+
+
+def resolve(degree_set: DegreeSet, n: int, m: int) -> Regime:
+    """Decide which regime (D, n, m) is in; the one place edge cases are met.
+
+    Infeasible when :func:`infeasibility_reason` gives a reason.  Forced when
+    2m equals n*min(D) or n*max(D), which covers a one-member D, m = 0 and
+    n = 0: every degree is d and L = n d (d-1) / 4m, or 0 without edges.
+    Otherwise 2m/n lies strictly inside D's range and the saddle point is
+    solved once.  Raises ValueError for negative n or m.
+    """
+    reason = infeasibility_reason(degree_set, n, m)
+    if reason is not None:
+        return Regime(reason=reason)
+    for d in (degree_set.valuation, degree_set.max_degree):
+        if 2 * m == n * d:
+            lam = n * d * (d - 1) / (4.0 * m) if m > 0 else 0.0
+            return Regime(degree=d, loop_intensity=lam)
+    sp = saddle_point(degree_set, n, m)
+    return Regime(saddle=sp, loop_intensity=sp.loop_intensity)
+
+
+@dataclass(frozen=True)
 class AsymptoticCount:
-    """A count estimate carried in natural-log space."""
+    """A count estimate in natural-log space, with the saddle point it used
+    (None unless interior) or the reason it is infeasible."""
 
     log_value: float
     n: int
     m: int
     feasible: bool
+    saddle: SaddlePoint | None = None
+    reason: str | None = None
 
     @property
     def log10_value(self) -> float:
@@ -177,67 +226,57 @@ class AsymptoticCount:
         return (10.0 ** (l10 - e), int(e))
 
 
-def _infeasible(n: int, m: int) -> AsymptoticCount:
-    return AsymptoticCount(-math.inf, n, m, False)
-
-
-def _regular_log_weight(d: int, n: int, m: int) -> float:
-    return (math.lgamma(2 * m + 1) - m * _LN2 - math.lgamma(m + 1)
-            - n * math.lgamma(d + 1))
+def _estimate(degree_set: DegreeSet, n: int, m: int,
+              simple: bool) -> AsymptoticCount:
+    regime = resolve(degree_set, n, m)
+    if regime.reason is not None:
+        return AsymptoticCount(-math.inf, n, m, False, reason=regime.reason)
+    log_value = math.lgamma(2 * m + 1) - m * _LN2 - math.lgamma(m + 1)
+    sp = regime.saddle
+    if sp is None:
+        log_value -= n * math.lgamma(regime.degree + 1)
+    else:
+        log_value = (log_value + math.log(degree_set.periodicity)
+                     - 0.5 * math.log(2.0 * math.pi * n * sp.x * sp.slope)
+                     + n * sp.log_egf - 2 * m * math.log(sp.x))
+    if simple:
+        lam = regime.loop_intensity
+        log_value = log_value - lam * lam - lam
+    return AsymptoticCount(log_value, n, m, True, saddle=sp)
 
 
 def multigraph_count_asymptotic(degree_set: DegreeSet, n: int, m: int) -> AsymptoticCount:
     """Saddle-point estimate of the total multigraph weight.
 
     (2m)!/(2^m m!) * p / sqrt(2 pi n x slope) * Set(x)^n / x^(2m), with x the
-    saddle point, accurate to a relative O(1/n).  A singleton degree set
-    returns its exact closed form instead.  Infeasible (n, m) come back with
-    feasible=False and log_value = -inf; a boundary regime (2m/n equal to
-    min(D) or max(D), where instances may exist but the saddle point does
-    not) raises InfeasibleRegimeError instead.
+    saddle point, accurate to a relative O(1/n).  A forced instance (every
+    degree equal to d, see :func:`resolve`) returns its exact closed form
+    (2m)!/(2^m m! d!^n) instead.  Infeasible (n, m) come back with
+    feasible=False, log_value = -inf and the reason.
     """
-    if n <= 0 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    if degree_set.size == 1:
-        d = degree_set.members[0]
-        if 2 * m != n * d:
-            return _infeasible(n, m)
-        return AsymptoticCount(_regular_log_weight(d, n, m), n, m, True)
-    if infeasibility_reason(degree_set, n, m) is not None:
-        return _infeasible(n, m)
-    sp = saddle_point(degree_set, n, m)
-    p = degree_set.periodicity
-    log_value = (math.lgamma(2 * m + 1) - m * _LN2 - math.lgamma(m + 1)
-                 + math.log(p)
-                 - 0.5 * math.log(2.0 * math.pi * n * sp.x * sp.slope)
-                 + n * sp.log_egf - 2 * m * math.log(sp.x))
-    return AsymptoticCount(log_value, n, m, True)
+    return _estimate(degree_set, n, m, simple=False)
 
 
 def simple_graph_count_asymptotic(degree_set: DegreeSet, n: int, m: int) -> AsymptoticCount:
     """Saddle-point estimate of the number of simple graphs.
 
     The multigraph estimate times exp(-L^2 - L) where L is the loop
-    intensity at the saddle point.  For a singleton set {d} the correction
-    uses L = n d (d-1) / (4m) directly.
+    intensity: at the saddle point, or n d (d-1) / (4m) for an instance
+    forced to degree d.
     """
-    base = multigraph_count_asymptotic(degree_set, n, m)
-    if not base.feasible:
-        return base
-    if degree_set.size == 1:
-        d = degree_set.members[0]
-        lam = n * d * (d - 1) / (4.0 * m) if m > 0 and d >= 2 else 0.0
-    else:
-        lam = saddle_point(degree_set, n, m).loop_intensity
-    return AsymptoticCount(base.log_value - lam * lam - lam, n, m, True)
+    return _estimate(degree_set, n, m, simple=True)
 
 
 def acceptance_probability(degree_set: DegreeSet, n: int, m: int) -> float:
     """Limiting probability that a model multigraph is simple.
 
-    exp(-L^2 - L) with L the loop intensity at the saddle point; the ratio of
+    exp(-L^2 - L) with L the loop intensity of :func:`resolve`; the ratio of
     the simple-graph estimate to the multigraph estimate.  The expected
-    number of pairing attempts per simple graph is its reciprocal.
+    number of pairing attempts per simple graph is its reciprocal.  Raises
+    InfeasibleRegimeError for an infeasible instance.
     """
-    lam = saddle_point(degree_set, n, m).loop_intensity
+    regime = resolve(degree_set, n, m)
+    if regime.reason is not None:
+        raise InfeasibleRegimeError(regime.reason)
+    lam = regime.loop_intensity
     return math.exp(-lam * lam - lam)

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree_sets import DegenerateShiftError, DegreeSet
+from .degree_sets import DegreeSet
 from .multigraph import Multigraph
-from .saddlepoint import (InfeasibleRegimeError, RegularDegreeSetError,
-                          acceptance_probability, solve_mean_degree)
+from .saddlepoint import acceptance_probability, solve_mean_degree
 from .tables import CoefficientTable, build_table
 
 # Bits per word; a degree draw reads one word, plus one more each time the
@@ -145,7 +144,9 @@ class DegreeSequenceSampler:
         if table.value(n, 2 * m) <= 0:
             raise InfeasibleInstanceError(
                 f"no degree sequence from {degree_set} on {n} vertices sums to {2 * m}")
-        self._default_attempts = self._attempt_budget()
+        acc = acceptance_probability(degree_set, n, m)
+        self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
+                                  else 10 ** 6)
 
     # -- degree sequences ---------------------------------------------------
 
@@ -214,23 +215,6 @@ class DegreeSequenceSampler:
     def default_max_attempts(self) -> int:
         """Ten times the predicted attempts per simple graph."""
         return self._default_attempts
-
-    def _attempt_budget(self) -> int:
-        try:
-            acc = acceptance_probability(self.degree_set, self.n, self.m)
-        except (RegularDegreeSetError, InfeasibleRegimeError,
-                DegenerateShiftError):
-            acc = self._regular_acceptance()
-        if acc is None or acc <= 0.0:
-            return 10 ** 6
-        return max(1, 10 * math.ceil(1.0 / acc))
-
-    def _regular_acceptance(self):
-        if self.degree_set.size != 1 or self.m == 0:
-            return None
-        d = self.degree_set.members[0]
-        lam = self.n * d * (d - 1) / (4.0 * self.m)
-        return math.exp(-lam * lam - lam)
 
     def sample_simple(self, rng: np.random.Generator,
                       max_attempts: int | None = None) -> tuple[Multigraph, SampleReport]:

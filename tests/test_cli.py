@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -177,6 +178,66 @@ class TestReport:
         rows = out.strip().splitlines()[1:]
         errors = [float(r.split("\t")[5]) for r in rows]
         assert errors == sorted(errors, reverse=True)
+
+
+class TestRegimeEdges:
+    """2m/n on an edge of D's range, and D-2 empty, exit 0 with answers."""
+
+    @pytest.mark.parametrize("command", ["count-asymptotic", "sg-estimate"])
+    def test_boundary_matches_forced_set(self, capsys, schema, command):
+        code, out = run(capsys, command, "--degrees", "min=3",
+                        "--n", "10", "--m", "15")
+        assert code == 0
+        payload = validate_json_lines(schema, out)[0]
+        _, forced = run(capsys, command, "--degrees", "3",
+                        "--n", "10", "--m", "15")
+        assert payload["log_natural"] == json.loads(forced)["log_natural"]
+        assert payload["saddle_point"] is None
+        assert payload["loop_intensity"] is None
+        if command == "count-asymptotic":
+            assert payload["log_natural"] == pytest.approx(
+                math.log(943496929375 / 9216), rel=1e-12)
+
+    def test_empty_shift_estimates(self, capsys, schema):
+        code1, out1 = run(capsys, "count-asymptotic", "--degrees", "0,1",
+                          "--n", "10", "--m", "3")
+        code2, out2 = run(capsys, "sg-estimate", "--degrees", "0,1",
+                          "--n", "10", "--m", "3")
+        assert code1 == code2 == 0
+        multi = validate_json_lines(schema, out1)[0]
+        simple = validate_json_lines(schema, out2)[0]
+        assert simple["log_natural"] == multi["log_natural"]
+        assert simple["loop_intensity"] == 0.0
+
+    def test_empty_shift_marked(self, capsys, schema):
+        code, out = run(capsys, "marked", "--degrees", "0,1", "--n", "10",
+                        "--m", "3", "--u", "-1", "--v", "-1")
+        assert code == 0
+        assert validate_json_lines(schema, out)[0]["marked"] == "3150/1"
+
+    def test_boundary_report_is_exact(self, capsys):
+        code, out = run(capsys, "report", "--degrees", "min=3", "--n", "10",
+                        "--m", "15", "--steps", "2")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert abs(float(row.split("\t")[4]) - 1.0) <= 1e-12
+
+    def test_sg_estimate_solves_once(self, capsys, monkeypatch):
+        from degcount import saddlepoint
+        calls = []
+        solve = saddlepoint.solve_mean_degree
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(saddlepoint, "solve_mean_degree", counted)
+        code, _ = run(capsys, "sg-estimate", "--degrees", "even",
+                      "--n", "1000", "--m", "500")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestUsageErrors:

@@ -88,3 +88,23 @@ class TestMarkedWeight:
                                                  Fraction(-1, 3))
         assert value == series
         assert isinstance(value, Fraction)
+
+
+class TestEmptyShift:
+    """D = {0, 1}: D-2 is empty, so nothing can be marked at any (u, v)."""
+
+    ds = DegreeSet.finite([0, 1])
+
+    def test_marked_weight_is_total_weight(self):
+        for n in range(0, 6):
+            for m in range(0, 4):
+                total = multigraph_weight(self.ds, n, m)
+                for u, v in UV_POINTS:
+                    assert marked_multigraph_weight(self.ds, n, m, u, v) == total
+                    assert marked_multigraph_weight_series(
+                        self.ds, n, m, u, v) == total
+                    if n:
+                        assert marked_weight_brute(self.ds, n, m, u, v) == total
+
+    def test_ten_vertices_three_edges(self):
+        assert marked_multigraph_weight(self.ds, 10, 3, -1, -1) == 3150

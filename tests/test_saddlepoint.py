@@ -5,7 +5,7 @@ import pytest
 from degcount import (DegreeSet, InfeasibleRegimeError, RegularDegreeSetError,
                       acceptance_probability, loop_intensity, mean_degree,
                       mean_degree_slope, multigraph_count_asymptotic,
-                      multigraph_weight, saddle_point,
+                      multigraph_weight, resolve, saddle_point,
                       simple_graph_count_asymptotic, solve_mean_degree)
 from degcount.bruteforce import count_simple_graphs
 
@@ -241,5 +241,117 @@ class TestAcceptanceProbability:
             math.exp(sg.log_value - mg.log_value), rel=1e-10)
 
     def test_singleton_rejected(self):
-        with pytest.raises(RegularDegreeSetError):
-            acceptance_probability(DegreeSet.finite([2]), 10, 10)
+        # no longer rejected: {2} at 2m = 2n is forced, L = n d (d-1) / 4m
+        lam = 0.5
+        assert acceptance_probability(DegreeSet.finite([2]), 10, 10) == \
+            pytest.approx(math.exp(-lam * lam - lam), rel=1e-15)
+
+
+# (degree set, n, m, forced degree): 2m/n on an edge of D's range
+BOUNDARY = [
+    (DegreeSet.min_degree(3), 10, 15, 3),
+    (DegreeSet.finite([1, 3]), 10, 5, 1),
+    (DegreeSet.finite([1, 3]), 10, 15, 3),
+    (DegreeSet.finite([2, 3]), 10, 10, 2),
+    (DegreeSet.finite([2, 3]), 10, 15, 3),
+]
+BOUNDARY_IDS = [f"{ds}-n{n}-m{m}" for ds, n, m, _ in BOUNDARY]
+
+
+class TestResolve:
+    def test_infeasible_carries_reason(self):
+        regime = resolve(DegreeSet.finite([1, 3]), 3, 2)
+        assert regime.reason is not None and "periodicity" in regime.reason
+        assert regime.degree is None and regime.saddle is None
+
+    @pytest.mark.parametrize("ds,n,m,d", BOUNDARY, ids=BOUNDARY_IDS)
+    def test_boundary_is_forced(self, ds, n, m, d):
+        regime = resolve(ds, n, m)
+        assert (regime.reason, regime.degree, regime.saddle) == (None, d, None)
+        assert regime.loop_intensity == n * d * (d - 1) / (4.0 * m)
+
+    def test_singleton_and_empty_instances_are_forced(self):
+        assert resolve(DegreeSet.finite([2]), 10, 10).degree == 2
+        assert resolve(DegreeSet.min_degree(0), 5, 0).degree == 0
+        assert resolve(DegreeSet.even(), 0, 0).degree == 0
+        assert resolve(DegreeSet.even(), 0, 0).loop_intensity == 0.0
+        assert resolve(DegreeSet.even(), 0, 1).reason is not None
+        assert resolve(DegreeSet.min_degree(1), 5, 0).reason is not None
+
+    def test_interior_carries_saddle_point(self):
+        ds = DegreeSet.even()
+        regime = resolve(ds, 100, 60)
+        assert regime.reason is None and regime.degree is None
+        assert regime.saddle == saddle_point(ds, 100, 60)
+        assert regime.loop_intensity == regime.saddle.loop_intensity
+
+    def test_negative_sizes_raise(self):
+        with pytest.raises(ValueError):
+            resolve(DegreeSet.even(), -1, 0)
+
+
+class TestForcedEstimates:
+    @pytest.mark.parametrize("ds,n,m,d", BOUNDARY, ids=BOUNDARY_IDS)
+    def test_boundary_equals_singleton_form(self, ds, n, m, d):
+        forced = DegreeSet.finite([d])
+        for estimate in (multigraph_count_asymptotic, simple_graph_count_asymptotic):
+            got, want = estimate(ds, n, m), estimate(forced, n, m)
+            assert got.feasible and got.saddle is None
+            assert got.log_value == want.log_value
+        assert acceptance_probability(ds, n, m) == \
+            acceptance_probability(forced, n, m)
+
+    @pytest.mark.parametrize("ds,n,m,d", BOUNDARY, ids=BOUNDARY_IDS)
+    def test_boundary_is_exact(self, ds, n, m, d):
+        exact = multigraph_weight(ds, n, m)
+        assert multigraph_count_asymptotic(ds, n, m).log_value == \
+            pytest.approx(log_fraction(exact), rel=1e-12)
+
+    def test_min_three_boundary_weight(self):
+        res = multigraph_count_asymptotic(DegreeSet.min_degree(3), 10, 15)
+        assert res.log_value == pytest.approx(
+            math.log(943496929375 / 9216), rel=1e-12)
+
+    def test_no_vertices_no_edges(self):
+        res = multigraph_count_asymptotic(DegreeSet.even(), 0, 0)
+        assert res.feasible and res.log_value == 0.0
+
+    def test_infeasible_estimate_carries_reason(self):
+        res = simple_graph_count_asymptotic(DegreeSet.finite([2]), 10, 9)
+        assert not res.feasible
+        assert "below" in res.reason
+        with pytest.raises(InfeasibleRegimeError):
+            acceptance_probability(DegreeSet.finite([2]), 10, 9)
+
+    def test_interior_estimate_carries_saddle_point(self):
+        ds = DegreeSet.finite([2, 3])
+        res = simple_graph_count_asymptotic(ds, 10, 12)
+        assert res.saddle == saddle_point(ds, 10, 12)
+
+
+class TestEmptyShift:
+    """D = {0, 1}: D-2 is empty, so no loop or double edge can occur."""
+
+    ds = DegreeSet.finite([0, 1])
+
+    def test_slope_and_loop_intensity(self):
+        # mean degree x/(1+x), slope 1/(1+x)^2
+        for x in (0.3, 1.5, 4.0):
+            assert mean_degree_slope(self.ds, x) == pytest.approx(
+                1.0 / (1.0 + x) ** 2, rel=1e-13)
+            assert loop_intensity(self.ds, 10, 3, x) == 0.0
+
+    def test_acceptance_is_one(self):
+        assert acceptance_probability(self.ds, 10, 3) == 1.0
+
+    def test_simple_estimate_equals_multigraph(self):
+        mg = multigraph_count_asymptotic(self.ds, 10, 3)
+        sg = simple_graph_count_asymptotic(self.ds, 10, 3)
+        assert mg.feasible and sg.log_value == mg.log_value
+        assert sg.saddle.x == pytest.approx(1.5, rel=1e-12)
+
+    def test_estimate_converges(self):
+        n, m = 400, 100
+        exact = multigraph_weight(self.ds, n, m)
+        res = multigraph_count_asymptotic(self.ds, n, m)
+        assert abs(math.expm1(res.log_value - log_fraction(exact))) < 1.0 / n

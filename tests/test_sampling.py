@@ -322,6 +322,23 @@ class TestSimpleSampling:
         sampler = DegreeSequenceSampler(DegreeSet.even(), 20, 10)
         assert sampler.default_max_attempts() >= 10
 
+    def test_boundary_budget_is_the_forced_one(self):
+        # 2m/n = min(D) forces every degree to 3: L = 1, ceil(e^2) = 8
+        boundary = DegreeSequenceSampler(DegreeSet.min_degree(3), 10, 15)
+        forced = DegreeSequenceSampler(DegreeSet.finite([3]), 10, 15)
+        assert boundary.default_max_attempts() == 80
+        assert forced.default_max_attempts() == 80
+
+    def test_empty_shift_budget(self):
+        # D-2 empty: every multigraph is simple, acceptance 1
+        sampler = DegreeSequenceSampler(DegreeSet.finite([0, 1]), 10, 3)
+        assert sampler.default_max_attempts() == 10
+
+    def test_empty_instance_constructs(self):
+        sampler = DegreeSequenceSampler(DegreeSet.even(), 0, 0)
+        assert sampler.sample_degrees(make_rng(0)) == []
+        assert sampler.default_max_attempts() == 10
+
     def test_drawing_leaves_sampler_state_unchanged(self):
         sampler = DegreeSequenceSampler(DegreeSet.finite([2, 3]), 12, 15)
         before = dict(vars(sampler))
