@@ -26,7 +26,8 @@ from .sampling import (DegreeSequenceSampler, InfeasibleInstanceError,
 from .saddlepoint import (InfeasibleRegimeError, RegularDegreeSetError,
                           multigraph_count_asymptotic,
                           simple_graph_count_asymptotic)
-from .tables import infeasibility_reason, multigraph_weight
+from .tables import (infeasibility_reason, multigraph_weight,
+                     no_sequence_reason)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,21 +73,17 @@ def _infeasible_payload(command: str, args, reason: str) -> dict:
 def _cmd_count_exact(args) -> int:
     degree_set = parse_degree_set(args.degrees)
     reason = infeasibility_reason(degree_set, args.n, args.m)
-    if reason is not None:
+    weight = (Fraction(0) if reason
+              else multigraph_weight(degree_set, args.n, args.m))
+    if weight == 0:
+        reason = reason or no_sequence_reason(degree_set, args.n, args.m)
         payload = _infeasible_payload("count-exact", args, reason)
-        payload["weight"] = "0/1"
-        _emit_json(args, payload)
-        return EXIT_INFEASIBLE
-    weight = multigraph_weight(degree_set, args.n, args.m)
-    _emit_json(args, {
-        "command": "count-exact",
-        "degrees": args.degrees,
-        "n": args.n,
-        "m": args.m,
-        "feasible": weight != 0,
-        "weight": _fraction_str(weight),
-    })
-    return EXIT_OK
+    else:
+        payload = {"command": "count-exact", "degrees": args.degrees,
+                   "n": args.n, "m": args.m, "feasible": True}
+    payload["weight"] = _fraction_str(weight)
+    _emit_json(args, payload)
+    return EXIT_OK if weight else EXIT_INFEASIBLE
 
 
 def _cmd_estimate(args, simple: bool) -> int:

@@ -1,16 +1,20 @@
 """Labelled multigraphs: loops, edge multiplicities, orderings weight.
 
-Vertices are labelled 1..n.  Edges form a multiset of unordered pairs stored
-canonically as a sorted-pair -> multiplicity map, so multiplicity queries are
-O(1) and serialisation is deterministic.
+Vertices are labelled 1..n.  Edges form a multiset of unordered pairs held
+in one dict, pair (u <= v) -> multiplicity, so multiplicity queries are O(1).
+The edge order is made only on output, which keeps serialisation
+deterministic without charging every sampled graph for a sort.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
+from collections import _count_elements
 from fractions import Fraction
+from operator import itemgetter
+
+_second = itemgetter(1)
 
 
 class GraphClass(enum.Enum):
@@ -29,21 +33,29 @@ class GraphClass(enum.Enum):
 
 
 class Multigraph:
-    """Immutable multigraph on vertices 1..n with a multiset of edges."""
+    """Immutable multigraph on vertices 1..n with a multiset of edges.
 
-    __slots__ = ("n", "_mult", "_items")
+    Its one edge dict is compared and hashed as an unordered mapping;
+    edge_items() sorts it on each call, for to_text and repr.
+    """
+
+    __slots__ = ("n", "_mult")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        counts = Counter()
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) outside vertex range 1..{n}")
-            counts[(u, v) if u <= v else (v, u)] += 1
-        self._mult = dict(counts)
-        self._items = tuple(sorted(self._mult.items()))
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # the range fallback reads them a second time
+        pairs = [(u, v) if u <= v else (v, u) for u, v in edges]
+        if pairs and (min(pairs)[0] < 1 or max(map(_second, pairs)) > n):
+            for u, v in edges:  # name the first bad edge as it was given
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(
+                        f"edge ({u},{v}) outside vertex range 1..{n}")
+        # Counter's C counting loop without Counter's per-call overhead
+        self._mult = {}
+        _count_elements(self._mult, pairs)
 
     @property
     def num_edges(self) -> int:
@@ -53,58 +65,46 @@ class Multigraph:
         return self._mult.get((u, v) if u <= v else (v, u), 0)
 
     def edge_items(self):
-        """Sorted ((u, v), multiplicity) pairs, u <= v."""
-        return self._items
+        """Sorted ((u, v), multiplicity) pairs, u <= v, made on each call."""
+        w = self.n + 1
+        return tuple(sorted(self._mult.items(),
+                            key=lambda item: item[0][0] * w + item[0][1]))
 
     def edge_occurrences(self):
         """Every edge occurrence as a sorted pair, repeats included."""
-        for (u, v), c in self._items:
-            for _ in range(c):
-                yield (u, v)
+        for pair, c in self.edge_items():
+            yield from (pair,) * c
 
     def degree(self, v: int) -> int:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} outside range 1..{self.n}")
-        total = 0
-        for (a, b), c in self._items:
-            if a == v:
-                total += c
-            if b == v:
-                total += c
-        return total
+        return self.degrees()[v - 1]
 
     def degrees(self) -> list[int]:
         deg = [0] * (self.n + 1)
-        for (a, b), c in self._items:
+        for (a, b), c in self._mult.items():
             deg[a] += c
             deg[b] += c
         return deg[1:]
 
     def is_simple(self) -> bool:
-        return all(a != b and c == 1 for (a, b), c in self._items)
+        return all(a != b and c == 1 for (a, b), c in self._mult.items())
 
     def classify(self) -> GraphClass:
         """Place the multigraph in the SIMPLE / STAR / NONSTAR partition."""
         if self.is_simple():
             return GraphClass.SIMPLE
-        loops = set()
-        double_count = [0] * (self.n + 1)
-        for (a, b), c in self._items:
+        loops, double_count = [], [0] * (self.n + 1)
+        for (a, b), c in self._mult.items():
+            if c >= (2 if a == b else 3):
+                return GraphClass.NONSTAR
             if a == b:
-                if c >= 2:
-                    return GraphClass.NONSTAR
-                loops.add(a)
-            else:
-                if c >= 3:
-                    return GraphClass.NONSTAR
-                if c == 2:
-                    double_count[a] += 1
-                    double_count[b] += 1
-        for v in range(1, self.n + 1):
-            if double_count[v] >= 2:
-                return GraphClass.NONSTAR
-            if v in loops and double_count[v] >= 1:
-                return GraphClass.NONSTAR
+                loops.append(a)
+            elif c == 2:
+                double_count[a] += 1
+                double_count[b] += 1
+        if max(double_count) >= 2 or any(double_count[v] for v in loops):
+            return GraphClass.NONSTAR
         return GraphClass.STAR
 
     def compensation_factor(self) -> Fraction:
@@ -115,7 +115,7 @@ class Multigraph:
         graphs; validated against the orderings enumerator in the tests.
         """
         denom = 1
-        for (a, b), c in self._items:
+        for (a, b), c in self._mult.items():
             if a == b:
                 denom *= (1 << c) * math.factorial(c)
             else:
@@ -126,9 +126,8 @@ class Multigraph:
 
     def to_text(self) -> str:
         """Edge-list format: header "n m", then one "u v" line per occurrence."""
-        lines = [f"{self.n} {self.num_edges}"]
-        lines.extend(f"{u} {v}" for u, v in self.edge_occurrences())
-        return "\n".join(lines) + "\n"
+        return f"{self.n} {self.num_edges}\n" + "".join(
+            f"{u} {v}\n" * c for (u, v), c in self.edge_items())
 
     @classmethod
     def from_text(cls, text: str) -> "Multigraph":
@@ -153,10 +152,10 @@ class Multigraph:
 
     def __eq__(self, other):
         return (isinstance(other, Multigraph)
-                and self.n == other.n and self._items == other._items)
+                and self.n == other.n and self._mult == other._mult)
 
     def __hash__(self):
-        return hash((self.n, self._items))
+        return hash((self.n, frozenset(self._mult.items())))
 
     def __repr__(self):
         return f"Multigraph(n={self.n}, edges={list(self.edge_occurrences())})"

@@ -24,7 +24,7 @@ import numpy as np
 from .degree_sets import DegreeSet
 from .multigraph import Multigraph
 from .saddlepoint import acceptance_probability, solve_mean_degree
-from .tables import CoefficientTable, build_table
+from .tables import CoefficientTable, build_table, no_sequence_reason
 
 # Bits per word; a degree draw reads one word, plus one more each time the
 # uniform interval straddles a prefix-weight boundary.
@@ -103,17 +103,17 @@ def make_rng(seed) -> np.random.Generator:
 def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
     """Uniform random pairing of the half-edges attached per the degrees.
 
-    Shuffles the 2m half-edge slots and pairs consecutive slots, which
-    induces the uniform perfect matching; each multigraph with the given
-    degree sequence then appears with probability proportional to its
-    compensation factor.
+    Lists vertex v once per half-edge (its stubs) and pairs the stubs at
+    consecutive positions of one uniform permutation, which induces the
+    uniform perfect matching; each multigraph with the given degree sequence
+    then appears with probability proportional to its compensation factor.
     """
     degrees = [int(d) for d in degrees]
     total = sum(degrees)
     if total % 2 != 0:
         raise ValueError("degree sum must be even to pair half-edges")
     n = len(degrees)
-    stubs = [v for v in range(1, n + 1) for _ in range(degrees[v - 1])]
+    stubs = [v for v, d in enumerate(degrees, 1) for _ in range(d)]
     perm = iter(rng.permutation(total).tolist())
     pairs = [(stubs[a], stubs[b]) for a, b in zip(perm, perm)]
     return Multigraph(n, pairs)
@@ -142,8 +142,7 @@ class DegreeSequenceSampler:
             table = build_table(degree_set, n, 2 * m)
         self.table = table
         if table.value(n, 2 * m) <= 0:
-            raise InfeasibleInstanceError(
-                f"no degree sequence from {degree_set} on {n} vertices sums to {2 * m}")
+            raise InfeasibleInstanceError(no_sequence_reason(degree_set, n, m))
         acc = acceptance_probability(degree_set, n, m)
         self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
                                   else 10 ** 6)

@@ -296,6 +296,11 @@ def infeasibility_reason(degree_set: DegreeSet, n: int, m: int) -> str | None:
     return None
 
 
+def no_sequence_reason(degree_set: DegreeSet, n: int, m: int) -> str:
+    """Why an instance that passes infeasibility_reason still has weight 0."""
+    return f"no degree sequence from {degree_set} on {n} vertices sums to {2 * m}"
+
+
 def multigraph_weight(degree_set: DegreeSet, n: int, m: int,
                       table: CoefficientTable | None = None) -> Fraction:
     """Total orderings-compensated weight of multigraphs on n labelled

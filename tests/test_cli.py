@@ -50,6 +50,21 @@ class TestCounting:
         payload = validate_json_lines(schema, out)[0]
         assert payload["feasible"] is False
 
+    def test_count_exact_agrees_with_sample_on_empty_instance(self, capsys,
+                                                                  schema):
+        # 0,5,7 at n = 2, m = 1 passes the range and periodicity tests, yet
+        # no two members sum to 2
+        argv = ["--degrees", "0,5,7", "--n", "2", "--m", "1"]
+        code1, out1 = run(capsys, "count-exact", *argv)
+        code2, out2 = run(capsys, "sample", *argv, "--seed", "1")
+        assert code1 == code2 == 2
+        exact = validate_json_lines(schema, out1)[0]
+        sample = validate_json_lines(schema, out2)[0]
+        assert exact["feasible"] is sample["feasible"] is False
+        assert exact["weight"] == "0/1"
+        assert exact["reason"] == sample["reason"] == (
+            "no degree sequence from 0,5,7 on 2 vertices sums to 2")
+
     def test_estimate_fields(self, capsys, schema):
         code, out = run(capsys, "sg-estimate", "--degrees", "even",
                         "--n", "1000", "--m", "500")

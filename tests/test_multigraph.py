@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,13 @@ class TestDegrees:
         g = Multigraph(2, [(1, 2)])
         with pytest.raises(ValueError):
             g.degree(3)
+
+    def test_vertex_range_names_first_bad_edge_as_given(self):
+        with pytest.raises(ValueError,
+                           match=r"^edge \(4,1\) outside vertex range 1\.\.3$"):
+            Multigraph(3, [(1, 2), (4, 1), (0, 2)])
+        with pytest.raises(ValueError, match=r"^edge \(2,0\) outside"):
+            Multigraph(3, iter([(1, 2), (2, 0), (4, 1)]))
 
 
 class TestCompensationFactor:
@@ -136,3 +144,39 @@ class TestTextFormat:
     def test_wrong_edge_count(self):
         with pytest.raises(ValueError):
             Multigraph.from_text("2 2\n1 2\n")
+
+
+class TestValueSemantics:
+    EDGES = [(1, 1), (2, 3), (2, 3), (1, 4), (4, 4), (3, 4), (1, 2)]
+
+    def variants(self):
+        shuffled = [self.EDGES[i] for i in (4, 2, 6, 0, 5, 3, 1)]
+        flipped = [(v, u) for u, v in self.EDGES]
+        return [Multigraph(4, e) for e in (self.EDGES, shuffled, flipped,
+                                           reversed(flipped))]
+
+    def test_same_multiset_same_value(self):
+        first, *others = self.variants()
+        for g in others:
+            assert g == first
+            assert hash(g) == hash(first)
+            assert g.edge_items() == first.edge_items()
+            assert g.to_text() == first.to_text()
+            assert repr(g) == repr(first)
+
+    def test_edge_items_sorted(self):
+        g = self.variants()[2]
+        assert g.edge_items() == (((1, 1), 1), ((1, 2), 1), ((1, 4), 1),
+                                  ((2, 3), 2), ((3, 4), 1), ((4, 4), 1))
+        assert g.to_text() == "4 7\n1 1\n1 2\n1 4\n2 3\n2 3\n3 4\n4 4\n"
+
+    def test_different_multisets_differ(self):
+        g = Multigraph(4, self.EDGES)
+        assert g != Multigraph(4, self.EDGES[1:])
+        assert g != Multigraph(5, self.EDGES)
+        assert g != Multigraph(4, self.EDGES + [(2, 3)])
+
+    def test_counter_counts_equal_graphs_together(self):
+        counts = Counter(self.variants())
+        counts[Multigraph(4, [(1, 2)])] += 1
+        assert sorted(counts.values()) == [1, 4]

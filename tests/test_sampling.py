@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -286,6 +287,45 @@ class TestPairing:
         degrees = [3, 1, 2, 0, 4]
         g = pair_half_edges(degrees, rng)
         assert g.degrees() == degrees
+
+
+# seeded pairings as text: a change in the rng stream, the stub order or the
+# output edge order shows up as a literal mismatch
+PINNED_PAIRINGS = {
+    (3, 1, 2, 2): ["4 4\n1 3\n1 3\n1 4\n2 4\n", "4 4\n1 3\n1 3\n1 4\n2 4\n",
+                   "4 4\n1 1\n1 4\n2 3\n3 4\n", "4 4\n1 1\n1 2\n3 3\n4 4\n",
+                   "4 4\n1 1\n1 4\n2 4\n3 3\n"],
+    (4, 0, 2): ["3 3\n1 1\n1 1\n3 3\n", "3 3\n1 1\n1 3\n1 3\n",
+                "3 3\n1 1\n1 3\n1 3\n", "3 3\n1 1\n1 3\n1 3\n",
+                "3 3\n1 1\n1 3\n1 3\n"],
+    (1, 1, 1, 1, 2): ["5 3\n1 2\n3 4\n5 5\n", "5 3\n1 5\n2 3\n4 5\n",
+                      "5 3\n1 2\n3 5\n4 5\n", "5 3\n1 4\n2 5\n3 5\n",
+                      "5 3\n1 5\n2 3\n4 5\n"],
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("degrees", sorted(PINNED_PAIRINGS))
+    def test_pairing_text(self, degrees):
+        texts = [pair_half_edges(list(degrees), make_rng(s)).to_text()
+                 for s in range(5)]
+        assert texts == PINNED_PAIRINGS[degrees]
+
+    def test_boltzmann_text_digest(self):
+        ds = DegreeSet.min_degree(2)
+        g, _ = boltzmann_sample(ds, 200, boltzmann_tune(ds, 3.0), make_rng(7))
+        digest = hashlib.sha256(g.to_text().encode()).hexdigest()
+        assert digest == ("de9dad3a6065c7f4260c4e9eb7534e34"
+                          "857a08171bca808f366951c718f823ec")
+
+    def test_edge_items_strictly_increasing(self):
+        rng = make_rng(5)
+        degrees = [int(d) for d in rng.integers(1, 6, size=300)]
+        degrees[0] += sum(degrees) % 2
+        items = pair_half_edges(degrees, rng).edge_items()
+        keys = [pair for pair, _ in items]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(u <= v for u, v in keys)
 
 
 class TestSimpleSampling:
