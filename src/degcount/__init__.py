@@ -7,18 +7,16 @@ from .marked import (disjointness_factor, marked_multigraph_weight,
                      marked_multigraph_weight_series)
 from .multigraph import GraphClass, Multigraph
 from .saddlepoint import (AsymptoticCount, InfeasibleRegimeError, Regime,
-                          RegularDegreeSetError, SaddlePoint,
-                          acceptance_probability, loop_intensity, mean_degree,
-                          mean_degree_slope, multigraph_count_asymptotic,
-                          resolve, saddle_point, simple_graph_count_asymptotic,
-                          solve_mean_degree)
+                          SaddlePoint, acceptance_probability, loop_intensity,
+                          mean_degree, mean_degree_slope,
+                          multigraph_count_asymptotic, resolve, saddle_point,
+                          simple_graph_count_asymptotic, solve_mean_degree)
 from .sampling import (DegreeSequenceSampler, InfeasibleInstanceError,
                        SampleReport, SamplerExhausted, boltzmann_degree_law,
                        boltzmann_sample, boltzmann_tune, make_rng,
                        pair_half_edges)
 from .tables import (CoefficientTable, build_table, infeasibility_reason,
-                     mixed_power_coefficient, multigraph_weight,
-                     power_coefficient)
+                     multigraph_weight, power_coefficient)
 
 __version__ = "0.1.0"
 
@@ -34,7 +32,6 @@ __all__ = [
     "InfeasibleRegimeError",
     "Multigraph",
     "Regime",
-    "RegularDegreeSetError",
     "SaddlePoint",
     "SampleReport",
     "SamplerExhausted",
@@ -51,7 +48,6 @@ __all__ = [
     "marked_multigraph_weight_series",
     "mean_degree",
     "mean_degree_slope",
-    "mixed_power_coefficient",
     "multigraph_count_asymptotic",
     "multigraph_weight",
     "pair_half_edges",

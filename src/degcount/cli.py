@@ -23,11 +23,9 @@ from .marked import marked_multigraph_weight
 from .sampling import (DegreeSequenceSampler, InfeasibleInstanceError,
                        SampleReport, SamplerExhausted, boltzmann_sample,
                        boltzmann_tune, make_rng)
-from .saddlepoint import (InfeasibleRegimeError, RegularDegreeSetError,
-                          multigraph_count_asymptotic,
+from .saddlepoint import (InfeasibleRegimeError, multigraph_count_asymptotic,
                           simple_graph_count_asymptotic)
-from .tables import (infeasibility_reason, multigraph_weight,
-                     no_sequence_reason)
+from .tables import infeasibility_reason, multigraph_weight
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,17 +71,16 @@ def _infeasible_payload(command: str, args, reason: str) -> dict:
 def _cmd_count_exact(args) -> int:
     degree_set = parse_degree_set(args.degrees)
     reason = infeasibility_reason(degree_set, args.n, args.m)
-    weight = (Fraction(0) if reason
-              else multigraph_weight(degree_set, args.n, args.m))
-    if weight == 0:
-        reason = reason or no_sequence_reason(degree_set, args.n, args.m)
-        payload = _infeasible_payload("count-exact", args, reason)
-    else:
+    if reason is None:
+        weight = multigraph_weight(degree_set, args.n, args.m)
         payload = {"command": "count-exact", "degrees": args.degrees,
                    "n": args.n, "m": args.m, "feasible": True}
+    else:
+        weight = Fraction(0)
+        payload = _infeasible_payload("count-exact", args, reason)
     payload["weight"] = _fraction_str(weight)
     _emit_json(args, payload)
-    return EXIT_OK if weight else EXIT_INFEASIBLE
+    return EXIT_OK if reason is None else EXIT_INFEASIBLE
 
 
 def _cmd_estimate(args, simple: bool) -> int:
@@ -200,8 +197,7 @@ def _cmd_sample(args) -> int:
     try:
         sampler = DegreeSequenceSampler(degree_set, args.n, args.m)
     except InfeasibleInstanceError as exc:
-        reason = infeasibility_reason(degree_set, args.n, args.m) or str(exc)
-        _emit_json(args, _infeasible_payload("sample", args, reason))
+        _emit_json(args, _infeasible_payload("sample", args, str(exc)))
         return EXIT_INFEASIBLE
     try:
         blocks, report = _collect_samples(args, sampler)
@@ -238,7 +234,7 @@ def _cmd_boltzmann(args) -> int:
     else:
         try:
             x = boltzmann_tune(degree_set, args.mean_degree)
-        except (InfeasibleRegimeError, RegularDegreeSetError) as exc:
+        except InfeasibleRegimeError as exc:
             _emit_json(args, _boltzmann_infeasible(args, str(exc)))
             return EXIT_INFEASIBLE
     seeds = np.random.SeedSequence(args.seed).spawn(args.samples)
@@ -266,11 +262,11 @@ def _cmd_report(args) -> int:
     lines = ["n\tm\tlog_exact\tlog_asymptotic\tratio\trel_error"]
     n, m = args.n, args.m
     for _ in range(args.steps):
-        weight = multigraph_weight(degree_set, n, m)
         estimate = multigraph_count_asymptotic(degree_set, n, m)
-        if weight == 0 or not estimate.feasible:
+        if not estimate.feasible:
             lines.append(f"{n}\t{m}\tNA\tNA\tNA\tNA")
         else:
+            weight = multigraph_weight(degree_set, n, m)
             log_exact = math.log(weight.numerator) - math.log(weight.denominator)
             ratio = math.exp(estimate.log_value - log_exact)
             lines.append(

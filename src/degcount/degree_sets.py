@@ -132,18 +132,6 @@ class DegreeSet:
             return iter(range(0, j + 1, 2))
         return iter(range(1, j + 1, 2))
 
-    def count_up_to(self, j: int) -> int:
-        """Number of members not exceeding j."""
-        if j < 0:
-            return 0
-        if self.kind == _FINITE:
-            return sum(1 for d in self.members if d <= j)
-        if self.kind == _MIN:
-            return max(j - self.delta + 1, 0)
-        if self.kind == _EVEN:
-            return j // 2 + 1
-        return (j + 1) // 2
-
     def shift(self, i: int) -> "DegreeSet":
         """The set {d - i : d in self, d - i >= 0}.
 

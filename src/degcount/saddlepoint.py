@@ -25,18 +25,15 @@ from .tables import infeasibility_reason
 _LN2 = math.log(2.0)
 
 
-class RegularDegreeSetError(ValueError):
-    """The degree set is a singleton; use the closed regular-case forms."""
-
-
 class InfeasibleRegimeError(ValueError):
-    """2m/n is not strictly between min(D) and max(D), or no instance exists."""
+    """No saddle point: 2m/n is not strictly between min(D) and max(D), D has
+    one member, or no instance exists."""
 
 
 def _shift1_ratio(degree_set: DegreeSet, x: float) -> tuple[float, float]:
     # (log Set_D(x), Set_{D-1}(x) / Set_D(x)) for the mean-degree curve
     if degree_set.size == 1:
-        raise RegularDegreeSetError(
+        raise InfeasibleRegimeError(
             "mean-degree function is degenerate for a one-member set")
     if x <= 0:
         raise ValueError("argument must be positive")
@@ -72,9 +69,6 @@ def solve_mean_degree(degree_set: DegreeSet, target: float) -> float:
     ]min(D), max(D)[, so the bracketing always succeeds for an in-range
     target.
     """
-    if degree_set.size == 1:
-        raise RegularDegreeSetError(
-            "no saddle point for a one-member set; use the regular closed form")
     r = degree_set.valuation
     mx = degree_set.max_degree
     if not (r < target and (mx is INFINITE or target < mx)):
@@ -184,11 +178,12 @@ class Regime:
 def resolve(degree_set: DegreeSet, n: int, m: int) -> Regime:
     """Decide which regime (D, n, m) is in; the one place edge cases are met.
 
-    Infeasible when :func:`infeasibility_reason` gives a reason.  Forced when
-    2m equals n*min(D) or n*max(D), which covers a one-member D, m = 0 and
-    n = 0: every degree is d and L = n d (d-1) / 4m, or 0 without edges.
-    Otherwise 2m/n lies strictly inside D's range and the saddle point is
-    solved once.  Raises ValueError for negative n or m.
+    Infeasible exactly when no degree sequence exists, with the reason from
+    :func:`infeasibility_reason`.  Forced when 2m equals n*min(D) or
+    n*max(D), which covers a one-member D, m = 0 and n = 0: every degree is
+    d and L = n d (d-1) / 4m, or 0 without edges.  Otherwise 2m/n lies
+    strictly inside D's range and the saddle point is solved once.  Raises
+    ValueError for negative n or m.
     """
     reason = infeasibility_reason(degree_set, n, m)
     if reason is not None:

@@ -24,7 +24,7 @@ import numpy as np
 from .degree_sets import DegreeSet
 from .multigraph import Multigraph
 from .saddlepoint import acceptance_probability, solve_mean_degree
-from .tables import CoefficientTable, build_table, no_sequence_reason
+from .tables import CoefficientTable, build_table, infeasibility_reason
 
 # Bits per word; a degree draw reads one word, plus one more each time the
 # uniform interval straddles a prefix-weight boundary.
@@ -122,16 +122,19 @@ def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
 class DegreeSequenceSampler:
     """Exact sampler of degree sequences and multigraphs at fixed (n, m).
 
-    Holds the coefficient table for its instance and its default attempt
-    budget, all set in the constructor and never written afterwards, so one
-    sampler can serve many concurrent generators as long as each worker owns
-    its own rng stream.
+    Raises InfeasibleInstanceError, before building any table, when
+    :func:`infeasibility_reason` finds no degree sequence.  Holds the
+    coefficient table for its instance and its default attempt budget, all
+    set in the constructor and never written afterwards, so one sampler can
+    serve many concurrent generators as long as each worker owns its own rng
+    stream.
     """
 
     def __init__(self, degree_set: DegreeSet, n: int, m: int,
                  table: CoefficientTable | None = None):
-        if n < 0 or m < 0:
-            raise ValueError("n and m must be nonnegative")
+        reason = infeasibility_reason(degree_set, n, m)
+        if reason is not None:
+            raise InfeasibleInstanceError(reason)
         if table is not None and table.degree_set != degree_set:
             raise ValueError(f"table was built for {table.degree_set}, "
                              f"not {degree_set}")
@@ -141,8 +144,6 @@ class DegreeSequenceSampler:
         if table is None or table.n_max < n or table.j_max < 2 * m:
             table = build_table(degree_set, n, 2 * m)
         self.table = table
-        if table.value(n, 2 * m) <= 0:
-            raise InfeasibleInstanceError(no_sequence_reason(degree_set, n, m))
         acc = acceptance_probability(degree_set, n, m)
         self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
                                   else 10 ** 6)

@@ -270,13 +270,50 @@ def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     return _parity_coefficient(kind == "odd", n, j)
 
 
+def _short_sum(steps, n: int, e: int) -> bool:
+    """Whether e is a sum of at most n members of steps.
+
+    steps are positive with gcd 1 and largest a.  Every e in the band
+    (a-1)^2 <= e <= n*a - (a-1)^2 is such a sum: the steps below a reach each
+    residue mod a with at most a-1 of them, summing to at most (a-1)^2, and
+    copies of a pad that sum to e.  Nearer either end a fewest-parts search
+    runs on a bitset of at most (a-1)^2 bits, level t holding the sums of at
+    most t steps; the top end reflects every degree, s to a - s and e to
+    n*a - e.  A fewest-parts sum uses at most a-1 steps below a, so the
+    search stops within min(n, 2a) levels and costs O(|steps| a^3) bit
+    operations.
+    """
+    a = steps[-1]
+    deficit = n * a - e
+    if min(e, deficit) >= (a - 1) ** 2:
+        return True
+    if deficit < e:
+        steps = [a - s for s in steps[:-1]] + [a]
+        e = deficit
+    mask = (1 << (e + 1)) - 1
+    reach = 1
+    for _ in range(n):
+        if reach >> e & 1:
+            return True
+        grown = reach
+        for s in steps:
+            grown |= reach << s
+        grown &= mask
+        if grown == reach:
+            return False
+        reach = grown
+    return bool(reach >> e & 1)
+
+
 def infeasibility_reason(degree_set: DegreeSet, n: int, m: int) -> str | None:
     """Why no multigraph on n vertices and m edges can fit, or None.
 
-    These are the necessary emptiness conditions: total degree out of range,
-    or the degree-set periodicity not dividing the excess total degree.  A
-    singleton set {d} is covered by the range checks, which then force
-    2m = n*d exactly.
+    The test is exact: None if and only if some sequence of n degrees from
+    the set sums to 2m, so T[n][2m] > 0.  It checks the total degree against
+    n*min(D) and n*max(D) and the periodicity p against the excess
+    2m - n*min(D).  Those decide every set but a finite one with two or more
+    members; there degree r + p*s is step s from min(D) = r, and the excess
+    over p must be a sum of at most n nonzero steps (:func:`_short_sum`).
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -290,15 +327,16 @@ def infeasibility_reason(degree_set: DegreeSet, n: int, m: int) -> str | None:
     if mx is not INFINITE and total > n * mx:
         return f"total degree {total} exceeds n*max(D) = {n * mx}"
     p = degree_set.periodicity
-    if p is not INFINITE and p > 0 and (total - r * n) % p != 0:
-        return (f"periodicity {p} does not divide 2m - n*min(D) = "
-                f"{total - r * n}")
+    if p is INFINITE:           # one member: the range tests forced 2m = n*d
+        return None
+    excess = total - r * n
+    if excess % p != 0:
+        return f"periodicity {p} does not divide 2m - n*min(D) = {excess}"
+    if mx is not INFINITE and not _short_sum(
+            [(d - r) // p for d in degree_set.members[1:]], n, excess // p):
+        return (f"no degree sequence from {degree_set} on {n} vertices "
+                f"sums to {total}")
     return None
-
-
-def no_sequence_reason(degree_set: DegreeSet, n: int, m: int) -> str:
-    """Why an instance that passes infeasibility_reason still has weight 0."""
-    return f"no degree sequence from {degree_set} on {n} vertices sums to {2 * m}"
 
 
 def multigraph_weight(degree_set: DegreeSet, n: int, m: int,
@@ -306,18 +344,9 @@ def multigraph_weight(degree_set: DegreeSet, n: int, m: int,
     """Total orderings-compensated weight of multigraphs on n labelled
     vertices with m edges and every degree in the set.
 
-    Equals T[n][2m] / (2^m m!), an exact rational.  Zero when no such
-    multigraph exists.  A singleton set {d} short-circuits to the closed
-    form (2m)! / (2^m m! d!^n).
+    Equals T[n][2m] / (2^m m!), an exact rational.  Zero exactly when
+    :func:`infeasibility_reason` gives a reason.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    if degree_set.size == 1:
-        d = degree_set.members[0]
-        if 2 * m != n * d:
-            return Fraction(0)
-        return Fraction(math.factorial(2 * m),
-                        (1 << m) * math.factorial(m) * math.factorial(d) ** n)
     if infeasibility_reason(degree_set, n, m) is not None:
         return Fraction(0)
     if table is not None and table.degree_set != degree_set:
@@ -349,16 +378,3 @@ def mixed_table_coefficient(shifted_table: CoefficientTable,
         if wb:
             total += comb(j, k) * wa * wb
     return total
-
-
-def mixed_power_coefficient(degree_set: DegreeSet, a: int, b: int, j: int) -> int:
-    """j! * [x^j] ( Set_{D-2}(x)^a * Set_D(x)^b ), exact.
-
-    Computed as the binomial convolution of the tables of the twice-shifted
-    and the original set.  Raises DegenerateShiftError if the shift empties
-    the set.
-    """
-    if a < 0 or b < 0 or j < 0:
-        raise ValueError("indices must be nonnegative")
-    return mixed_table_coefficient(build_table(degree_set.shift(2), a, j),
-                                   build_table(degree_set, b, j), a, b, j)

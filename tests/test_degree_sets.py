@@ -66,11 +66,6 @@ class TestStructure:
             for b in members:
                 assert (a - b) % p == 0
 
-    @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
-    def test_count_up_to_matches_iteration(self, ds):
-        for j in (-1, 0, 1, 2, 5, 12):
-            assert ds.count_up_to(j) == sum(1 for _ in ds.members_up_to(j))
-
     def test_membership(self):
         assert 4 in DegreeSet.even()
         assert 5 not in DegreeSet.even()

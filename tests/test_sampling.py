@@ -170,6 +170,15 @@ class TestDegreeSequences:
         with pytest.raises(InfeasibleInstanceError):
             DegreeSequenceSampler(DegreeSet.finite([1, 3]), 3, 2)
 
+    @pytest.mark.parametrize("members, n, m",
+                             [((1, 3), 2, 4), ((0, 5, 7), 2, 1)])
+    def test_infeasible_builds_no_table(self, monkeypatch, members, n, m):
+        def no_table(*args):
+            raise AssertionError("built a table for an empty instance")
+        monkeypatch.setattr("degcount.sampling.build_table", no_table)
+        with pytest.raises(InfeasibleInstanceError):
+            DegreeSequenceSampler(DegreeSet.finite(members), n, m)
+
     def test_table_of_another_set_rejected(self):
         table = build_table(DegreeSet.even(), 6, 8)
         with pytest.raises(ValueError, match="table was built for"):

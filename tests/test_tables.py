@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from degcount import (INFINITE, DegreeSet, build_table, infeasibility_reason,
-                      mixed_power_coefficient, multigraph_weight,
-                      power_coefficient)
+                      multigraph_weight, power_coefficient)
 from degcount.tables import mixed_table_coefficient
 
 from conftest import FAMILY, FAMILY_IDS
@@ -113,6 +112,37 @@ class TestFeasibility:
         assert infeasibility_reason(DegreeSet.even(), 0, 0) is None
         assert infeasibility_reason(DegreeSet.even(), 0, 1) is not None
 
+    @pytest.mark.parametrize("ds", [DegreeSet.finite(members) for members in
+                                    ((0, 5, 7), (1, 2, 8), (3, 10), (0, 9, 13),
+                                     (0, 4, 9, 11), (2, 11, 12))], ids=str)
+    def test_exact_on_grid(self, ds):
+        # None exactly when some degree sequence exists, for every m in range
+        for n in range(13):
+            for m in range(n * ds.max_degree // 2 + 2):
+                assert ((infeasibility_reason(ds, n, m) is None)
+                        == (power_coefficient(ds, n, 2 * m) != 0)), (n, m)
+
+    def test_band_edge_is_tight(self):
+        # Steps 12 and 13 never sum to (13-1)^2 - 13 = 131, which a band
+        # starting any lower than (a-1)^2 would call feasible from n = 20 on
+        ds = DegreeSet.finite([1, 13, 14])
+        table = build_table(ds, 30, 420)
+        for n in range(13, 31):
+            for m in range(n * 14 // 2 + 1):
+                assert ((infeasibility_reason(ds, n, m) is None)
+                        == (table.value(n, 2 * m) != 0)), (n, m)
+
+    def test_middle_band_needs_no_search(self):
+        assert infeasibility_reason(DegreeSet.finite([0, 5, 7]), 10 ** 6,
+                                    3 * 10 ** 6) is None
+
+    def test_top_end_reflects(self):
+        # 7n - 2m is the total deficit below degree 7, a sum of 2s and 7s
+        ds, n = DegreeSet.finite([0, 5, 7]), 10 ** 6 + 1
+        for deficit in (1, 3, 5, 7, 9, 11):
+            reason = infeasibility_reason(ds, n, (7 * n - deficit) // 2)
+            assert (reason is None) == (deficit >= 7), deficit
+
 
 class TestMultigraphWeight:
     def test_unconstrained_small(self):
@@ -147,12 +177,18 @@ class TestMultigraphWeight:
         assert multigraph_weight(ds, 6, 4, table=t) == multigraph_weight(ds, 6, 4)
 
 
+def mixed_coefficient(ds, a, b, j):
+    """j! [x^j] Set_{D-2}^a Set_D^b from freshly built tables."""
+    return mixed_table_coefficient(build_table(ds.shift(2), a, j),
+                                   build_table(ds, b, j), a, b, j)
+
+
 class TestMixedCoefficient:
     def test_empty_first_factor_reduces(self):
         ds = DegreeSet.finite([2, 3])
         for b in range(4):
             for j in range(7):
-                assert (mixed_power_coefficient(ds, 0, b, j)
+                assert (mixed_coefficient(ds, 0, b, j)
                         == power_coefficient(ds, b, j))
 
     def test_even_self_shift(self):
@@ -161,16 +197,11 @@ class TestMixedCoefficient:
         for a in range(3):
             for b in range(3):
                 for j in range(9):
-                    assert (mixed_power_coefficient(ds, a, b, j)
+                    assert (mixed_coefficient(ds, a, b, j)
                             == power_coefficient(ds, a + b, j))
 
     def test_min_two_shift_is_exp(self):
-        assert mixed_power_coefficient(DegreeSet.min_degree(2), 1, 0, 1) == 1
-
-    def test_degenerate_shift_propagates(self):
-        from degcount import DegenerateShiftError
-        with pytest.raises(DegenerateShiftError):
-            mixed_power_coefficient(DegreeSet.finite([0, 1]), 1, 1, 2)
+        assert mixed_coefficient(DegreeSet.min_degree(2), 1, 0, 1) == 1
 
 
 # Sets beyond FAMILY whose single-coefficient routes differ: deeper minimum
