@@ -12,17 +12,14 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import reduce
-
-import numpy as np
 
 from .degree_sets import parse_degree_set
 from .marked import marked_multigraph_weight
 from .sampling import (DegreeSequenceSampler, InfeasibleInstanceError,
                        SampleReport, SamplerExhausted, boltzmann_sample,
-                       boltzmann_tune, make_rng)
+                       boltzmann_tune, make_rng, spawn_seeds)
 from .saddlepoint import (InfeasibleRegimeError, multigraph_count_asymptotic,
                           simple_graph_count_asymptotic)
 from .tables import infeasibility_reason, multigraph_weight
@@ -70,13 +67,14 @@ def _infeasible_payload(command: str, args, reason: str) -> dict:
 
 def _cmd_count_exact(args) -> int:
     degree_set = parse_degree_set(args.degrees)
-    reason = infeasibility_reason(degree_set, args.n, args.m)
+    weight = multigraph_weight(degree_set, args.n, args.m)
+    # the weight is 0 exactly when the feasibility test gives a reason
+    reason = (None if weight
+              else infeasibility_reason(degree_set, args.n, args.m))
     if reason is None:
-        weight = multigraph_weight(degree_set, args.n, args.m)
         payload = {"command": "count-exact", "degrees": args.degrees,
                    "n": args.n, "m": args.m, "feasible": True}
     else:
-        weight = Fraction(0)
         payload = _infeasible_payload("count-exact", args, reason)
     payload["weight"] = _fraction_str(weight)
     _emit_json(args, payload)
@@ -120,6 +118,12 @@ def _cmd_marked(args) -> int:
         sys.stderr.write(f"bad rational argument: {exc}\n")
         return EXIT_USAGE
     value = marked_multigraph_weight(degree_set, args.n, args.m, u, v)
+    # a feasible instance can also give 0, so ask the test only then
+    reason = (None if value
+              else infeasibility_reason(degree_set, args.n, args.m))
+    if reason is not None:
+        _emit_json(args, _infeasible_payload("marked", args, reason))
+        return EXIT_INFEASIBLE
     _emit_json(args, {
         "command": "marked",
         "degrees": args.degrees,
@@ -145,7 +149,7 @@ def _init_worker(degrees_text: str, n: int, m: int):
 def _run_one_sample(task, sampler=None):
     # pool workers pass no sampler and use the one _init_worker built
     seed_seq, allow_multi, max_attempts = task
-    rng = np.random.default_rng(seed_seq)
+    rng = make_rng(seed_seq)
     if sampler is None:
         sampler = _WORKER_SAMPLER
     if allow_multi:
@@ -157,10 +161,13 @@ def _run_one_sample(task, sampler=None):
 
 
 def _collect_samples(args, sampler) -> tuple[list[str], SampleReport]:
-    seeds = np.random.SeedSequence(args.seed).spawn(args.samples)
+    seeds = spawn_seeds(args.seed, args.samples)
     max_attempts = args.max_attempts or sampler.default_max_attempts()
     tasks = [(seed, args.allow_multi, max_attempts) for seed in seeds]
     if args.jobs > 1:
+        # imported here so that commands which never sample do not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
                 max_workers=args.jobs, initializer=_init_worker,
                 initargs=(args.degrees, args.n, args.m)) as pool:
@@ -237,12 +244,12 @@ def _cmd_boltzmann(args) -> int:
         except InfeasibleRegimeError as exc:
             _emit_json(args, _boltzmann_infeasible(args, str(exc)))
             return EXIT_INFEASIBLE
-    seeds = np.random.SeedSequence(args.seed).spawn(args.samples)
+    seeds = spawn_seeds(args.seed, args.samples)
     blocks = []
     total = SampleReport()
     degree_total = 0
     for i in range(args.samples):
-        rng = np.random.default_rng(seeds[i])
+        rng = make_rng(seeds[i])
         try:
             graph, report = boltzmann_sample(degree_set, args.n, x, rng)
         except InfeasibleInstanceError as exc:

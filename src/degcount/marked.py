@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .degree_sets import DegreeSet
-from .tables import build_table, mixed_table_coefficient
+from .tables import build_table, infeasibility_reason, mixed_table_coefficient
 
 
 def _falling(n: int, k: int) -> int:
@@ -72,10 +72,14 @@ def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
     choose their slots among the m edges, then fill the remaining
     2m - 4k - 2l half-edges with the marked vertices demoted to the
     twice-shifted degree set.  At (0, 0) this is exactly the total
-    multigraph weight.
+    multigraph weight.  Every marked multigraph has all its degrees in the
+    set, so when :func:`infeasibility_reason` gives a reason the value is 0
+    and no table is built.
     """
     u = Fraction(u)
     v = Fraction(v)
+    if infeasibility_reason(degree_set, n, m) is not None:
+        return Fraction(0)
     cap, shifted_table, base_table = _term_tables(degree_set, n, m)
     comb = math.comb
     fact = math.factorial
@@ -105,9 +109,12 @@ def marked_multigraph_weight_series(degree_set: DegreeSet, n: int, m: int,
     Sums disjointness_factor(n, m, 2k + l) against the expanded powers of
     the loop-intensity series; each power collapses to one mixed coefficient
     because the series is (n/4m) x^2 Set_{D-2}(x) / Set_D(x) times Set_D^n.
+    Zero, with no table built, on an instance with no degree sequence.
     """
     u = Fraction(u)
     v = Fraction(v)
+    if infeasibility_reason(degree_set, n, m) is not None:
+        return Fraction(0)
     cap, shifted_table, base_table = _term_tables(degree_set, n, m)
     fact = math.factorial
     prefactor = Fraction(fact(2 * m), (1 << m) * fact(m))

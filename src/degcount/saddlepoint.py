@@ -67,7 +67,10 @@ def solve_mean_degree(degree_set: DegreeSet, target: float) -> float:
     1e-3 relative width, then polishes with Newton to 1e-13 relative.  The
     mean-degree function is continuous and strictly increasing with range
     ]min(D), max(D)[, so the bracketing always succeeds for an in-range
-    target.
+    target.  If 60 Newton steps end without that step test firing, the last
+    iterate is returned only when its residual is within 1e-12 relative of
+    the target (near the ends of a finite set's range rounding can keep the
+    steps from shrinking further); otherwise ArithmeticError is raised.
     """
     r = degree_set.valuation
     mx = degree_set.max_degree
@@ -120,7 +123,12 @@ def solve_mean_degree(degree_set: DegreeSet, target: float) -> float:
         if abs(nxt - x) <= 1e-13 * x:
             return nxt
         x = nxt
-    return x
+    residual = f(x)
+    if abs(residual) <= 1e-12 * target:
+        return x
+    raise ArithmeticError(
+        f"Newton did not converge for target {target} on {degree_set}: "
+        f"relative residual {abs(residual) / target:.3g} at x = {x!r}")
 
 
 def loop_intensity(degree_set: DegreeSet, n: int, m: int, x: float) -> float:

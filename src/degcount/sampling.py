@@ -12,29 +12,32 @@ i.i.d. with P(d) proportional to x^d/d!, giving a random edge count.
 Both finish by pairing half-edges uniformly, which weights every multigraph
 by its compensation factor; rejecting until simple therefore yields the
 uniform distribution on simple graphs.
+
+numpy is loaded only by sampling: the functions that make generators and
+seeds (`make_rng`, `spawn_seeds`), the word reader behind every exact draw
+and the Boltzmann degree law import it when called.  So importing the
+package, or running a CLI command that only counts or estimates, does not
+load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .degree_sets import DegreeSet
 from .multigraph import Multigraph
 from .saddlepoint import acceptance_probability, solve_mean_degree
 from .tables import CoefficientTable, build_table, infeasibility_reason
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Bits per word; a degree draw reads one word, plus one more each time the
 # uniform interval straddles a prefix-weight boundary.
 _WORD_BITS = 64
-
-# Bit generators whose random_raw() yields uniform 64-bit words.  Others
-# (MT19937 yields 32-bit ones) are read through Generator.integers, which
-# gives these the same stream but costs about 10 us more per call.
-_RAW_WORD_SOURCES = frozenset({np.random.PCG64, np.random.PCG64DXSM,
-                               np.random.Philox, np.random.SFC64})
 
 
 class InfeasibleInstanceError(ValueError):
@@ -84,20 +87,46 @@ class SampleReport:
         }
 
 
+@functools.cache
+def _raw_word_sources() -> frozenset:
+    """Bit generators whose random_raw() yields uniform 64-bit words.
+
+    Others (MT19937 yields 32-bit ones) are read through Generator.integers,
+    which gives these the same stream but costs about 10 us more per call.
+    Built once, on the first draw, so that importing this module does not
+    load numpy.
+    """
+    import numpy as np
+
+    return frozenset({np.random.PCG64, np.random.PCG64DXSM,
+                      np.random.Philox, np.random.SFC64})
+
+
 def _word_source(rng: np.random.Generator):
     """Readers of uniform 64-bit words: (batch(size) -> list, one() -> int)."""
     bits = rng.bit_generator
-    if type(bits) in _RAW_WORD_SOURCES:
+    if type(bits) in _raw_word_sources():
         raw = bits.random_raw
         return (lambda size: raw(size).tolist()), raw
+    import numpy as np
+
     high = 1 << _WORD_BITS
     return ((lambda size: rng.integers(high, size=size, dtype=np.uint64).tolist()),
             (lambda: int(rng.integers(high, dtype=np.uint64))))
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Seedable generator; spawn per-worker streams via numpy SeedSequence."""
+    """Seedable generator from an int, a SeedSequence (see spawn_seeds) or None."""
+    import numpy as np
+
     return np.random.default_rng(seed)
+
+
+def spawn_seeds(seed, count: int) -> list:
+    """`count` independent child SeedSequences of `seed`, one per stream."""
+    import numpy as np
+
+    return np.random.SeedSequence(seed).spawn(count)
 
 
 def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
@@ -255,6 +284,8 @@ def boltzmann_degree_law(degree_set: DegreeSet, x: float,
         acc += w
         if d > x and w < tail * acc:
             break
+    import numpy as np
+
     probs = np.array(weights) / acc
     return np.array(support), probs
 

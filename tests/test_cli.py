@@ -93,6 +93,39 @@ class TestCounting:
         weight = validate_json_lines(schema, out2)[0]["weight"]
         assert marked == weight
 
+    def test_marked_infeasible_exits_two(self, capsys, schema):
+        code, out = run(capsys, "marked", "--degrees", "1,3", "--n", "300",
+                        "--m", "2000", "--u", "-1", "--v", "-1")
+        assert code == 2
+        payload = validate_json_lines(schema, out)[0]
+        assert payload == {"command": "marked", "degrees": "1,3", "n": 300,
+                           "m": 2000, "feasible": False,
+                           "reason": "total degree 4000 exceeds n*max(D) = 900"}
+
+    def test_marked_zero_on_feasible_instance_exits_zero(self, capsys, schema):
+        # the only multigraph is one loop, and v = -1 cancels it against
+        # its marked copy, so the value is 0 on a feasible instance
+        code, out = run(capsys, "marked", "--degrees", "even", "--n", "1",
+                        "--m", "1", "--u", "0", "--v", "-1")
+        assert code == 0
+        assert validate_json_lines(schema, out)[0]["marked"] == "0/1"
+
+    def test_count_exact_tests_feasibility_once(self, capsys, monkeypatch):
+        from degcount import cli, tables
+        calls = []
+        reason = tables.infeasibility_reason
+
+        def counted(*args):
+            calls.append(args)
+            return reason(*args)
+
+        monkeypatch.setattr(tables, "infeasibility_reason", counted)
+        monkeypatch.setattr(cli, "infeasibility_reason", counted)
+        code, _ = run(capsys, "count-exact", "--degrees", "0,5,7",
+                      "--n", "20", "--m", "40")
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestSampling:
     def test_infeasible_sample_exits_two(self, capsys, schema):

@@ -90,6 +90,22 @@ class TestMarkedWeight:
         assert isinstance(value, Fraction)
 
 
+class TestInfeasible:
+    @pytest.mark.parametrize("route", [marked_multigraph_weight,
+                                       marked_multigraph_weight_series])
+    def test_zero_without_tables(self, route, monkeypatch):
+        from degcount import marked
+
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(marked, "build_table", no_table)
+        # 2m = 1200 exceeds n*max(D) = 300: no degree sequence exists
+        assert route(DegreeSet.finite([1, 3]), 100, 600, -1, -1) == 0
+        # 0,5,7 passes the range and periodicity tests at n = 2, m = 1
+        assert route(DegreeSet.finite([0, 5, 7]), 2, 1, 1, 1) == 0
+
+
 class TestEmptyShift:
     """D = {0, 1}: D-2 is empty, so nothing can be marked at any (u, v)."""
 

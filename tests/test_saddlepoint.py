@@ -107,6 +107,23 @@ class TestSolve:
             target = mean_degree(ds, x)
             assert solve_mean_degree(ds, target) == pytest.approx(x, rel=1e-10)
 
+    @pytest.mark.parametrize("ds,target", [(DegreeSet.finite([1, 3]), 2.99),
+                                           (DegreeSet.finite([2, 3]), 2.0025)])
+    def test_range_edge_ends_within_tolerance(self, ds, target):
+        # near the ends of a finite range rounding keeps Newton's steps from
+        # shrinking to 1e-13, yet the residual there is at rounding level
+        x = solve_mean_degree(ds, target)
+        assert abs(mean_degree(ds, x) - target) <= 1e-12 * target
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        from degcount import saddlepoint
+        slope = saddlepoint.mean_degree_slope
+        # a slope 1e3 too steep makes every Newton step 1e3 too short
+        monkeypatch.setattr(saddlepoint, "mean_degree_slope",
+                            lambda ds, x: 1e3 * slope(ds, x))
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            solve_mean_degree(DegreeSet.even(), 1.0)
+
 
 class TestLoopIntensity:
     def test_unconstrained_value(self):
