@@ -3,18 +3,16 @@ and multigraphs whose vertex degrees all lie in a prescribed set."""
 
 from .degree_sets import (INFINITE, DegenerateShiftError, DegreeSet,
                           parse_degree_set)
-from .marked import (disjointness_factor, marked_multigraph_weight,
-                     marked_multigraph_weight_series)
+from .marked import marked_multigraph_weight
 from .multigraph import GraphClass, Multigraph
 from .saddlepoint import (AsymptoticCount, InfeasibleRegimeError, Regime,
                           SaddlePoint, acceptance_probability, loop_intensity,
                           mean_degree, mean_degree_slope,
                           multigraph_count_asymptotic, resolve, saddle_point,
                           simple_graph_count_asymptotic, solve_mean_degree)
-from .sampling import (DegreeSequenceSampler, InfeasibleInstanceError,
-                       SampleReport, SamplerExhausted, boltzmann_degree_law,
-                       boltzmann_sample, boltzmann_tune, make_rng,
-                       pair_half_edges)
+from .sampling import (DegreeSequenceSampler, SampleReport, SamplerExhausted,
+                       boltzmann_degree_law, boltzmann_sample, boltzmann_tune,
+                       make_rng, pair_half_edges)
 from .tables import (CoefficientTable, build_table, infeasibility_reason,
                      multigraph_weight, power_coefficient)
 
@@ -28,7 +26,6 @@ __all__ = [
     "DegreeSequenceSampler",
     "DegreeSet",
     "GraphClass",
-    "InfeasibleInstanceError",
     "InfeasibleRegimeError",
     "Multigraph",
     "Regime",
@@ -40,12 +37,10 @@ __all__ = [
     "boltzmann_sample",
     "boltzmann_tune",
     "build_table",
-    "disjointness_factor",
     "infeasibility_reason",
     "loop_intensity",
     "make_rng",
     "marked_multigraph_weight",
-    "marked_multigraph_weight_series",
     "mean_degree",
     "mean_degree_slope",
     "multigraph_count_asymptotic",

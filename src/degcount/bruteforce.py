@@ -1,10 +1,12 @@
-"""Brute-force reference enumeration at tiny scale.
+"""Reference computations that pin down the formula-based code in tests.
 
-Everything here recomputes, by direct exhaustion, quantities the rest of the
-package obtains through generating functions: simple-graph counts, total
-compensated multigraph weights, ordering counts and marked-multigraph sums.
-Clarity beats speed throughout; hard guards refuse instances whose
-enumeration would blow past roughly 1e8 primitive steps.
+Most of this recomputes, by direct exhaustion at tiny scale, quantities the
+rest of the package obtains through generating functions: simple-graph
+counts, total compensated multigraph weights, ordering counts and
+marked-multigraph sums.  Clarity beats speed throughout; hard guards refuse
+instances whose enumeration would blow past roughly 1e8 primitive steps.
+The marked sums also get a second exact route, the falling-factorial series
+form, which the tests hold equal to the constructive one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .degree_sets import DegreeSet
+from .marked import _term_tables
 from .multigraph import Multigraph
+from .tables import infeasibility_reason, mixed_table_coefficient
 
 
 @dataclass(frozen=True)
@@ -218,3 +222,55 @@ def marked_weight_brute(degree_set: DegreeSet, n: int, m: int, u, v,
             total += (_marked_compensation(graph, marked)
                       * u ** k * v ** ell)
     return total
+
+
+def disjointness_factor(n: int, m: int, j: int) -> Fraction:
+    """Correction for placing j vertex-disjoint marked structures.
+
+    n!/((n-j)! n^j) * m!/((m-j)! m^j) * (2m-2j)! (2m)^(2j) / (2m)!,
+    which is 1 at j = 0, tends to 1 for fixed j as n, m grow, and is 0 as
+    soon as j exceeds min(n, m).
+    """
+    if n < 0 or m < 0 or j < 0:
+        raise ValueError("arguments must be nonnegative")
+    if j == 0:
+        return Fraction(1)
+    if j > min(n, m):
+        return Fraction(0)
+    num = math.perm(n, j) * math.perm(m, j) * (2 * m) ** (2 * j)
+    den = n ** j * m ** j * math.perm(2 * m, 2 * j)
+    return Fraction(num, den)
+
+
+def marked_multigraph_weight_series(degree_set: DegreeSet, n: int, m: int,
+                                    u, v) -> Fraction:
+    """The marked-multigraph weight via the falling-factorial series form.
+
+    Sums disjointness_factor(n, m, 2k + l) against the expanded powers of
+    the loop-intensity series; each power collapses to one mixed coefficient
+    because the series is (n/4m) x^2 Set_{D-2}(x) / Set_D(x) times Set_D^n.
+    Zero, with no table built, on an instance with no degree sequence.
+    """
+    u = Fraction(u)
+    v = Fraction(v)
+    if infeasibility_reason(degree_set, n, m) is not None:
+        return Fraction(0)
+    cap, shifted_table, base_table = _term_tables(degree_set, n, m)
+    fact = math.factorial
+    prefactor = Fraction(fact(2 * m), (1 << m) * fact(m))
+    total = Fraction(0)
+    for k in range(cap // 2 + 1):
+        uk = u ** k
+        for ell in range(cap - 2 * k + 1):
+            j = 2 * k + ell
+            a = disjointness_factor(n, m, j)
+            if a == 0:
+                continue
+            deg = 2 * m - 2 * j
+            mixed = mixed_table_coefficient(shifted_table, base_table, j, n - j, deg)
+            if not mixed:
+                continue
+            w_factor = Fraction(n, 4 * m) ** j if j else Fraction(1)
+            total += (a * uk * v ** ell / (fact(k) * fact(ell))
+                      * w_factor * Fraction(mixed, fact(deg)))
+    return prefactor * total

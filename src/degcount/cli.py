@@ -1,9 +1,10 @@
 """Command-line interface: counting, asymptotics, marked sums and sampling.
 
-Exit codes: 0 success, 1 usage or parse error, 2 infeasible instance,
-3 sampler attempt budget exhausted.  All numeric output that can exceed
-double range is emitted as exact decimal strings or in log space, never as
-floats.
+Exit codes: 0 success, 1 usage, parse or numerical error, 2 infeasible
+instance, 3 sampler attempt budget exhausted.  Commands raise; only
+:func:`main` turns an exception into an exit code and its payload.  All
+numeric output that can exceed double range is emitted as exact decimal
+strings or in log space, never as floats.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from functools import reduce
 
 from .degree_sets import parse_degree_set
 from .marked import marked_multigraph_weight
-from .sampling import (DegreeSequenceSampler, InfeasibleInstanceError,
-                       SampleReport, SamplerExhausted, boltzmann_sample,
-                       boltzmann_tune, make_rng, spawn_seeds)
+from .sampling import (DegreeSequenceSampler, SampleReport, SamplerExhausted,
+                       boltzmann_sample, boltzmann_tune, make_rng, spawn_seeds)
 from .saddlepoint import (InfeasibleRegimeError, multigraph_count_asymptotic,
                           simple_graph_count_asymptotic)
 from .tables import infeasibility_reason, multigraph_weight
@@ -54,15 +54,14 @@ def _emit_json(args, payload: dict):
     _emit(args, json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _infeasible_payload(command: str, args, reason: str) -> dict:
-    return {
-        "command": command,
-        "degrees": args.degrees,
-        "n": args.n,
-        "m": args.m,
-        "feasible": False,
-        "reason": reason,
-    }
+def _instance(args) -> dict:
+    """The payload fields naming the command and instance; boltzmann has no m."""
+    return {key: getattr(args, key)
+            for key in ("command", "degrees", "n", "m") if key in args}
+
+
+def _infeasible_payload(args, reason: str) -> dict:
+    return {**_instance(args), "feasible": False, "reason": reason}
 
 
 def _cmd_count_exact(args) -> int:
@@ -72,31 +71,25 @@ def _cmd_count_exact(args) -> int:
     reason = (None if weight
               else infeasibility_reason(degree_set, args.n, args.m))
     if reason is None:
-        payload = {"command": "count-exact", "degrees": args.degrees,
-                   "n": args.n, "m": args.m, "feasible": True}
+        payload = {**_instance(args), "feasible": True}
     else:
-        payload = _infeasible_payload("count-exact", args, reason)
+        payload = _infeasible_payload(args, reason)
     payload["weight"] = _fraction_str(weight)
     _emit_json(args, payload)
     return EXIT_OK if reason is None else EXIT_INFEASIBLE
 
 
 def _cmd_estimate(args, simple: bool) -> int:
-    command = "sg-estimate" if simple else "count-asymptotic"
     degree_set = parse_degree_set(args.degrees)
     compute = (simple_graph_count_asymptotic if simple
                else multigraph_count_asymptotic)
     estimate = compute(degree_set, args.n, args.m)
     if not estimate.feasible:
-        _emit_json(args, _infeasible_payload(command, args, estimate.reason))
-        return EXIT_INFEASIBLE
+        raise InfeasibleRegimeError(estimate.reason)
     mantissa, exponent = estimate.mantissa_exponent()
     sp = estimate.saddle
     _emit_json(args, {
-        "command": command,
-        "degrees": args.degrees,
-        "n": args.n,
-        "m": args.m,
+        **_instance(args),
         "feasible": True,
         "log_natural": estimate.log_value,
         "log10": estimate.log10_value,
@@ -111,24 +104,16 @@ def _cmd_estimate(args, simple: bool) -> int:
 
 def _cmd_marked(args) -> int:
     degree_set = parse_degree_set(args.degrees)
-    try:
-        u = Fraction(args.u)
-        v = Fraction(args.v)
-    except (ValueError, ZeroDivisionError) as exc:
-        sys.stderr.write(f"bad rational argument: {exc}\n")
-        return EXIT_USAGE
+    u = Fraction(args.u)
+    v = Fraction(args.v)
     value = marked_multigraph_weight(degree_set, args.n, args.m, u, v)
     # a feasible instance can also give 0, so ask the test only then
     reason = (None if value
               else infeasibility_reason(degree_set, args.n, args.m))
     if reason is not None:
-        _emit_json(args, _infeasible_payload("marked", args, reason))
-        return EXIT_INFEASIBLE
+        raise InfeasibleRegimeError(reason)
     _emit_json(args, {
-        "command": "marked",
-        "degrees": args.degrees,
-        "n": args.n,
-        "m": args.m,
+        **_instance(args),
         "u": _fraction_str(u),
         "v": _fraction_str(v),
         "marked": _fraction_str(value),
@@ -200,61 +185,24 @@ def _render_samples(args, blocks: list[str], report: SampleReport,
 
 
 def _cmd_sample(args) -> int:
-    degree_set = parse_degree_set(args.degrees)
-    try:
-        sampler = DegreeSequenceSampler(degree_set, args.n, args.m)
-    except InfeasibleInstanceError as exc:
-        _emit_json(args, _infeasible_payload("sample", args, str(exc)))
-        return EXIT_INFEASIBLE
-    try:
-        blocks, report = _collect_samples(args, sampler)
-    except SamplerExhausted as exc:
-        payload = {
-            "command": "sample",
-            "degrees": args.degrees,
-            "n": args.n,
-            "m": args.m,
-            "feasible": True,
-            "error": "sampler attempts exhausted",
-            "report": exc.report.as_dict(),
-        }
-        _emit_json(args, payload)
-        return EXIT_EXHAUSTED
+    sampler = DegreeSequenceSampler(parse_degree_set(args.degrees),
+                                    args.n, args.m)
+    blocks, report = _collect_samples(args, sampler)
     _emit(args, _render_samples(args, blocks, report))
     return EXIT_OK
 
 
-def _boltzmann_infeasible(args, reason: str) -> dict:
-    return {
-        "command": "boltzmann",
-        "degrees": args.degrees,
-        "n": args.n,
-        "feasible": False,
-        "reason": reason,
-    }
-
-
 def _cmd_boltzmann(args) -> int:
     degree_set = parse_degree_set(args.degrees)
-    if args.x is not None:
-        x = args.x
-    else:
-        try:
-            x = boltzmann_tune(degree_set, args.mean_degree)
-        except InfeasibleRegimeError as exc:
-            _emit_json(args, _boltzmann_infeasible(args, str(exc)))
-            return EXIT_INFEASIBLE
+    x = (args.x if args.x is not None
+         else boltzmann_tune(degree_set, args.mean_degree))
     seeds = spawn_seeds(args.seed, args.samples)
     blocks = []
     total = SampleReport()
     degree_total = 0
     for i in range(args.samples):
         rng = make_rng(seeds[i])
-        try:
-            graph, report = boltzmann_sample(degree_set, args.n, x, rng)
-        except InfeasibleInstanceError as exc:
-            _emit_json(args, _boltzmann_infeasible(args, str(exc)))
-            return EXIT_INFEASIBLE
+        graph, report = boltzmann_sample(degree_set, args.n, x, rng)
         blocks.append(graph.to_text())
         total = total.merge(report)
         degree_total += 2 * graph.num_edges
@@ -387,7 +335,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except InfeasibleRegimeError as exc:
+        _emit_json(args, _infeasible_payload(args, str(exc)))
+        return EXIT_INFEASIBLE
+    except SamplerExhausted as exc:
+        _emit_json(args, {**_instance(args), "feasible": True,
+                          "error": "sampler attempts exhausted",
+                          "report": exc.report.as_dict()})
+        return EXIT_EXHAUSTED
+    except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"degcount: {exc}\n")
         return EXIT_USAGE
 

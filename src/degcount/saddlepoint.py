@@ -26,8 +26,13 @@ _LN2 = math.log(2.0)
 
 
 class InfeasibleRegimeError(ValueError):
-    """No saddle point: 2m/n is not strictly between min(D) and max(D), D has
-    one member, or no instance exists."""
+    """The package's one infeasibility error.
+
+    Either no instance exists (no degree sequence from D sums to 2m over n
+    vertices, or a Boltzmann law on n vertices can only draw an odd total),
+    or no saddle point does (the target is not strictly between min(D) and
+    max(D), or D has one member).
+    """
 
 
 def _shift1_ratio(degree_set: DegreeSet, x: float) -> tuple[float, float]:

@@ -13,6 +13,11 @@ Both finish by pairing half-edges uniformly, which weights every multigraph
 by its compensation factor; rejecting until simple therefore yields the
 uniform distribution on simple graphs.
 
+An instance that admits no degree sequence raises the package's one
+infeasibility exception, :class:`InfeasibleRegimeError`: the exact sampler
+before it builds any table, the Boltzmann one when n is odd and every degree
+its law can draw is odd.
+
 numpy is loaded only by sampling: the functions that make generators and
 seeds (`make_rng`, `spawn_seeds`), the word reader behind every exact draw
 and the Boltzmann degree law import it when called.  So importing the
@@ -29,8 +34,9 @@ from typing import TYPE_CHECKING
 
 from .degree_sets import DegreeSet
 from .multigraph import Multigraph
-from .saddlepoint import acceptance_probability, solve_mean_degree
-from .tables import CoefficientTable, build_table, infeasibility_reason
+from .saddlepoint import (InfeasibleRegimeError, acceptance_probability,
+                          solve_mean_degree)
+from .tables import build_table, infeasibility_reason
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,16 +46,17 @@ if TYPE_CHECKING:
 _WORD_BITS = 64
 
 
-class InfeasibleInstanceError(ValueError):
-    """No degree sequence from the set sums to 2m over n vertices."""
-
-
 class SamplerExhausted(RuntimeError):
     """Rejection sampling hit its attempt budget; carries the report."""
 
     def __init__(self, message: str, report: "SampleReport"):
         super().__init__(message)
         self.report = report
+
+    def __reduce__(self):
+        # a process-pool worker hands its exception back by pickle, and the
+        # default pickles only args, which cannot rebuild this one
+        return type(self), (self.args[0], self.report)
 
 
 @dataclass
@@ -151,28 +158,22 @@ def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
 class DegreeSequenceSampler:
     """Exact sampler of degree sequences and multigraphs at fixed (n, m).
 
-    Raises InfeasibleInstanceError, before building any table, when
-    :func:`infeasibility_reason` finds no degree sequence.  Holds the
-    coefficient table for its instance and its default attempt budget, all
-    set in the constructor and never written afterwards, so one sampler can
-    serve many concurrent generators as long as each worker owns its own rng
+    Raises InfeasibleRegimeError, before building any table, when
+    :func:`infeasibility_reason` finds no degree sequence.  Builds the
+    coefficient table for its instance and its default attempt budget in the
+    constructor and never writes them afterwards, so one sampler can serve
+    many concurrent generators as long as each worker owns its own rng
     stream.
     """
 
-    def __init__(self, degree_set: DegreeSet, n: int, m: int,
-                 table: CoefficientTable | None = None):
+    def __init__(self, degree_set: DegreeSet, n: int, m: int):
         reason = infeasibility_reason(degree_set, n, m)
         if reason is not None:
-            raise InfeasibleInstanceError(reason)
-        if table is not None and table.degree_set != degree_set:
-            raise ValueError(f"table was built for {table.degree_set}, "
-                             f"not {degree_set}")
+            raise InfeasibleRegimeError(reason)
         self.degree_set = degree_set
         self.n = n
         self.m = m
-        if table is None or table.n_max < n or table.j_max < 2 * m:
-            table = build_table(degree_set, n, 2 * m)
-        self.table = table
+        self.table = build_table(degree_set, n, 2 * m)
         acc = acceptance_probability(degree_set, n, m)
         self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
                                   else 10 ** 6)
@@ -297,12 +298,12 @@ def boltzmann_sample(degree_set: DegreeSet, n: int, x: float,
     A sequence with odd total is discarded wholesale and redrawn; the report
     counts those retries.  The edge count of the output is random with mean
     n * mean_degree(x) / 2.  When every degree the law can draw is odd and n
-    is odd, no sequence has an even total, and InfeasibleInstanceError is
+    is odd, no sequence has an even total, and InfeasibleRegimeError is
     raised instead of redrawing forever.
     """
     support, probs = boltzmann_degree_law(degree_set, x)
     if n % 2 and (support[probs > 0] % 2).all():
-        raise InfeasibleInstanceError(
+        raise InfeasibleRegimeError(
             f"every degree the law on {degree_set} can draw is odd, so {n} "
             f"vertices cannot have an even degree sum")
     report = SampleReport(samples_requested=1)

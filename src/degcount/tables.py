@@ -339,23 +339,17 @@ def infeasibility_reason(degree_set: DegreeSet, n: int, m: int) -> str | None:
     return None
 
 
-def multigraph_weight(degree_set: DegreeSet, n: int, m: int,
-                      table: CoefficientTable | None = None) -> Fraction:
+def multigraph_weight(degree_set: DegreeSet, n: int, m: int) -> Fraction:
     """Total orderings-compensated weight of multigraphs on n labelled
     vertices with m edges and every degree in the set.
 
     Equals T[n][2m] / (2^m m!), an exact rational.  Zero exactly when
-    :func:`infeasibility_reason` gives a reason.
+    :func:`infeasibility_reason` gives a reason; that test runs first because
+    :func:`power_coefficient` can take far longer to reach the same 0.
     """
     if infeasibility_reason(degree_set, n, m) is not None:
         return Fraction(0)
-    if table is not None and table.degree_set != degree_set:
-        raise ValueError(f"table is for degree set {table.degree_set}, "
-                         f"not {degree_set}")
-    if table is not None and table.n_max >= n and table.j_max >= 2 * m:
-        t = table.value(n, 2 * m)
-    else:
-        t = power_coefficient(degree_set, n, 2 * m)
+    t = power_coefficient(degree_set, n, 2 * m)
     return Fraction(t, (1 << m) * math.factorial(m))
 
 

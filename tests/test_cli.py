@@ -57,15 +57,20 @@ class TestCounting:
         argv = ["--degrees", "0,5,7", "--n", "2", "--m", "1"]
         payloads = {}
         for command in ("count-exact", "count-asymptotic", "sg-estimate",
-                        "sample"):
+                        "marked", "sample"):
             code, out = run(capsys, command, *argv)
             assert code == 2, command
             payloads[command] = validate_json_lines(schema, out)[0]
         assert payloads["count-exact"]["weight"] == "0/1"
         reason = "no degree sequence from 0,5,7 on 2 vertices sums to 2"
+        common = {"degrees": "0,5,7", "n": 2, "m": 1, "feasible": False,
+                  "reason": reason}
         for command, payload in payloads.items():
             assert payload["feasible"] is False, command
             assert payload["reason"] == reason, command
+            assert payload.pop("command") == command
+            payload.pop("weight", None)
+            assert payload == common, command
 
     def test_estimate_fields(self, capsys, schema):
         code, out = run(capsys, "sg-estimate", "--degrees", "even",
@@ -135,6 +140,10 @@ class TestSampling:
         payload = validate_json_lines(schema, out)[0]
         assert payload["feasible"] is False
         assert "periodicity" in payload["reason"]
+        assert payload == {
+            "command": "sample", "degrees": "1,3", "n": 3, "m": 2,
+            "feasible": False,
+            "reason": "periodicity 2 does not divide 2m - n*min(D) = 1"}
 
     def test_edgelist_blocks_and_trailer(self, capsys, schema):
         code, out = run(capsys, "sample", "--degrees", "min=1", "--n", "4",
@@ -172,7 +181,7 @@ class TestSampling:
                           "--jobs", "2")
         assert serial == parallel
 
-    def test_exhausted_exits_three(self, capsys):
+    def test_exhausted_exits_three(self, capsys, schema):
         code, out = run(capsys, "sample", "--degrees", "2", "--n", "2",
                         "--m", "2", "--seed", "5", "--samples", "1",
                         "--max-attempts", "4")
@@ -180,6 +189,20 @@ class TestSampling:
         payload = json.loads(out)
         assert payload["error"] == "sampler attempts exhausted"
         assert payload["report"]["rejections"] == 4
+        assert validate_json_lines(schema, out) == [{
+            "command": "sample", "degrees": "2", "n": 2, "m": 2,
+            "feasible": True, "error": "sampler attempts exhausted",
+            "report": {"samples_requested": 1, "samples_produced": 0,
+                       "rejections": 4, "odd_sum_retries": 0,
+                       "empirical_acceptance": 0.0}}]
+
+    def test_exhausted_with_jobs_matches_serial(self, capsys):
+        # the exception, with its report, crosses the process pool
+        argv = ["sample", "--degrees", "2", "--n", "2", "--m", "2",
+                "--seed", "5", "--samples", "2", "--max-attempts", "4"]
+        serial = run(capsys, *argv)
+        assert serial[0] == 3
+        assert run(capsys, *argv, "--jobs", "2") == serial
 
     def test_allow_multi(self, capsys):
         code, out = run(capsys, "sample", "--degrees", "2", "--n", "2",
@@ -196,10 +219,14 @@ class TestSampling:
         payload = validate_json_lines(schema, out)[0]
         assert payload["report"]["x"] == pytest.approx(2.1491, abs=1e-3)
 
-    def test_boltzmann_bad_target(self, capsys):
+    def test_boltzmann_bad_target(self, capsys, schema):
         code, out = run(capsys, "boltzmann", "--degrees", "min=2", "--n", "10",
                         "--mean-degree", "1.5", "--samples", "1")
         assert code == 2
+        assert validate_json_lines(schema, out) == [{
+            "command": "boltzmann", "degrees": "min=2", "n": 10,
+            "feasible": False,
+            "reason": "target 1.5 outside the open range ]2, inf["}]
 
     def test_boltzmann_parity_obstruction_exits_two(self, capsys, schema):
         code, out = run(capsys, "boltzmann", "--degrees", "1,3", "--n", "5",
@@ -208,6 +235,11 @@ class TestSampling:
         payload = validate_json_lines(schema, out)[0]
         assert payload["feasible"] is False
         assert "odd" in payload["reason"]
+        assert payload == {
+            "command": "boltzmann", "degrees": "1,3", "n": 5,
+            "feasible": False,
+            "reason": ("every degree the law on 1,3 can draw is odd, so 5 "
+                       "vertices cannot have an even degree sum")}
 
 
 class TestReport:
@@ -302,6 +334,13 @@ class TestUsageErrors:
         assert main(["marked", "--degrees", "even", "--n", "4", "--m", "2",
                      "--u", "nope", "--v", "0"]) == 1
 
+    def test_zero_denominator(self, capsys):
+        assert main(["marked", "--degrees", "even", "--n", "4", "--m", "2",
+                     "--u", "1/0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "degcount: Fraction(1, 0)\n"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code = main(["count-exact", "--degrees", "even", "--n", "4",
@@ -338,3 +377,25 @@ class TestOptionBounds:
         assert code == 0
         code, _ = run(capsys, *REPORT, "--steps", "1", "--factor", "1")
         assert code == 0
+
+
+class TestNumericalFailure:
+    """An unconverged saddle solve exits 1 with one line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["count-asymptotic", "--degrees", "even", "--n", "100", "--m", "50"],
+        ["sg-estimate", "--degrees", "even", "--n", "100", "--m", "50"],
+        ["boltzmann", "--degrees", "min=2", "--n", "10", "--mean-degree", "3"],
+        ["sample", "--degrees", "even", "--n", "10", "--m", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_one(self, capsys, monkeypatch, argv):
+        from degcount import saddlepoint
+        slope = saddlepoint.mean_degree_slope
+        # a slope 1e3 too steep makes every Newton step 1e3 too short
+        monkeypatch.setattr(saddlepoint, "mean_degree_slope",
+                            lambda ds, x: 1e3 * slope(ds, x))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("degcount: Newton did not converge")

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from degcount import (DegreeSet, disjointness_factor, marked_multigraph_weight,
-                      marked_multigraph_weight_series, multigraph_weight)
-from degcount.bruteforce import marked_weight_brute
+from degcount import DegreeSet, marked_multigraph_weight, multigraph_weight
+from degcount.bruteforce import (disjointness_factor,
+                                 marked_multigraph_weight_series,
+                                 marked_weight_brute)
 
 from conftest import FAMILY, FAMILY_IDS
 

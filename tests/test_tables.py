@@ -171,11 +171,6 @@ class TestMultigraphWeight:
             assert multigraph_weight(ds, 0, 0) == 1
             assert multigraph_weight(ds, 0, 2) == 0
 
-    def test_accepts_prebuilt_table(self):
-        ds = DegreeSet.even()
-        t = build_table(ds, 6, 8)
-        assert multigraph_weight(ds, 6, 4, table=t) == multigraph_weight(ds, 6, 4)
-
 
 def mixed_coefficient(ds, a, b, j):
     """j! [x^j] Set_{D-2}^a Set_D^b from freshly built tables."""
@@ -262,20 +257,6 @@ class TestPowerCoefficientRoutes:
         assert _exact_div(12, 4) == 3
         with pytest.raises(ArithmeticError):
             _exact_div(13, 4)
-
-
-class TestTableDegreeSetCheck:
-    def test_mismatched_table_rejected(self):
-        # An even table read for the odd set gave 5 where the true weight is 3
-        t = build_table(DegreeSet.even(), 6, 8)
-        assert multigraph_weight(DegreeSet.odd(), 4, 2) == 3
-        with pytest.raises(ValueError):
-            multigraph_weight(DegreeSet.odd(), 4, 2, table=t)
-
-    def test_equal_degree_set_accepted(self):
-        t = build_table(DegreeSet.finite([1, 3]), 6, 12)
-        assert (multigraph_weight(DegreeSet.finite([3, 1]), 6, 6, table=t)
-                == multigraph_weight(DegreeSet.finite([1, 3]), 6, 6))
 
 
 class TestMixedTableCoefficient:
