@@ -170,9 +170,7 @@ def _render_samples(args, blocks: list[str], report: SampleReport,
         payload_report.update(extra)
     if args.format == "json":
         return json.dumps({
-            "command": args.command,
-            "degrees": args.degrees,
-            "n": args.n,
+            **_instance(args),
             "samples": [block.rstrip("\n").split("\n") for block in blocks],
             "report": payload_report,
         }, sort_keys=True) + "\n"

@@ -5,6 +5,10 @@ of three structured infinite families: all integers at least some minimum, the
 even numbers, or the odd numbers.  The infinite families have closed-form
 exponential generating functions, so every quantity built on them can be
 evaluated without tail-bound machinery.
+
+Set_D(x), the sum of x**d / d! over D, is evaluated in one place and only in
+log space, :meth:`DegreeSet.egf_log`; the saddle point and the Boltzmann law
+both read it there.
 """
 
 from __future__ import annotations
@@ -157,24 +161,6 @@ class DegreeSet:
 
     # -- generating function -----------------------------------------------
 
-    def egf(self, x: float) -> float:
-        """Sum of x**d / d! over the members, to 1e-14 relative accuracy.
-
-        Raises OverflowError when the value exceeds double range; use
-        :meth:`egf_log` there.
-        """
-        if x <= 0:
-            if x == 0:
-                return 1.0 if 0 in self else 0.0
-            raise ValueError("egf is only evaluated at positive points")
-        if self.kind == _EVEN:
-            return math.cosh(x)
-        if self.kind == _ODD:
-            return math.sinh(x)
-        if self.kind == _FINITE:
-            return math.fsum(x ** d / math.factorial(d) for d in self.members)
-        return self._min_series(x)
-
     def _min_series(self, x: float) -> float:
         # Tail of e**x starting at degree delta; terms decay factorially
         # once d > x, so the stop rule is safe.
@@ -189,9 +175,13 @@ class DegreeSet:
                 return total
 
     def egf_log(self, x: float) -> float:
-        """log of :meth:`egf`, stable for arguments far beyond double range."""
-        if x <= 0:
-            raise ValueError("egf_log is only evaluated at positive points")
+        """log Set_D(x), the log of the sum of x**d / d! over the members.
+
+        Stable for any finite x > 0, far beyond where Set_D(x) overflows a
+        double (near x = 709); any other x raises ValueError.
+        """
+        if not 0 < x < math.inf:
+            raise ValueError("egf_log is only evaluated at finite positive points")
         lx = math.log(x)
         if self.kind == _FINITE:
             return _logsumexp([d * lx - math.lgamma(d + 1) for d in self.members])

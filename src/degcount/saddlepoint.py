@@ -4,7 +4,9 @@ The mean-degree function x * Set_{D-1}(x) / Set_D(x) is strictly increasing
 from min(D) to max(D) on the positive axis whenever the set has at least two
 members; its unique preimage of 2m/n is the saddle point driving every
 asymptotic formula here.  Everything is computed in natural-log space since
-the counts overflow doubles around n = 90.
+the counts overflow doubles around n = 90.  Each Newton step and the
+saddle-point bundle read log Set_D(x), Set_{D-1}/Set_D and Set_{D-2}/Set_D
+once (:func:`_point`); the mean, its slope and L are formed from them.
 
 :func:`resolve` decides each (D, n, m) instance once.  It is infeasible, or
 forced (2m equals n*min(D) or n*max(D), which covers a one-member D, m = 0
@@ -35,17 +37,6 @@ class InfeasibleRegimeError(ValueError):
     """
 
 
-def _shift1_ratio(degree_set: DegreeSet, x: float) -> tuple[float, float]:
-    # (log Set_D(x), Set_{D-1}(x) / Set_D(x)) for the mean-degree curve
-    if degree_set.size == 1:
-        raise InfeasibleRegimeError(
-            "mean-degree function is degenerate for a one-member set")
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    log0 = degree_set.egf_log(x)
-    return log0, math.exp(degree_set.shift(1).egf_log(x) - log0)
-
-
 def _shift2_ratio(degree_set: DegreeSet, x: float, log0: float) -> float:
     # Set_{D-2}(x) / Set_D(x) given log0 = log Set_D(x).  An empty D-2 allows
     # no loop or double edge, so it reads as Set_{D-2} = 0.
@@ -54,15 +45,34 @@ def _shift2_ratio(degree_set: DegreeSet, x: float, log0: float) -> float:
     return math.exp(degree_set.shift(2).egf_log(x) - log0)
 
 
+def _point(degree_set: DegreeSet, x: float,
+           slope: bool = True) -> tuple[float, float, float, float]:
+    # (log Set_D(x), mean degree, its slope, Set_{D-2}/Set_D); slope=False
+    # skips Set_{D-2} and leaves the last two 0.0, for steps that need the mean
+    if degree_set.size == 1:
+        raise InfeasibleRegimeError(
+            "mean-degree function is degenerate for a one-member set")
+    log0 = degree_set.egf_log(x)
+    r1 = math.exp(degree_set.shift(1).egf_log(x) - log0)
+    mean = x * r1
+    if not slope:
+        return log0, mean, 0.0, 0.0
+    r2 = _shift2_ratio(degree_set, x, log0)
+    return log0, mean, r1 + x * r2 - x * r1 * r1, r2
+
+
+def _loop(n: int, m: int, x: float, ratio: float) -> float:
+    return (n / (4.0 * m)) * x * x * ratio  # L from Set_{D-2}(x) / Set_D(x)
+
+
 def mean_degree(degree_set: DegreeSet, x: float) -> float:
     """x * Set_{D-1}(x) / Set_D(x): the Boltzmann expected degree at x."""
-    return x * _shift1_ratio(degree_set, x)[1]
+    return _point(degree_set, x, slope=False)[1]
 
 
 def mean_degree_slope(degree_set: DegreeSet, x: float) -> float:
     """Derivative of :func:`mean_degree`; positive on the whole axis."""
-    log0, r1 = _shift1_ratio(degree_set, x)
-    return r1 + x * _shift2_ratio(degree_set, x, log0) - x * r1 * r1
+    return _point(degree_set, x)[2]
 
 
 def solve_mean_degree(degree_set: DegreeSet, target: float) -> float:
@@ -75,8 +85,11 @@ def solve_mean_degree(degree_set: DegreeSet, target: float) -> float:
     target.  If 60 Newton steps end without that step test firing, the last
     iterate is returned only when its residual is within 1e-12 relative of
     the target (near the ends of a finite set's range rounding can keep the
-    steps from shrinking further); otherwise ArithmeticError is raised.
+    steps from shrinking further); otherwise ArithmeticError is raised.  A
+    target that is not finite raises ValueError.
     """
+    if not math.isfinite(target):
+        raise ValueError(f"target mean degree {target} is not finite")
     r = degree_set.valuation
     mx = degree_set.max_degree
     if not (r < target and (mx is INFINITE or target < mx)):
@@ -84,28 +97,22 @@ def solve_mean_degree(degree_set: DegreeSet, target: float) -> float:
             f"target {target} outside the open range ]{r}, {mx}[")
 
     f = lambda x: mean_degree(degree_set, x) - target
-    lo = hi = 1.0
     f1 = f(1.0)
     if f1 == 0.0:
         return 1.0
-    if f1 > 0.0:
-        lo = 0.5
-        for _ in range(200):
-            if f(lo) < 0.0:
-                break
-            hi = lo
-            lo *= 0.5
-        else:
-            raise ArithmeticError("failed to bracket the saddle point below 1")
+    # halve x while the mean is above the target, double it while below
+    above = f1 > 0.0
+    scale = 0.5 if above else 2.0
+    x = 1.0
+    for _ in range(200):
+        prev, x = x, x * scale
+        fx = f(x)
+        if (fx < 0.0) if above else (fx > 0.0):
+            break
     else:
-        hi = 2.0
-        for _ in range(200):
-            if f(hi) > 0.0:
-                break
-            lo = hi
-            hi *= 2.0
-        else:
-            raise ArithmeticError("failed to bracket the saddle point above 1")
+        raise ArithmeticError("failed to bracket the saddle point "
+                              f"{'below' if above else 'above'} 1")
+    lo, hi = min(prev, x), max(prev, x)
 
     while hi - lo > 1e-3 * lo:
         mid = 0.5 * (lo + hi)
@@ -116,13 +123,13 @@ def solve_mean_degree(degree_set: DegreeSet, target: float) -> float:
 
     x = 0.5 * (lo + hi)
     for _ in range(60):
-        fx = f(x)
+        _, mean, slope, _ = _point(degree_set, x)
+        fx = mean - target
         if fx < 0.0:
             lo = max(lo, x)
         elif fx > 0.0:
             hi = min(hi, x)
-        step = fx / mean_degree_slope(degree_set, x)
-        nxt = x - step
+        nxt = x - fx / slope
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= 1e-13 * x:
@@ -143,10 +150,7 @@ def loop_intensity(degree_set: DegreeSet, n: int, m: int, x: float) -> float:
     random multigraph of the model; its square is the expected number of
     double edges.
     """
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    ratio = _shift2_ratio(degree_set, x, degree_set.egf_log(x))
-    return (n / (4.0 * m)) * x * x * ratio
+    return _loop(n, m, x, _shift2_ratio(degree_set, x, degree_set.egf_log(x)))
 
 
 @dataclass(frozen=True)
@@ -164,15 +168,10 @@ def saddle_point(degree_set: DegreeSet, n: int, m: int) -> SaddlePoint:
     """Solve mean_degree(x) = 2m/n and evaluate the companion quantities."""
     if n <= 0 or m <= 0:
         raise InfeasibleRegimeError("need at least one vertex and one edge")
-    target = 2.0 * m / n
-    x = solve_mean_degree(degree_set, target)
-    return SaddlePoint(
-        x=x,
-        mean_degree=mean_degree(degree_set, x),
-        slope=mean_degree_slope(degree_set, x),
-        loop_intensity=loop_intensity(degree_set, n, m, x),
-        log_egf=degree_set.egf_log(x),
-    )
+    x = solve_mean_degree(degree_set, 2.0 * m / n)
+    log_egf, mean, slope, ratio = _point(degree_set, x)
+    return SaddlePoint(x=x, mean_degree=mean, slope=slope,
+                       loop_intensity=_loop(n, m, x, ratio), log_egf=log_egf)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,9 @@ if TYPE_CHECKING:
 # uniform interval straddles a prefix-weight boundary.
 _WORD_BITS = 64
 
+# Past x the Boltzmann degree law stops at a weight below _TAIL times its mass.
+_TAIL = 1e-18
+
 
 class SamplerExhausted(RuntimeError):
     """Rejection sampling hit its attempt budget; carries the report."""
@@ -266,29 +269,33 @@ class DegreeSequenceSampler:
 
 # -- Boltzmann generator ------------------------------------------------------
 
-def boltzmann_degree_law(degree_set: DegreeSet, x: float,
-                         tail: float = 1e-18) -> tuple[np.ndarray, np.ndarray]:
+def boltzmann_degree_law(degree_set: DegreeSet,
+                         x: float) -> tuple[np.ndarray, np.ndarray]:
     """Support and probabilities of the degree law P(d) = (x^d/d!) / Set(x).
 
-    Infinite sets are truncated where the factorial tail drops below `tail`
-    relative to the accumulated mass.
+    x may be any finite positive value whose law lies below degree 10^6:
+    each weight is divided by Set(x) in log space (:meth:`DegreeSet.egf_log`),
+    so none overflows.  Infinite sets are truncated past x, where the factorial tail
+    drops below _TAIL relative to the accumulated mass.
     """
-    if x <= 0:
-        raise ValueError("parameter must be positive")
-    support, weights = [], []
-    acc = 0.0
+    if not 0 < x < math.inf:
+        raise ValueError(f"Boltzmann parameter must be finite and positive, got {x}")
+    log_egf = degree_set.egf_log(x)
     lx = math.log(x)
+    support, probs = [], []
+    acc = 0.0
     for d in degree_set.members_up_to(10 ** 6):
-        w = math.exp(d * lx - math.lgamma(d + 1))
+        p = math.exp(d * lx - math.lgamma(d + 1) - log_egf)
         support.append(d)
-        weights.append(w)
-        acc += w
-        if d > x and w < tail * acc:
+        probs.append(p)
+        acc += p
+        if d > x and p < _TAIL * acc:
             break
+    if not abs(acc - 1.0) < 1e-9:
+        raise ValueError(f"the Boltzmann law at x = {x} reaches past degree 10^6")
     import numpy as np
 
-    probs = np.array(weights) / acc
-    return np.array(support), probs
+    return np.array(support), np.array(probs) / acc
 
 
 def boltzmann_sample(degree_set: DegreeSet, n: int, x: float,

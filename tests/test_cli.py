@@ -166,6 +166,18 @@ class TestSampling:
         payload = validate_json_lines(schema, out)[0]
         assert len(payload["samples"]) == 2
 
+    def test_json_instance_fields(self, capsys, schema):
+        # sample draws at a fixed m and reports it; boltzmann's m is random
+        _, out = run(capsys, "sample", "--degrees", "even", "--n", "6",
+                     "--m", "4", "--seed", "3", "--format", "json")
+        payload = validate_json_lines(schema, out)[0]
+        assert (payload["command"], payload["n"], payload["m"]) == ("sample", 6, 4)
+        _, out = run(capsys, "boltzmann", "--degrees", "even", "--n", "6",
+                     "--x", "1.5", "--seed", "3", "--format", "json")
+        payload = validate_json_lines(schema, out)[0]
+        assert payload["command"] == "boltzmann"
+        assert "m" not in payload
+
     def test_seed_determinism(self, capsys):
         _, out1 = run(capsys, "sample", "--degrees", "even", "--n", "8",
                       "--m", "6", "--seed", "99", "--samples", "4")
@@ -240,6 +252,27 @@ class TestSampling:
             "feasible": False,
             "reason": ("every degree the law on 1,3 can draw is odd, so 5 "
                        "vertices cannot have an even degree sum")}
+
+    @pytest.mark.parametrize("flag,value", [("--x", "nan"), ("--x", "inf"),
+                                            ("--x", "-inf"),
+                                            ("--mean-degree", "nan"),
+                                            ("--mean-degree", "inf")])
+    def test_boltzmann_non_finite_exits_one(self, capsys, flag, value):
+        assert main(["boltzmann", "--degrees", "min=2", "--n", "10",
+                     f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("degcount: ")
+
+    def test_boltzmann_large_x(self, capsys, schema):
+        # x**d / d! overflows a double here; the law is formed in log space
+        code, out = run(capsys, "boltzmann", "--degrees", "min=2", "--n", "10",
+                        "--x", "1000", "--format", "json")
+        assert code == 0
+        payload = validate_json_lines(schema, out)[0]
+        assert payload["report"]["empirical_mean_degree"] == pytest.approx(
+            1000.0, rel=0.05)
 
 
 class TestReport:
@@ -390,12 +423,48 @@ class TestNumericalFailure:
     ], ids=lambda argv: argv[0])
     def test_exits_one(self, capsys, monkeypatch, argv):
         from degcount import saddlepoint
-        slope = saddlepoint.mean_degree_slope
-        # a slope 1e3 too steep makes every Newton step 1e3 too short
-        monkeypatch.setattr(saddlepoint, "mean_degree_slope",
-                            lambda ds, x: 1e3 * slope(ds, x))
+        point = saddlepoint._point
+
+        def steep(ds, x, slope=True):
+            # a slope 1e3 too steep makes every Newton step 1e3 too short
+            log_egf, mean, dm, ratio = point(ds, x, slope)
+            return log_egf, mean, 1e3 * dm, ratio
+
+        monkeypatch.setattr(saddlepoint, "_point", steep)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("degcount: Newton did not converge")
+
+
+class TestPinnedFloats:
+    """Float-printing commands print the same bytes, to the last digit."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["count-asymptotic", "--degrees", "min=2", "--n", "100000",
+          "--m", "150000"],
+         '{"command": "count-asymptotic", "degrees": "min=2", '
+         '"exponent": 730208, "feasible": true, "log10": 730208.4913516826, '
+         '"log_natural": 1681367.186964056, '
+         '"loop_intensity": 1.216375266635687, "m": 150000, '
+         '"mantissa": 3.0999285403265553, "n": 100000, '
+         '"saddle_point": 2.149125799907061, '
+         '"saddle_slope": 0.604083576619975}\n'),
+        (["sg-estimate", "--degrees", "even", "--n", "1000", "--m", "500"],
+         '{"command": "sg-estimate", "degrees": "even", "exponent": 1459, '
+         '"feasible": true, "log10": 1459.443267091165, '
+         '"log_natural": 3360.4923108746443, '
+         '"loop_intensity": 0.7196144199453227, "m": 500, '
+         '"mantissa": 2.77502622146721, "n": 1000, '
+         '"saddle_point": 1.199678640257734, '
+         '"saddle_slope": 1.1996786402577342}\n'),
+        (["report", "--degrees", "even", "--n", "16", "--m", "8"],
+         "n\tm\tlog_exact\tlog_asymptotic\tratio\trel_error\n"
+         "16\t8\t19.3014310894\t19.3098181347\t1.00842231511\t0.00842232\n"
+         "32\t16\t50.8145934672\t50.8187870574\t1.00420239565\t0.0042024\n"
+         "64\t32\t125.267658056\t125.269754876\t1.00209902036\t0.00209902\n"
+         "128\t64\t296.695973315\t296.697021729\t1.00104896418\t0.00104896\n"),
+    ], ids=["count-asymptotic", "sg-estimate", "report"])
+    def test_stdout_bytes(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected)

@@ -117,10 +117,14 @@ class TestSolve:
 
     def test_unconverged_newton_raises(self, monkeypatch):
         from degcount import saddlepoint
-        slope = saddlepoint.mean_degree_slope
-        # a slope 1e3 too steep makes every Newton step 1e3 too short
-        monkeypatch.setattr(saddlepoint, "mean_degree_slope",
-                            lambda ds, x: 1e3 * slope(ds, x))
+        point = saddlepoint._point
+
+        def steep(ds, x, slope=True):
+            # a slope 1e3 too steep makes every Newton step 1e3 too short
+            log_egf, mean, dm, ratio = point(ds, x, slope)
+            return log_egf, mean, 1e3 * dm, ratio
+
+        monkeypatch.setattr(saddlepoint, "_point", steep)
         with pytest.raises(ArithmeticError, match="did not converge"):
             solve_mean_degree(DegreeSet.even(), 1.0)
 

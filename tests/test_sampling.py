@@ -420,6 +420,27 @@ class TestBoltzmann:
             expected = math.exp(-lam) * lam ** d / math.factorial(d)
             assert probs[d] == pytest.approx(expected, rel=1e-10)
 
+    def test_large_parameter(self):
+        # x**d / d! overflows a double near d = x = 1000; the law does not
+        ds = DegreeSet.min_degree(2)
+        support, probs = boltzmann_degree_law(ds, 1000.0)
+        assert probs.sum() == pytest.approx(1.0, rel=1e-12)
+        assert float(support @ probs) == pytest.approx(
+            mean_degree(ds, 1000.0), rel=1e-12)
+        g, _ = boltzmann_sample(ds, 10, 1000.0, make_rng(3))
+        assert 2 * g.num_edges / 10 == pytest.approx(1000.0, rel=0.05)
+
+    def test_law_past_the_degree_cap_raises(self):
+        # nearly all the mass sits on degree 2,000,000, past the 10**6 cap
+        with pytest.raises(ValueError, match="reaches past degree"):
+            boltzmann_degree_law(DegreeSet.finite([1, 2_000_000]), 2e6)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_parameter_is_a_value_error(self, x):
+        with pytest.raises(ValueError) as info:
+            boltzmann_degree_law(DegreeSet.min_degree(2), x)
+        assert not isinstance(info.value, InfeasibleRegimeError)
+
     def test_empirical_mean_degree(self):
         ds = DegreeSet.min_degree(2)
         x = 1.7
@@ -450,6 +471,13 @@ class TestBoltzmann:
     def test_tune_even(self):
         assert boltzmann_tune(DegreeSet.even(), 1.0) == pytest.approx(
             1.19968, abs=1e-5)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_tune_non_finite_target(self, target):
+        # a usage error, not an instance without a saddle point
+        with pytest.raises(ValueError, match="not finite") as info:
+            boltzmann_tune(DegreeSet.min_degree(2), target)
+        assert not isinstance(info.value, InfeasibleRegimeError)
 
     def test_tune_range_errors(self):
         from degcount import InfeasibleRegimeError
