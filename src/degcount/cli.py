@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -126,13 +127,13 @@ def _cmd_marked(args) -> int:
 _WORKER_SAMPLER = None
 
 
-def _init_worker(degrees_text: str, n: int, m: int):
+def _init_worker(sampler: DegreeSequenceSampler):
     global _WORKER_SAMPLER
-    _WORKER_SAMPLER = DegreeSequenceSampler(parse_degree_set(degrees_text), n, m)
+    _WORKER_SAMPLER = sampler
 
 
 def _run_one_sample(task, sampler=None):
-    # pool workers pass no sampler and use the one _init_worker built
+    # pool workers pass no sampler and use the one _init_worker received
     seed_seq, allow_multi, max_attempts = task
     rng = make_rng(seed_seq)
     if sampler is None:
@@ -149,13 +150,17 @@ def _collect_samples(args, sampler) -> tuple[list[str], SampleReport]:
     seeds = spawn_seeds(args.seed, args.samples)
     max_attempts = args.max_attempts or sampler.default_max_attempts()
     tasks = [(seed, args.allow_multi, max_attempts) for seed in seeds]
-    if args.jobs > 1:
+    # a pool starts all its workers up front, so start none that would idle
+    workers = min(args.jobs, args.samples, os.cpu_count() or 1)
+    if workers > 1:
         # imported here so that commands which never sample do not load it
         from concurrent.futures import ProcessPoolExecutor
 
+        # a forked worker inherits this sampler, table and all; any other
+        # unpickles it, which rebuilds the table from (D, n, m)
         with ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=_init_worker,
-                initargs=(args.degrees, args.n, args.m)) as pool:
+                max_workers=workers, initializer=_init_worker,
+                initargs=(sampler,)) as pool:
             results = list(pool.map(_run_one_sample, tasks))
     else:
         results = [_run_one_sample(task, sampler) for task in tasks]

@@ -18,7 +18,8 @@ import math
 from fractions import Fraction
 
 from .degree_sets import DegreeSet
-from .tables import build_table, infeasibility_reason, mixed_table_coefficient
+from .tables import (build_table, infeasibility_reason, mixed_table_coefficient,
+                     multigraph_weight)
 
 
 def _term_tables(degree_set: DegreeSet, n: int, m: int):
@@ -46,12 +47,16 @@ def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
     choose their slots among the m edges, then fill the remaining
     2m - 4k - 2l half-edges with the marked vertices demoted to the
     twice-shifted degree set.  At (0, 0) this is exactly the total
-    multigraph weight.  Every marked multigraph has all its degrees in the
-    set, so when :func:`infeasibility_reason` gives a reason the value is 0
-    and no table is built.
+    multigraph weight, and so it is at every (u, v) when D-2 is empty (a
+    subset of {0, 1}): nothing can be marked, and no table is built.  Every
+    marked multigraph has all its degrees in the set, so when
+    :func:`infeasibility_reason` gives a reason the value is 0 and no table
+    is built either.
     """
     u = Fraction(u)
     v = Fraction(v)
+    if degree_set.max_degree < 2:
+        return multigraph_weight(degree_set, n, m)
     if infeasibility_reason(degree_set, n, m) is not None:
         return Fraction(0)
     cap, shifted_table, base_table = _term_tables(degree_set, n, m)

@@ -36,7 +36,7 @@ from .degree_sets import DegreeSet
 from .multigraph import Multigraph
 from .saddlepoint import (InfeasibleRegimeError, acceptance_probability,
                           solve_mean_degree)
-from .tables import build_table, infeasibility_reason
+from .tables import build_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,24 +162,28 @@ class DegreeSequenceSampler:
     """Exact sampler of degree sequences and multigraphs at fixed (n, m).
 
     Raises InfeasibleRegimeError, before building any table, when
-    :func:`infeasibility_reason` finds no degree sequence.  Builds the
-    coefficient table for its instance and its default attempt budget in the
-    constructor and never writes them afterwards, so one sampler can serve
-    many concurrent generators as long as each worker owns its own rng
-    stream.
+    :func:`~degcount.tables.infeasibility_reason` finds no degree sequence.
+    Builds the coefficient table for its instance and its default attempt
+    budget in the constructor and never writes them afterwards, so one
+    sampler can serve many concurrent generators as long as each worker owns
+    its own rng stream.  It pickles as (degree_set, n, m), never as its
+    table: a forked process-pool worker shares the parent's sampler, and any
+    other worker rebuilds the table when it unpickles one.
     """
 
     def __init__(self, degree_set: DegreeSet, n: int, m: int):
-        reason = infeasibility_reason(degree_set, n, m)
-        if reason is not None:
-            raise InfeasibleRegimeError(reason)
+        # raises InfeasibleRegimeError, through resolve, before any table
+        acc = acceptance_probability(degree_set, n, m)
         self.degree_set = degree_set
         self.n = n
         self.m = m
         self.table = build_table(degree_set, n, 2 * m)
-        acc = acceptance_probability(degree_set, n, m)
         self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
                                   else 10 ** 6)
+
+    def __reduce__(self):
+        # the table is a pure function of the instance and far larger than it
+        return type(self), (self.degree_set, self.n, self.m)
 
     # -- degree sequences ---------------------------------------------------
 

@@ -1,11 +1,15 @@
+import concurrent.futures
+import functools
 import json
 import math
+import multiprocessing
+import os
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from degcount import DegreeSet, multigraph_weight
+from degcount import DegreeSequenceSampler, DegreeSet, multigraph_weight
 from degcount.cli import main
 
 
@@ -367,6 +371,11 @@ class TestUsageErrors:
         assert main(["marked", "--degrees", "even", "--n", "4", "--m", "2",
                      "--u", "nope", "--v", "0"]) == 1
 
+    def test_bad_rational_on_empty_shift(self, capsys):
+        # D-2 empty skips the tables, not the parsing of (u, v)
+        assert main(["marked", "--degrees", "0,1", "--n", "4", "--m", "2",
+                     "--u", "nope", "--v", "0"]) == 1
+
     def test_zero_denominator(self, capsys):
         assert main(["marked", "--degrees", "even", "--n", "4", "--m", "2",
                      "--u", "1/0"]) == 1
@@ -380,6 +389,91 @@ class TestUsageErrors:
                      "--m", "2", "--output", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["weight"] == "5/1"
+
+
+class TestProcessPool:
+    """`--jobs k` hands the one sampler to at most min(k, samples, CPUs)
+    workers, and output stays the serial bytes."""
+
+    ARGV = ["sample", "--degrees", "min=1", "--n", "6", "--m", "5",
+            "--seed", "21"]
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        # an executor that records its size and runs the tasks in process;
+        # the worker global it sets is restored to None afterwards
+        from degcount import cli
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        monkeypatch.setattr(cli, "_WORKER_SAMPLER", None)
+        return sizes
+
+    def test_workers_capped_by_samples_and_cpus(self, capsys, monkeypatch,
+                                                 pool_sizes):
+        argv = self.ARGV + ["--samples", "3"]
+        serial = run(capsys, *argv)
+        assert run(capsys, *argv, "--jobs", "64") == serial
+        assert all(k <= min(3, os.cpu_count() or 1) for k in pool_sizes)
+        for cpus, size in [(8, 3), (2, 2), (1, None), (None, None)]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            pool_sizes.clear()
+            assert run(capsys, *argv, "--jobs", "64") == serial
+            assert pool_sizes == ([] if size is None else [size])
+
+    def test_one_sample_starts_no_pool(self, capsys, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        argv = self.ARGV + ["--samples", "1"]
+        serial = run(capsys, *argv)
+        assert run(capsys, *argv, "--jobs", "2") == serial
+        assert pool_sizes == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork"
+        or (os.cpu_count() or 1) < 2,
+        reason="needs a forking pool of two workers")
+    def test_forked_workers_share_the_sampler(self, capsys, monkeypatch,
+                                              tmp_path):
+        from degcount import cli
+        log = tmp_path / "pids"
+        init = DegreeSequenceSampler.__init__
+
+        def logged(self, *args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            init(self, *args)
+
+        monkeypatch.setattr(DegreeSequenceSampler, "__init__", logged)
+        code, _ = run(capsys, "sample", "--degrees", "even", "--n", "40",
+                      "--m", "20", "--samples", "4", "--jobs", "2")
+        assert code == 0
+        assert log.read_text().split() == [str(os.getpid())]
+        assert cli._WORKER_SAMPLER is None
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="needs a pool of two workers")
+    def test_spawned_workers_rebuild_the_sampler(self, capsys, monkeypatch):
+        argv = self.ARGV + ["--samples", "4"]
+        serial = run(capsys, *argv)
+        spawning = functools.partial(concurrent.futures.ProcessPoolExecutor,
+                                     mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
+        assert run(capsys, *argv, "--jobs", "2") == serial
 
 
 SAMPLE = ["sample", "--degrees", "min=1", "--n", "4", "--m", "3"]

@@ -123,5 +123,20 @@ class TestEmptyShift:
                     if n:
                         assert marked_weight_brute(self.ds, n, m, u, v) == total
 
+    @pytest.mark.parametrize("members", [[0, 1], [0], [1]])
+    def test_total_weight_without_tables(self, members, monkeypatch):
+        from degcount import marked
+
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(marked, "build_table", no_table)
+        ds = DegreeSet.finite(members)
+        # (5, 1) has no sequence for {0} or {1}, (4, 3) none for any of them
+        for n, m in [(0, 0), (5, 1), (4, 3), (6, 3), (2000, 500)]:
+            total = multigraph_weight(ds, n, m)
+            for u, v in UV_POINTS + [(Fraction(3, 2), Fraction(-1, 3))]:
+                assert marked_multigraph_weight(ds, n, m, u, v) == total
+
     def test_ten_vertices_three_edges(self):
         assert marked_multigraph_weight(self.ds, 10, 3, -1, -1) == 3150

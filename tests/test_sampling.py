@@ -366,6 +366,34 @@ class TestSimpleSampling:
         assert str(exc) == "no luck"
         assert exc.report == report
 
+    def test_pickles_as_its_instance(self):
+        # a spawned pool worker rebuilds the table instead of receiving it
+        import pickle
+        sampler = DegreeSequenceSampler(DegreeSet.even(), 200, 100)
+        data = pickle.dumps(sampler)
+        assert len(data) < 1024
+        copy = pickle.loads(data)
+        assert (copy.degree_set, copy.n, copy.m) == (
+            sampler.degree_set, sampler.n, sampler.m)
+        assert copy.default_max_attempts() == sampler.default_max_attempts()
+        assert (copy.sample_degrees(make_rng(8))
+                == sampler.sample_degrees(make_rng(8)))
+
+    def test_construction_tests_feasibility_once(self, monkeypatch):
+        from degcount import saddlepoint, sampling, tables
+        calls = []
+        reason = tables.infeasibility_reason
+
+        def counted(*args):
+            calls.append(args)
+            return reason(*args)
+
+        for module in (tables, saddlepoint, sampling):
+            monkeypatch.setattr(module, "infeasibility_reason", counted,
+                                raising=False)
+        DegreeSequenceSampler(DegreeSet.finite([0, 5, 7]), 20, 40)
+        assert len(calls) == 1
+
     def test_default_attempt_budget(self):
         sampler = DegreeSequenceSampler(DegreeSet.even(), 20, 10)
         assert sampler.default_max_attempts() >= 10
