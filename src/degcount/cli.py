@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -268,6 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: _cmd_estimate(a, simple=True))
 
     p = sub.add_parser("marked", help="exact marked-multigraph weight at (u, v)")
+    # argparse reads a word that starts with "-" as an option unless it
+    # looks like a negative number; let "-1/2" pass as one too
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     common(p)
     p.add_argument("--u", default="0", help="rational, e.g. -1 or 3/2")
     p.add_argument("--v", default="0", help="rational, e.g. -1 or 3/2")

@@ -19,10 +19,10 @@ before it builds any table, the Boltzmann one when n is odd and every degree
 its law can draw is odd.
 
 numpy is loaded only by sampling: the functions that make generators and
-seeds (`make_rng`, `spawn_seeds`), the word reader behind every exact draw
-and the Boltzmann degree law import it when called.  So importing the
-package, or running a CLI command that only counts or estimates, does not
-load it.
+seeds (`make_rng`, `spawn_seeds`), the word reader behind every exact draw,
+the half-edge pairing and the Boltzmann degree law import it when called.
+So importing the package, or running a CLI command that only counts or
+estimates, does not load it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .degree_sets import DegreeSet
+from .degree_sets import INFINITE, DegreeSet
 from .multigraph import Multigraph
 from .saddlepoint import (InfeasibleRegimeError, acceptance_probability,
                           solve_mean_degree)
@@ -47,6 +47,10 @@ _WORD_BITS = 64
 
 # Past x the Boltzmann degree law stops at a weight below _TAIL times its mass.
 _TAIL = 1e-18
+
+# Below x - _LEFT_SIGMAS*sqrt(x) every Boltzmann log weight is under -800, so
+# math.exp gives exactly 0.0 there and the law of an infinite set starts past it.
+_LEFT_SIGMAS = 40
 
 
 class SamplerExhausted(RuntimeError):
@@ -139,23 +143,44 @@ def spawn_seeds(seed, count: int) -> list:
     return np.random.SeedSequence(seed).spawn(count)
 
 
-def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
-    """Uniform random pairing of the half-edges attached per the degrees.
+def _pair_endpoints(degrees, rng: np.random.Generator):
+    """Endpoint arrays (a, b) of a uniform pairing of the half-edges.
 
     Lists vertex v once per half-edge (its stubs) and pairs the stubs at
     consecutive positions of one uniform permutation, which induces the
-    uniform perfect matching; each multigraph with the given degree sequence
-    then appears with probability proportional to its compensation factor.
+    uniform perfect matching: the k-th edge joins a[k] and b[k].
     """
-    degrees = [int(d) for d in degrees]
-    total = sum(degrees)
-    if total % 2 != 0:
+    import numpy as np
+
+    stubs = np.repeat(np.arange(1, len(degrees) + 1), degrees)
+    if stubs.size % 2 != 0:
         raise ValueError("degree sum must be even to pair half-edges")
-    n = len(degrees)
-    stubs = [v for v, d in enumerate(degrees, 1) for _ in range(d)]
-    perm = iter(rng.permutation(total).tolist())
-    pairs = [(stubs[a], stubs[b]) for a, b in zip(perm, perm)]
-    return Multigraph(n, pairs)
+    order = stubs[rng.permutation(stubs.size)]
+    return order[0::2], order[1::2]
+
+
+def _is_simple_pairing(a, b, n: int) -> bool:
+    """Whether the edges a[k]b[k] on vertices 1..n have no loop and no repeat."""
+    import numpy as np
+
+    if (a == b).any():
+        return False
+    codes = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
+    codes.sort()
+    return not (codes[1:] == codes[:-1]).any()
+
+
+def _multigraph(n: int, a, b) -> Multigraph:
+    return Multigraph(n, list(zip(a.tolist(), b.tolist())))
+
+
+def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
+    """Uniform random pairing of the half-edges attached per the degrees.
+
+    Each multigraph with the given degree sequence appears with probability
+    proportional to its compensation factor.
+    """
+    return _multigraph(len(degrees), *_pair_endpoints(degrees, rng))
 
 
 class DegreeSequenceSampler:
@@ -163,12 +188,13 @@ class DegreeSequenceSampler:
 
     Raises InfeasibleRegimeError, before building any table, when
     :func:`~degcount.tables.infeasibility_reason` finds no degree sequence.
-    Builds the coefficient table for its instance and its default attempt
-    budget in the constructor and never writes them afterwards, so one
-    sampler can serve many concurrent generators as long as each worker owns
-    its own rng stream.  It pickles as (degree_set, n, m), never as its
-    table: a forked process-pool worker shares the parent's sampler, and any
-    other worker rebuilds the table when it unpickles one.
+    Builds the coefficient table for its instance, the tuple of members up
+    to 2m its draws scan and its default attempt budget in the constructor
+    and never writes them afterwards, so one sampler can serve many
+    concurrent generators as long as each worker owns its own rng stream.
+    It pickles as (degree_set, n, m), never as its table: a forked
+    process-pool worker shares the parent's sampler, and any other worker
+    rebuilds the table when it unpickles one.
     """
 
     def __init__(self, degree_set: DegreeSet, n: int, m: int):
@@ -178,6 +204,7 @@ class DegreeSequenceSampler:
         self.n = n
         self.m = m
         self.table = build_table(degree_set, n, 2 * m)
+        self._members = tuple(degree_set.members_up_to(2 * m))
         self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
                                   else 10 ** 6)
 
@@ -196,17 +223,22 @@ class DegreeSequenceSampler:
         the scan returns at the first c_d above that interval and skips every
         c_d at or below it.  A c_d inside it appends the word `one()` to u.
         """
-        total = self.table.value(i, j)
-        value = self.table.value
+        rows = self.table._rows
+        total = rows[i][j]
+        prev = rows[i - 1]
         comb = math.comb
         bits = _WORD_BITS
         scaled = word * total
         lo, hi = scaled >> bits, (scaled + total - 1) >> bits
         acc = 0
-        for d in self.degree_set.members_up_to(j):
-            w = comb(j, d) * value(i - 1, j - d)
+        for d in self._members:
+            if d > j:
+                break
+            w = prev[j - d]
             if not w:
                 continue
+            if d:
+                w *= comb(j, d)
             acc += w
             while lo < acc <= hi:
                 word = (word << _WORD_BITS) | one()
@@ -262,10 +294,12 @@ class DegreeSequenceSampler:
             raise ValueError("max_attempts must be at least 1")
         report = SampleReport(samples_requested=1)
         for _ in range(max_attempts):
-            graph = self.sample_multigraph(rng)
-            if graph.is_simple():
+            # the same draws as sample_multigraph, but only an accepted
+            # pairing is built into a graph
+            a, b = _pair_endpoints(self.sample_degrees(rng), rng)
+            if _is_simple_pairing(a, b, self.n):
                 report.samples_produced += 1
-                return graph, report
+                return _multigraph(self.n, a, b), report
             report.rejections += 1
         raise SamplerExhausted(
             f"no simple graph in {max_attempts} attempts", report)
@@ -279,16 +313,23 @@ def boltzmann_degree_law(degree_set: DegreeSet,
 
     x may be any finite positive value whose law lies below degree 10^6:
     each weight is divided by Set(x) in log space (:meth:`DegreeSet.egf_log`),
-    so none overflows.  Infinite sets are truncated past x, where the factorial tail
-    drops below _TAIL relative to the accumulated mass.
+    so none overflows.  Infinite sets start at the first member at or above
+    x - 40 sqrt(x), below which every weight underflows to 0.0, and are
+    truncated past x, where the factorial tail drops below _TAIL relative to
+    the accumulated mass.
     """
     if not 0 < x < math.inf:
         raise ValueError(f"Boltzmann parameter must be finite and positive, got {x}")
     log_egf = degree_set.egf_log(x)
     lx = math.log(x)
+    degrees = degree_set.members_up_to(10 ** 6)
+    if degree_set.max_degree is INFINITE:
+        r, step = degree_set.valuation, degree_set.periodicity
+        skip = max(0, math.ceil((x - _LEFT_SIGMAS * math.sqrt(x) - r) / step))
+        degrees = range(r + step * skip, 10 ** 6 + 1, step)
     support, probs = [], []
     acc = 0.0
-    for d in degree_set.members_up_to(10 ** 6):
+    for d in degrees:
         p = math.exp(d * lx - math.lgamma(d + 1) - log_egf)
         support.append(d)
         probs.append(p)

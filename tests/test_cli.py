@@ -102,6 +102,16 @@ class TestCounting:
         weight = validate_json_lines(schema, out2)[0]["weight"]
         assert marked == weight
 
+    @pytest.mark.parametrize("spelling", [("--u", "-1/2", "--v", "-3/4"),
+                                          ("--u=-1/2", "--v=-3/4")])
+    def test_marked_negative_rationals(self, capsys, schema, spelling):
+        code, out = run(capsys, "marked", "--degrees", "even", "--n", "4",
+                        "--m", "2", *spelling)
+        assert code == 0
+        payload = validate_json_lines(schema, out)[0]
+        assert (payload["u"], payload["v"]) == ("-1/2", "-3/4")
+        assert payload["marked"] == "43/32"
+
     def test_marked_infeasible_exits_two(self, capsys, schema):
         code, out = run(capsys, "marked", "--degrees", "1,3", "--n", "300",
                         "--m", "2000", "--u", "-1", "--v", "-1")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -11,8 +12,8 @@ from degcount import (DegreeSet, DegreeSequenceSampler,
                       InfeasibleRegimeError, Multigraph, SampleReport,
                       SamplerExhausted, boltzmann_degree_law, boltzmann_sample,
                       boltzmann_tune, build_table, make_rng, mean_degree,
-                      pair_half_edges)
-from degcount.sampling import _WORD_BITS
+                      pair_half_edges, parse_degree_set)
+from degcount.sampling import _WORD_BITS, _is_simple_pairing, _pair_endpoints
 
 from conftest import FAMILY, FAMILY_IDS
 
@@ -281,6 +282,25 @@ class TestPairing:
         with pytest.raises(ValueError):
             pair_half_edges([1, 2], make_rng(0))
 
+    def test_array_simplicity_check_matches_the_graph(self):
+        # small sequences, so loops, double and triple edges all occur
+        seen = Counter()
+        for seed in range(2000):
+            rng = make_rng(seed)
+            n = int(rng.integers(2, 7))
+            degrees = rng.integers(0, 5, size=n).tolist()
+            degrees[0] += sum(degrees) % 2
+            a, b = _pair_endpoints(degrees, make_rng(seed + 10 ** 6))
+            graph = pair_half_edges(degrees, make_rng(seed + 10 ** 6))
+            assert Multigraph(n, list(zip(a.tolist(), b.tolist()))) == graph
+            simple = _is_simple_pairing(a, b, n)
+            assert simple == graph.is_simple()
+            for (u, v), c in graph.edge_items():
+                seen["loop" if u == v else c] += 1
+            seen["simple" if simple else "not simple"] += 1
+        assert seen["loop"] and seen[2] and seen[3]
+        assert seen["simple"] > 100 and seen["not simple"] > 100
+
     def test_degree_sequence_preserved(self):
         rng = make_rng(9)
         degrees = [3, 1, 2, 0, 4]
@@ -303,6 +323,16 @@ PINNED_PAIRINGS = {
 }
 
 
+def output_digest(outputs):
+    """sha256 over each graph's text and, where given, its report."""
+    h = hashlib.sha256()
+    for graph, report in outputs:
+        h.update(graph.to_text().encode())
+        if report is not None:
+            h.update(json.dumps(report.as_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("degrees", sorted(PINNED_PAIRINGS))
     def test_pairing_text(self, degrees):
@@ -316,6 +346,32 @@ class TestPinnedOutput:
         digest = hashlib.sha256(g.to_text().encode()).hexdigest()
         assert digest == ("de9dad3a6065c7f4260c4e9eb7534e34"
                           "857a08171bca808f366951c718f823ec")
+
+    @pytest.mark.parametrize("degrees, n, m, digest", [
+        ("even", 60, 30,
+         "0899201b9d0b4e4708649eb51332800c85cbaa8e209a900fab8e66d7b7b8a448"),
+        ("2,3", 40, 50,
+         "62a1f9264d73e1b79aacf476d3c4a81ba3fc717364b54e1931205bad01567b39"),
+    ])
+    def test_simple_sampler_digest(self, degrees, n, m, digest):
+        # seeds 0-4 include rejected attempts, so the whole rejection loop's
+        # rng stream is pinned, not only the accepted pairing
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        assert output_digest(sampler.sample_simple(make_rng(seed))
+                             for seed in range(5)) == digest
+
+    def test_multigraph_sampler_digest(self):
+        sampler = DegreeSequenceSampler(DegreeSet.min_degree(1), 20, 25)
+        assert output_digest((sampler.sample_multigraph(make_rng(seed)), None)
+                             for seed in range(5)) == (
+            "3fece674afedf7941fb974545ca3d3e6fd97ea3d544250f5d1221c92fc9e0418")
+
+    def test_boltzmann_digest_at_scale(self):
+        ds = DegreeSet.min_degree(2)
+        x = boltzmann_tune(ds, 3.0)
+        assert output_digest(boltzmann_sample(ds, 2000, x, make_rng(seed))
+                             for seed in range(3)) == (
+            "dcb517576e0691b2e37e66fb5a5db591b7d0889050a357a3cf9b05607b9c6f68")
 
     def test_edge_items_strictly_increasing(self):
         rng = make_rng(5)
@@ -457,6 +513,43 @@ class TestBoltzmann:
             mean_degree(ds, 1000.0), rel=1e-12)
         g, _ = boltzmann_sample(ds, 10, 1000.0, make_rng(3))
         assert 2 * g.num_edges / 10 == pytest.approx(1000.0, rel=0.05)
+
+    def test_law_far_from_zero_skips_the_left_tail(self):
+        import time
+        start = time.perf_counter()
+        support, probs = boltzmann_degree_law(DegreeSet.min_degree(2), 9e5)
+        assert time.perf_counter() - start < 0.1
+        assert support[0] > 8e5
+        assert probs.sum() == pytest.approx(1.0, rel=1e-12)
+
+    @staticmethod
+    def full_scan_law(ds, x):
+        """The law scanned from min(D), zero weights kept."""
+        log_egf = ds.egf_log(x)
+        support, probs, acc = [], [], 0.0
+        for d in ds.members_up_to(10 ** 6):
+            p = math.exp(d * math.log(x) - math.lgamma(d + 1) - log_egf)
+            support.append(d)
+            probs.append(p)
+            acc += p
+            if d > x and p < 1e-18 * acc:
+                break
+        return np.array(support), np.array(probs) / acc
+
+    @pytest.mark.parametrize("x", [0.5, 2.1, 30.0, 400.0, 5e4])
+    @pytest.mark.parametrize("ds", [DegreeSet.min_degree(0),
+                                    DegreeSet.min_degree(2), DegreeSet.even(),
+                                    DegreeSet.odd()], ids=str)
+    def test_law_matches_a_full_scan(self, ds, x):
+        support, probs = boltzmann_degree_law(ds, x)
+        full_support, full_probs = self.full_scan_law(ds, x)
+        nonzero, full_nonzero = probs > 0, full_probs > 0
+        assert support[nonzero].tolist() == full_support[full_nonzero].tolist()
+        assert probs[nonzero].tolist() == full_probs[full_nonzero].tolist()
+        # the skipped points carry no mass, so seeded draws are unchanged
+        assert (make_rng(5).choice(support, size=2000, p=probs).tolist()
+                == make_rng(5).choice(full_support, size=2000,
+                                      p=full_probs).tolist())
 
     def test_law_past_the_degree_cap_raises(self):
         # nearly all the mass sits on degree 2,000,000, past the 10**6 cap
