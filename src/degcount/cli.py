@@ -19,12 +19,12 @@ from fractions import Fraction
 from functools import reduce
 
 from .degree_sets import parse_degree_set
-from .marked import marked_multigraph_weight
+from .marked import marked_weight_and_reason
 from .sampling import (DegreeSequenceSampler, SampleReport, SamplerExhausted,
                        boltzmann_sample, boltzmann_tune, make_rng, spawn_seeds)
 from .saddlepoint import (InfeasibleRegimeError, multigraph_count_asymptotic,
                           simple_graph_count_asymptotic)
-from .tables import infeasibility_reason, multigraph_weight
+from .tables import multigraph_weight, multigraph_weight_and_reason
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,10 +68,7 @@ def _infeasible_payload(args, reason: str) -> dict:
 
 def _cmd_count_exact(args) -> int:
     degree_set = parse_degree_set(args.degrees)
-    weight = multigraph_weight(degree_set, args.n, args.m)
-    # the weight is 0 exactly when the feasibility test gives a reason
-    reason = (None if weight
-              else infeasibility_reason(degree_set, args.n, args.m))
+    weight, reason = multigraph_weight_and_reason(degree_set, args.n, args.m)
     if reason is None:
         payload = {**_instance(args), "feasible": True}
     else:
@@ -108,10 +105,7 @@ def _cmd_marked(args) -> int:
     degree_set = parse_degree_set(args.degrees)
     u = Fraction(args.u)
     v = Fraction(args.v)
-    value = marked_multigraph_weight(degree_set, args.n, args.m, u, v)
-    # a feasible instance can also give 0, so ask the test only then
-    reason = (None if value
-              else infeasibility_reason(degree_set, args.n, args.m))
+    value, reason = marked_weight_and_reason(degree_set, args.n, args.m, u, v)
     if reason is not None:
         raise InfeasibleRegimeError(reason)
     _emit_json(args, {

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .degree_sets import DegreeSet
 from .tables import (build_table, infeasibility_reason, mixed_table_coefficient,
-                     multigraph_weight)
+                     multigraph_weight_and_reason)
 
 
 def _term_tables(degree_set: DegreeSet, n: int, m: int):
@@ -53,12 +53,24 @@ def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
     :func:`infeasibility_reason` gives a reason the value is 0 and no table
     is built either.
     """
+    return marked_weight_and_reason(degree_set, n, m, u, v)[0]
+
+
+def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
+                             u, v) -> tuple[Fraction, str | None]:
+    """(:func:`marked_multigraph_weight`, the reason the instance is empty,
+    or None).
+
+    The one routine behind the marked weight; it runs the feasibility test
+    once.  A feasible instance can also give 0, with reason None.
+    """
     u = Fraction(u)
     v = Fraction(v)
     if degree_set.max_degree < 2:
-        return multigraph_weight(degree_set, n, m)
-    if infeasibility_reason(degree_set, n, m) is not None:
-        return Fraction(0)
+        return multigraph_weight_and_reason(degree_set, n, m)
+    reason = infeasibility_reason(degree_set, n, m)
+    if reason is not None:
+        return Fraction(0), reason
     cap, shifted_table, base_table = _term_tables(degree_set, n, m)
     comb = math.comb
     fact = math.factorial
@@ -78,5 +90,5 @@ def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
                     * fact(ell)                                    # order the loops
                     * comb(m, 2 * k) * comb(m - 2 * k, ell))       # slots among edges
             total += Fraction(ways * mixed) * uk * v ** ell
-    return total / ((1 << m) * fact(m))
+    return total / ((1 << m) * fact(m)), None
 

@@ -1,18 +1,21 @@
 """Labelled multigraphs: loops, edge multiplicities, orderings weight.
 
 Vertices are labelled 1..n.  Edges form a multiset of unordered pairs held
-in one dict, pair (u <= v) -> multiplicity, so multiplicity queries are O(1).
-The edge order is made only on output, which keeps serialisation
-deterministic without charging every sampled graph for a sort.
+as one sorted tuple of edge codes u*(n+1) + v, u <= v, once per occurrence.
+Sorting the codes sorts the pairs, so equal multisets have equal tuples and
+every output (edge_items, to_text, repr) reads the edges in order without a
+sort of its own.  The samplers sort their codes once, as an array, and hand
+them to a trusted constructor that skips the checks.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from collections import _count_elements
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, lt
 
 _second = itemgetter(1)
 
@@ -35,11 +38,12 @@ class GraphClass(enum.Enum):
 class Multigraph:
     """Immutable multigraph on vertices 1..n with a multiset of edges.
 
-    Its one edge dict is compared and hashed as an unordered mapping;
-    edge_items() sorts it on each call, for to_text and repr.
+    Holds n and the sorted tuple of edge codes u*(n+1) + v (u <= v), one
+    per occurrence; equality and hashing read that tuple.  The public
+    constructor checks the vertex range and sorts the codes itself.
     """
 
-    __slots__ = ("n", "_mult")
+    __slots__ = ("n", "_codes")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -53,27 +57,45 @@ class Multigraph:
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise ValueError(
                         f"edge ({u},{v}) outside vertex range 1..{n}")
-        # Counter's C counting loop without Counter's per-call overhead
-        self._mult = {}
-        _count_elements(self._mult, pairs)
+        w = n + 1
+        self._codes = tuple(sorted([u * w + v for u, v in pairs]))
+
+    @classmethod
+    def _from_sorted_codes(cls, n: int, codes: tuple) -> "Multigraph":
+        """The graph whose edge codes are `codes`, trusted as they are.
+
+        The caller guarantees an ascending tuple of ints u*(n+1) + v with
+        1 <= u <= v <= n; nothing is checked or copied.
+        """
+        graph = object.__new__(cls)
+        graph.n = n
+        graph._codes = codes
+        return graph
 
     @property
     def num_edges(self) -> int:
-        return sum(self._mult.values())
+        return len(self._codes)
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._mult.get((u, v) if u <= v else (v, u), 0)
+        if u > v:
+            u, v = v, u
+        if u < 1 or v > self.n:
+            return 0  # its code would name another pair
+        code = u * (self.n + 1) + v
+        return bisect_right(self._codes, code) - bisect_left(self._codes, code)
 
     def edge_items(self):
-        """Sorted ((u, v), multiplicity) pairs, u <= v, made on each call."""
+        """((u, v), multiplicity) pairs, u <= v, in increasing order."""
+        counts = {}
+        _count_elements(counts, self._codes)  # keeps the codes' order
         w = self.n + 1
-        return tuple(sorted(self._mult.items(),
-                            key=lambda item: item[0][0] * w + item[0][1]))
+        return tuple((divmod(code, w), c) for code, c in counts.items())
 
     def edge_occurrences(self):
         """Every edge occurrence as a sorted pair, repeats included."""
-        for pair, c in self.edge_items():
-            yield from (pair,) * c
+        w = self.n + 1
+        for code in self._codes:
+            yield divmod(code, w)
 
     def degree(self, v: int) -> int:
         if not 1 <= v <= self.n:
@@ -81,21 +103,26 @@ class Multigraph:
         return self.degrees()[v - 1]
 
     def degrees(self) -> list[int]:
-        deg = [0] * (self.n + 1)
-        for (a, b), c in self._mult.items():
-            deg[a] += c
-            deg[b] += c
+        w = self.n + 1
+        deg = [0] * w
+        for code in self._codes:
+            deg[code // w] += 1
+            deg[code % w] += 1
         return deg[1:]
 
     def is_simple(self) -> bool:
-        return all(a != b and c == 1 for (a, b), c in self._mult.items())
+        # strictly increasing codes repeat no edge, and a code is a loop
+        # u*(n+2) exactly when it is 0 mod n+2 (u*(n+1) + v is v-u mod n+2)
+        codes = self._codes
+        return (all(map(lt, codes, codes[1:]))
+                and all(map((self.n + 2).__rmod__, codes)))
 
     def classify(self) -> GraphClass:
         """Place the multigraph in the SIMPLE / STAR / NONSTAR partition."""
         if self.is_simple():
             return GraphClass.SIMPLE
         loops, double_count = [], [0] * (self.n + 1)
-        for (a, b), c in self._mult.items():
+        for (a, b), c in self.edge_items():
             if c >= (2 if a == b else 3):
                 return GraphClass.NONSTAR
             if a == b:
@@ -115,7 +142,7 @@ class Multigraph:
         graphs; validated against the orderings enumerator in the tests.
         """
         denom = 1
-        for (a, b), c in self._mult.items():
+        for (a, b), c in self.edge_items():
             if a == b:
                 denom *= (1 << c) * math.factorial(c)
             else:
@@ -126,8 +153,9 @@ class Multigraph:
 
     def to_text(self) -> str:
         """Edge-list format: header "n m", then one "u v" line per occurrence."""
-        return f"{self.n} {self.num_edges}\n" + "".join(
-            f"{u} {v}\n" * c for (u, v), c in self.edge_items())
+        w = self.n + 1
+        return f"{self.n} {len(self._codes)}\n" + "".join(
+            [f"{code // w} {code % w}\n" for code in self._codes])
 
     @classmethod
     def from_text(cls, text: str) -> "Multigraph":
@@ -152,10 +180,10 @@ class Multigraph:
 
     def __eq__(self, other):
         return (isinstance(other, Multigraph)
-                and self.n == other.n and self._mult == other._mult)
+                and self.n == other.n and self._codes == other._codes)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._mult.items())))
+        return hash((self.n, self._codes))
 
     def __repr__(self):
         return f"Multigraph(n={self.n}, edges={list(self.edge_occurrences())})"

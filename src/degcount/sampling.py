@@ -6,12 +6,18 @@ fixed total, using the big-integer coefficient table.  Each degree is chosen
 by a uniform u in [0, 1) known only to its leading 64-bit words: the interval
 those words pin u to is compared, in integers, against the exact prefix
 weights, and another word is drawn only when a boundary falls inside it.  So
-there is no floating-point bias at all.  The Boltzmann one draws degrees
+there is no floating-point bias at all.  A float screen in front of that
+comparison decides nearly every vertex from the logs of the table cells,
+with a proven error bound (_SCREEN_MARGIN), and hands the rest to the
+integer one; it never reads a word, so the draws are those of the integer
+comparison alone, at word-size cost.  The Boltzmann one draws degrees
 i.i.d. with P(d) proportional to x^d/d!, giving a random edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
 by its compensation factor; rejecting until simple therefore yields the
-uniform distribution on simple graphs.
+uniform distribution on simple graphs.  A pairing is sorted once, in numpy,
+into Multigraph's edge codes; the rejection test reads that array and the
+accepted graph is built from it without a second check or sort.
 
 An instance that admits no degree sequence raises the package's one
 infeasibility exception, :class:`InfeasibleRegimeError`: the exact sampler
@@ -44,6 +50,33 @@ if TYPE_CHECKING:
 # Bits per word; a degree draw reads one word, plus one more each time the
 # uniform interval straddles a prefix-weight boundary.
 _WORD_BITS = 64
+_WORD_SCALE = 2.0 ** -_WORD_BITS
+
+_SCREEN_MARGIN = 2.0 ** -27
+"""How near u a float prefix ratio may fall before the exact draw decides.
+
+`sample_degrees` compares u = word * 2^-64 against p_d, the float sum of
+exp(ln w - ln T + ln comb(j, d)) over the members up to d, where w stands
+for T[i-1][j-d] and T for T[i][j].  It skips d when p_d <= u - margin and
+returns d when p_d >= u + margin; anything between goes to `_draw_degree`.
+Both float decisions match the exact ones whenever p_d is within
+margin - 2^-52 - 2^-64 of c_d / T (the rounding of u and of u +- margin,
+and the word's width).
+
+Error bound, for cells below e^(2^20) and rows under 2^20 members:
+math.log of an int is log(x) + e*log(2) for its rounded 53-bit mantissa x
+and bit length e < 2^21, so it errs by under 2^-52 + 2^-33 (the error of
+the float ln 2, times e) + 2 * 2^-34 (rounding the product and the sum),
+below 2^-32.  The exponent adds three such logs (w, the T carried from the
+previous vertex, comb(j, d)) and rounds twice more, so it errs by under
+4 * 2^-32, and each exp term is off by that much relative; the terms sum to
+at most 1, and adding up to 2^20 of them costs 2^-33 more.  So
+|p_d - c_d/T| < 1.1e-9, and the margin 2^-27 = 7.45e-9 leaves more than
+six times that.  The largest table the sampler can hold, n = 3000 at mean
+degree 1 (ROADMAP item 5), has cells below e^(2^15); a table with a cell
+past e^(2^20) would not fit in memory.  A draw falls back with probability
+about 2 * margin per prefix ratio it scans.
+"""
 
 # Past x the Boltzmann degree law stops at a weight below _TAIL times its mass.
 _TAIL = 1e-18
@@ -159,19 +192,31 @@ def _pair_endpoints(degrees, rng: np.random.Generator):
     return order[0::2], order[1::2]
 
 
-def _is_simple_pairing(a, b, n: int) -> bool:
-    """Whether the edges a[k]b[k] on vertices 1..n have no loop and no repeat."""
+def _edge_codes(degrees, rng: np.random.Generator):
+    """Sorted edge codes u*(n+1) + v, u <= v, of a uniform pairing.
+
+    One numpy sort of the pairing's endpoint arrays: the rejection test and
+    the accepted graph both read this array, in Multigraph's own encoding.
+    """
     import numpy as np
 
-    if (a == b).any():
-        return False
-    codes = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
+    a, b = _pair_endpoints(degrees, rng)
+    codes = np.minimum(a, b) * (len(degrees) + 1) + np.maximum(a, b)
     codes.sort()
-    return not (codes[1:] == codes[:-1]).any()
+    return codes
 
 
-def _multigraph(n: int, a, b) -> Multigraph:
-    return Multigraph(n, list(zip(a.tolist(), b.tolist())))
+def _is_simple_pairing(codes, n: int) -> bool:
+    """Whether sorted edge codes on vertices 1..n hold no loop and no repeat.
+
+    A loop u-u has the code u*(n+2), the only codes that are 0 mod n+2.
+    """
+    return not ((codes % (n + 2) == 0).any()
+                or (codes[1:] == codes[:-1]).any())
+
+
+def _multigraph(n: int, codes) -> Multigraph:
+    return Multigraph._from_sorted_codes(n, tuple(codes.tolist()))
 
 
 def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
@@ -180,7 +225,7 @@ def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
     Each multigraph with the given degree sequence appears with probability
     proportional to its compensation factor.
     """
-    return _multigraph(len(degrees), *_pair_endpoints(degrees, rng))
+    return _multigraph(len(degrees), _edge_codes(degrees, rng))
 
 
 class DegreeSequenceSampler:
@@ -217,11 +262,13 @@ class DegreeSequenceSampler:
     def _draw_degree(self, i: int, j: int, word: int, one) -> int:
         """Degree of vertex i when vertices 1..i carry j half-edges.
 
-        The degree is the d with c_{d-1} <= u*T[i][j] < c_d, where c_d are
-        the prefix sums of comb(j, d)*T[i-1][j-d] over the members d.  `word`
-        holds the leading bits of u, so u*T lies in [lo, hi] after flooring;
-        the scan returns at the first c_d above that interval and skips every
-        c_d at or below it.  A c_d inside it appends the word `one()` to u.
+        The one exact decision of the degree draw; `sample_degrees` hands
+        it every vertex its float screen cannot decide.  The degree is the d
+        with c_{d-1} <= u*T[i][j] < c_d, where c_d are the prefix sums of
+        comb(j, d)*T[i-1][j-d] over the members d.  `word` holds the leading
+        bits of u, so u*T lies in [lo, hi] after flooring; the scan returns
+        at the first c_d above that interval and skips every c_d at or below
+        it.  A c_d inside it appends the word `one()` to u.
         """
         rows = self.table._rows
         total = rows[i][j]
@@ -258,17 +305,55 @@ class DegreeSequenceSampler:
         left.  One call takes n - 1 uniform 64-bit words from the rng in one
         batch, plus one word per boundary straddle, which has probability
         below 2^-64 per boundary.
+
+        Each vertex is first screened in floats: u = word * 2^-64 against
+        the prefix ratios c_d / T[i][j], built from math.log of the cells,
+        which reads only their leading digits.  The log of the next T is
+        the log of the chosen cell, so it carries over.  When u lies within
+        _SCREEN_MARGIN of a ratio, `_draw_degree` decides in integers.  The
+        screen reads no word, and it decides only where the exact draw would
+        return the same degree without one, so the words read and the
+        sequence are those of the exact draw alone.
         """
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             return []
         batch, one = _word_source(rng)
-        words = batch(self.n - 1)
-        degrees = [0] * self.n
+        words = batch(n - 1)
+        rows = self.table._rows
+        members = self._members
+        log, exp, comb = math.log, math.exp, math.comb
+        margin = _SCREEN_MARGIN
+        degrees = [0] * n
         j = 2 * self.m
-        for i in range(self.n, 1, -1):
-            d = self._draw_degree(i, j, words[self.n - i], one)
-            degrees[i - 1] = d
-            j -= d
+        log_total = log(rows[n][j])
+        for i in range(n, 1, -1):
+            word = words[n - i]
+            u = word * _WORD_SCALE
+            prev = rows[i - 1]
+            acc = 0.0
+            chosen = -1
+            for d in members:
+                if d > j:
+                    break
+                w = prev[j - d]
+                if not w:
+                    continue
+                log_w = log(w)
+                ratio = log_w - log_total
+                if d:
+                    ratio += log(comb(j, d))
+                acc += exp(ratio)
+                if acc > u - margin:
+                    if acc >= u + margin:
+                        chosen = d
+                    break
+            if chosen < 0:
+                chosen = self._draw_degree(i, j, word, one)
+                log_w = log(prev[j - chosen])
+            degrees[i - 1] = chosen
+            j -= chosen
+            log_total = log_w
         # every draw kept T[i-1][j] > 0, and T[1][j] > 0 means j is allowed
         if j not in self.degree_set:
             raise AssertionError("the remaining total is not an allowed degree")
@@ -296,10 +381,10 @@ class DegreeSequenceSampler:
         for _ in range(max_attempts):
             # the same draws as sample_multigraph, but only an accepted
             # pairing is built into a graph
-            a, b = _pair_endpoints(self.sample_degrees(rng), rng)
-            if _is_simple_pairing(a, b, self.n):
+            codes = _edge_codes(self.sample_degrees(rng), rng)
+            if _is_simple_pairing(codes, self.n):
                 report.samples_produced += 1
-                return _multigraph(self.n, a, b), report
+                return _multigraph(self.n, codes), report
             report.rejections += 1
         raise SamplerExhausted(
             f"no simple graph in {max_attempts} attempts", report)

@@ -347,10 +347,22 @@ def multigraph_weight(degree_set: DegreeSet, n: int, m: int) -> Fraction:
     :func:`infeasibility_reason` gives a reason; that test runs first because
     :func:`power_coefficient` can take far longer to reach the same 0.
     """
-    if infeasibility_reason(degree_set, n, m) is not None:
-        return Fraction(0)
+    return multigraph_weight_and_reason(degree_set, n, m)[0]
+
+
+def multigraph_weight_and_reason(degree_set: DegreeSet, n: int,
+                                 m: int) -> tuple[Fraction, str | None]:
+    """(:func:`multigraph_weight`, the reason it is 0, or None).
+
+    The one routine behind the weight: it runs the feasibility test once and
+    hands its reason back with the zero, so a caller that reports the reason
+    need not run the test again.
+    """
+    reason = infeasibility_reason(degree_set, n, m)
+    if reason is not None:
+        return Fraction(0), reason
     t = power_coefficient(degree_set, n, 2 * m)
-    return Fraction(t, (1 << m) * math.factorial(m))
+    return Fraction(t, (1 << m) * math.factorial(m)), None
 
 
 def mixed_table_coefficient(shifted_table: CoefficientTable,

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 from importlib import resources
 
 import jsonschema
@@ -139,10 +140,47 @@ class TestCounting:
             return reason(*args)
 
         monkeypatch.setattr(tables, "infeasibility_reason", counted)
-        monkeypatch.setattr(cli, "infeasibility_reason", counted)
+        monkeypatch.setattr(cli, "infeasibility_reason", counted,
+                            raising=False)
         code, _ = run(capsys, "count-exact", "--degrees", "0,5,7",
                       "--n", "20", "--m", "40")
         assert code == 0
+        assert len(calls) == 1
+
+    # (argv, exit code): feasible and empty instances, for both commands
+    # and for marked on a set without D-2, which takes the plain weight
+    ONE_TEST = [
+        (["count-exact", "--degrees", "1,3", "--n", "20", "--m", "20"], 0),
+        (["count-exact", "--degrees", "1,3", "--n", "3", "--m", "5"], 2),
+        (["count-exact", "--degrees", "0,5,7", "--n", "2", "--m", "1"], 2),
+        (["marked", "--degrees", "even", "--n", "8", "--m", "4",
+          "--u", "-1", "--v", "-1"], 0),
+        (["marked", "--degrees", "1,3", "--n", "3", "--m", "5"], 2),
+        (["marked", "--degrees", "0,5,7", "--n", "2", "--m", "1"], 2),
+        (["marked", "--degrees", "0,1", "--n", "4", "--m", "2"], 0),
+        (["marked", "--degrees", "0,1", "--n", "2", "--m", "2"], 2),
+    ]
+
+    @pytest.mark.parametrize("argv, code", ONE_TEST,
+                             ids=[f"{a[0]}-{a[2]}-n{a[4]}-m{a[6]}" for a, _ in ONE_TEST])
+    def test_one_feasibility_test_per_run(self, capsys, monkeypatch, argv,
+                                          code):
+        import degcount
+        from degcount import tables
+        calls = []
+        reason = tables.infeasibility_reason
+
+        def counted(*args):
+            calls.append(args)
+            return reason(*args)
+
+        # every module that bound the test by name, the package included
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "degcount"
+                    and getattr(module, "infeasibility_reason", None) is reason):
+                monkeypatch.setattr(module, "infeasibility_reason", counted)
+        assert degcount.infeasibility_reason is counted
+        assert run(capsys, *argv)[0] == code
         assert len(calls) == 1
 
 

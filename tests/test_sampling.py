@@ -8,12 +8,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from degcount import (DegreeSet, DegreeSequenceSampler,
+from degcount import (DegreeSet, DegreeSequenceSampler, GraphClass,
                       InfeasibleRegimeError, Multigraph, SampleReport,
                       SamplerExhausted, boltzmann_degree_law, boltzmann_sample,
                       boltzmann_tune, build_table, make_rng, mean_degree,
                       pair_half_edges, parse_degree_set)
-from degcount.sampling import _WORD_BITS, _is_simple_pairing, _pair_endpoints
+from degcount import sampling
+from degcount.sampling import (_WORD_BITS, _edge_codes, _is_simple_pairing,
+                               _multigraph, _pair_endpoints)
 
 from conftest import FAMILY, FAMILY_IDS
 
@@ -161,6 +163,46 @@ class TestLazyDraw:
             assert abs(counts[seq] / trials - p) <= 4 * sigma + 1e-9
 
 
+def count_exact_draws(monkeypatch):
+    """Wrap _draw_degree so that the returned Counter counts its calls."""
+    calls = Counter()
+    exact = DegreeSequenceSampler._draw_degree
+
+    def counted(self, *args):
+        calls["exact"] += 1
+        return exact(self, *args)
+
+    monkeypatch.setattr(DegreeSequenceSampler, "_draw_degree", counted)
+    return calls
+
+
+SCREENED = [("even", 500, 250), ("2,3", 300, 375), ("even", 200, 400)]
+
+
+class TestFloatScreen:
+    @pytest.mark.parametrize("degrees, n, m", SCREENED,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED])
+    def test_exact_route_alone_gives_the_same_sequences(self, monkeypatch,
+                                                        degrees, n, m):
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        screened = [sampler.sample_degrees(make_rng(s)) for s in range(10)]
+        calls = count_exact_draws(monkeypatch)
+        # a margin of 1 leaves no u clear of the first prefix ratio
+        monkeypatch.setattr(sampling, "_SCREEN_MARGIN", 1.0)
+        exact = [sampler.sample_degrees(make_rng(s)) for s in range(10)]
+        assert calls["exact"] == 10 * (n - 1)
+        assert exact == screened
+
+    @pytest.mark.parametrize("degrees, n, m", SCREENED[:2],
+                             ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED[:2]])
+    def test_exact_route_is_rare(self, monkeypatch, degrees, n, m):
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        calls = count_exact_draws(monkeypatch)
+        for seed in range(20):
+            sampler.sample_degrees(make_rng(seed))
+        assert calls["exact"] < 20 * (n - 1) / 1000
+
+
 class TestDegreeSequences:
     def test_unique_sequence(self):
         sampler = DegreeSequenceSampler(DegreeSet.finite([2]), 3, 3)
@@ -253,6 +295,19 @@ class TestDegreeSequences:
                 assert p == prob
 
 
+def small_pairings(count=2000):
+    """(n, degrees, pairing seed) on 2-6 vertices with degrees 0-4.
+
+    Small enough that loops, double and triple edges all occur.
+    """
+    for seed in range(count):
+        rng = make_rng(seed)
+        n = int(rng.integers(2, 7))
+        degrees = rng.integers(0, 5, size=n).tolist()
+        degrees[0] += sum(degrees) % 2
+        yield n, degrees, seed + 10 ** 6
+
+
 class TestPairing:
     def test_single_edge(self):
         rng = make_rng(3)
@@ -283,23 +338,42 @@ class TestPairing:
             pair_half_edges([1, 2], make_rng(0))
 
     def test_array_simplicity_check_matches_the_graph(self):
-        # small sequences, so loops, double and triple edges all occur
         seen = Counter()
-        for seed in range(2000):
-            rng = make_rng(seed)
-            n = int(rng.integers(2, 7))
-            degrees = rng.integers(0, 5, size=n).tolist()
-            degrees[0] += sum(degrees) % 2
-            a, b = _pair_endpoints(degrees, make_rng(seed + 10 ** 6))
-            graph = pair_half_edges(degrees, make_rng(seed + 10 ** 6))
+        for n, degrees, seed in small_pairings():
+            a, b = _pair_endpoints(degrees, make_rng(seed))
+            codes = _edge_codes(degrees, make_rng(seed))
+            graph = pair_half_edges(degrees, make_rng(seed))
             assert Multigraph(n, list(zip(a.tolist(), b.tolist()))) == graph
-            simple = _is_simple_pairing(a, b, n)
+            simple = _is_simple_pairing(codes, n)
             assert simple == graph.is_simple()
             for (u, v), c in graph.edge_items():
                 seen["loop" if u == v else c] += 1
             seen["simple" if simple else "not simple"] += 1
         assert seen["loop"] and seen[2] and seen[3]
         assert seen["simple"] > 100 and seen["not simple"] > 100
+
+    def test_graph_from_sorted_codes_matches_the_public_constructor(self):
+        # the sampler's trusted build against the checked one on the same
+        # pairs, over pairings with loops, double and triple edges
+        seen = Counter()
+        for n, degrees, seed in small_pairings():
+            a, b = _pair_endpoints(degrees, make_rng(seed))
+            fast = _multigraph(n, _edge_codes(degrees, make_rng(seed)))
+            checked = Multigraph(n, list(zip(a.tolist(), b.tolist())))
+            assert fast == checked
+            assert hash(fast) == hash(checked)
+            assert fast.edge_items() == checked.edge_items()
+            assert fast.to_text() == checked.to_text()
+            assert fast.degrees() == checked.degrees() == degrees
+            assert all(fast.multiplicity(u, v) == checked.multiplicity(u, v)
+                       for u in range(1, n + 1) for v in range(1, n + 1))
+            assert fast.is_simple() == checked.is_simple()
+            assert fast.classify() == checked.classify()
+            assert fast.compensation_factor() == checked.compensation_factor()
+            seen[fast.classify()] += 1
+            seen.update("loop" if u == v else c
+                        for (u, v), c in fast.edge_items())
+        assert all(seen[key] for key in (*GraphClass, "loop", 2, 3))
 
     def test_degree_sequence_preserved(self):
         rng = make_rng(9)

@@ -53,3 +53,17 @@ def test_counting_commands_run_without_numpy(argv):
     assert without.stderr == with_numpy.stderr == ""
     assert without.returncode == with_numpy.returncode
     assert without.stdout == with_numpy.stdout
+
+
+def test_multigraph_text_round_trip_without_numpy():
+    proc = python(
+        "import sys; sys.modules['numpy'] = None\n"
+        "from degcount.multigraph import Multigraph\n"
+        "g = Multigraph(4, [(3, 1), (2, 2), (1, 3), (4, 2)])\n"
+        "text = g.to_text()\n"
+        "assert text == '4 4\\n1 3\\n1 3\\n2 2\\n2 4\\n', text\n"
+        "assert Multigraph.from_text(text) == g\n"
+        "assert Multigraph.from_text(text).to_text() == text\n"
+        "print('ok')")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
