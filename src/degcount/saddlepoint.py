@@ -186,6 +186,12 @@ class Regime:
     saddle: SaddlePoint | None = None
     loop_intensity: float = 0.0
 
+    @property
+    def acceptance(self) -> float:
+        """exp(-L^2 - L), the limiting probability that a multigraph is simple."""
+        lam = self.loop_intensity
+        return math.exp(-lam * lam - lam)
+
 
 def resolve(degree_set: DegreeSet, n: int, m: int) -> Regime:
     """Decide which regime (D, n, m) is in; the one place edge cases are met.
@@ -285,5 +291,4 @@ def acceptance_probability(degree_set: DegreeSet, n: int, m: int) -> float:
     regime = resolve(degree_set, n, m)
     if regime.reason is not None:
         raise InfeasibleRegimeError(regime.reason)
-    lam = regime.loop_intensity
-    return math.exp(-lam * lam - lam)
+    return regime.acceptance

@@ -10,7 +10,11 @@ there is no floating-point bias at all.  A float screen in front of that
 comparison decides nearly every vertex from the logs of the table cells,
 with a proven error bound (_SCREEN_MARGIN), and hands the rest to the
 integer one; it never reads a word, so the draws are those of the integer
-comparison alone, at word-size cost.  The Boltzmann one draws degrees
+comparison alone, at word-size cost.  The table keeps only the band of
+each row the draw can plausibly reach, a few standard deviations around the
+remaining total's mean (_BAND_SIGMAS), and computes any cell off it exactly
+when read; so the draws read the same integers as from the full table, and
+memory shrinks with the band.  The Boltzmann one draws degrees
 i.i.d. with P(d) proportional to x^d/d!, giving a random edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
@@ -22,7 +26,9 @@ accepted graph is built from it without a second check or sort.
 An instance that admits no degree sequence raises the package's one
 infeasibility exception, :class:`InfeasibleRegimeError`: the exact sampler
 before it builds any table, the Boltzmann one when n is odd and every degree
-its law can draw is odd.
+its law can draw is odd.  The exact sampler's `sample_simple` raises it too,
+before drawing, when multigraphs exist but no simple graph does because no
+degree sequence below n sums to 2m.
 
 numpy is loaded only by sampling: the functions that make generators and
 seeds (`make_rng`, `spawn_seeds`), the word reader behind every exact draw,
@@ -40,9 +46,8 @@ from typing import TYPE_CHECKING
 
 from .degree_sets import INFINITE, DegreeSet
 from .multigraph import Multigraph
-from .saddlepoint import (InfeasibleRegimeError, acceptance_probability,
-                          solve_mean_degree)
-from .tables import build_table
+from .saddlepoint import InfeasibleRegimeError, resolve, solve_mean_degree
+from .tables import BandedTable, infeasibility_reason
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,11 +77,26 @@ previous vertex, comb(j, d)) and rounds twice more, so it errs by under
 4 * 2^-32, and each exp term is off by that much relative; the terms sum to
 at most 1, and adding up to 2^20 of them costs 2^-33 more.  So
 |p_d - c_d/T| < 1.1e-9, and the margin 2^-27 = 7.45e-9 leaves more than
-six times that.  The largest table the sampler can hold, n = 3000 at mean
-degree 1 (ROADMAP item 5), has cells below e^(2^15); a table with a cell
-past e^(2^20) would not fit in memory.  A draw falls back with probability
-about 2 * margin per prefix ratio it scans.
+six times that.  The cells covered are those of every instance with
+2m ln n < 2^20 (n = 10^4 up to m = 56,900, say), on the band or off it:
+T[i][j] counts maps of j labelled half-edges to i vertices with allowed
+fibre sizes, so it is at most i^j <= n^(2m).  A draw falls back with
+probability about 2 * margin per prefix ratio it scans.
 """
+
+_BAND_SIGMAS = 10
+"""Half-width of the sampler's table band, in standard deviations.
+
+At vertex i the draw's remaining total j is the sum of i Boltzmann degrees
+conditioned on the n of them summing to 2m, so it lies near 2m*i/n with
+standard deviation sigma*sqrt(i(n-i)/n), where sigma^2 = x*slope at the
+saddle point (0 for a forced instance).  The sampler keeps row i within
+_BAND_SIGMAS such deviations plus _BAND_SLACK cells of that centre.  A draw
+that reads a cell off the band gets it from power_coefficient, so a band
+too narrow costs time but never exactness.
+"""
+
+_BAND_SLACK = 8
 
 # Past x the Boltzmann degree law stops at a weight below _TAIL times its mass.
 _TAIL = 1e-18
@@ -215,6 +235,17 @@ def _is_simple_pairing(codes, n: int) -> bool:
                 or (codes[1:] == codes[:-1]).any())
 
 
+def _band(n: int, total: int, sigma: float):
+    """Row bounds (lo, hi) of the sampler's table band; see _BAND_SIGMAS."""
+    def bounds(i: int) -> tuple[int, int]:
+        if n == 0:
+            return 0, _BAND_SLACK
+        centre = total * i / n
+        half = _BAND_SIGMAS * sigma * math.sqrt(i * (n - i) / n) + _BAND_SLACK
+        return math.ceil(centre - half), math.floor(centre + half)
+    return bounds
+
+
 def _multigraph(n: int, codes) -> Multigraph:
     return Multigraph._from_sorted_codes(n, tuple(codes.tolist()))
 
@@ -233,25 +264,39 @@ class DegreeSequenceSampler:
 
     Raises InfeasibleRegimeError, before building any table, when
     :func:`~degcount.tables.infeasibility_reason` finds no degree sequence.
-    Builds the coefficient table for its instance, the tuple of members up
-    to 2m its draws scan and its default attempt budget in the constructor
-    and never writes them afterwards, so one sampler can serve many
-    concurrent generators as long as each worker owns its own rng stream.
-    It pickles as (degree_set, n, m), never as its table: a forked
-    process-pool worker shares the parent's sampler, and any other worker
-    rebuilds the table when it unpickles one.
+    The constructor builds the coefficient table the draws read, the tuple
+    of members up to 2m they scan, the default attempt budget and the
+    reason, if any, that no simple graph fits, and nothing is written
+    afterwards, so one sampler can serve many concurrent generators as long
+    as each worker owns its own rng stream.
+
+    The table keeps only the band of each row that a draw can plausibly
+    reach (_BAND_SIGMAS); every other cell is computed exactly when read,
+    so the draws read the same integers as from a full table.  It pickles
+    as (degree_set, n, m), never as its table: a forked process-pool worker
+    shares the parent's sampler, and any other worker rebuilds the table
+    when it unpickles one.
     """
 
     def __init__(self, degree_set: DegreeSet, n: int, m: int):
-        # raises InfeasibleRegimeError, through resolve, before any table
-        acc = acceptance_probability(degree_set, n, m)
+        regime = resolve(degree_set, n, m)
+        if regime.reason is not None:
+            raise InfeasibleRegimeError(regime.reason)
         self.degree_set = degree_set
         self.n = n
         self.m = m
-        self.table = build_table(degree_set, n, 2 * m)
+        sp = regime.saddle
+        self.table = BandedTable(degree_set, n, 2 * m, _band(
+            n, 2 * m, math.sqrt(sp.x * sp.slope) if sp is not None else 0.0))
         self._members = tuple(degree_set.members_up_to(2 * m))
+        acc = regime.acceptance
         self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
                                   else 10 ** 6)
+        # no simple graph has a degree above n - 1; D within that range is
+        # D itself, which resolve has found feasible
+        self._simple_reason = (
+            None if degree_set.max_degree < n
+            else infeasibility_reason(degree_set, n, m, top=n - 1))
 
     def __reduce__(self):
         # the table is a pure function of the instance and far larger than it
@@ -270,9 +315,9 @@ class DegreeSequenceSampler:
         at the first c_d above that interval and skips every c_d at or below
         it.  A c_d inside it appends the word `one()` to u.
         """
-        rows = self.table._rows
-        total = rows[i][j]
-        prev = rows[i - 1]
+        cell = self.table.value
+        total = cell(i, j)
+        prev = self.table._rows[i - 1]
         comb = math.comb
         bits = _WORD_BITS
         scaled = word * total
@@ -283,7 +328,10 @@ class DegreeSequenceSampler:
                 break
             w = prev[j - d]
             if not w:
-                continue
+                if w is None:       # off the band
+                    w = cell(i - 1, j - d)
+                if not w:
+                    continue
             if d:
                 w *= comb(j, d)
             acc += w
@@ -313,7 +361,8 @@ class DegreeSequenceSampler:
         _SCREEN_MARGIN of a ratio, `_draw_degree` decides in integers.  The
         screen reads no word, and it decides only where the exact draw would
         return the same degree without one, so the words read and the
-        sequence are those of the exact draw alone.
+        sequence are those of the exact draw alone.  A cell off the table's
+        band is computed exactly, here as in `_draw_degree`.
         """
         n = self.n
         if n == 0:
@@ -321,12 +370,13 @@ class DegreeSequenceSampler:
         batch, one = _word_source(rng)
         words = batch(n - 1)
         rows = self.table._rows
+        cell = self.table.value
         members = self._members
         log, exp, comb = math.log, math.exp, math.comb
         margin = _SCREEN_MARGIN
         degrees = [0] * n
         j = 2 * self.m
-        log_total = log(rows[n][j])
+        log_total = log(cell(n, j))
         for i in range(n, 1, -1):
             word = words[n - i]
             u = word * _WORD_SCALE
@@ -338,7 +388,10 @@ class DegreeSequenceSampler:
                     break
                 w = prev[j - d]
                 if not w:
-                    continue
+                    if w is None:   # off the band
+                        w = cell(i - 1, j - d)
+                    if not w:
+                        continue
                 log_w = log(w)
                 ratio = log_w - log_total
                 if d:
@@ -350,7 +403,7 @@ class DegreeSequenceSampler:
                     break
             if chosen < 0:
                 chosen = self._draw_degree(i, j, word, one)
-                log_w = log(prev[j - chosen])
+                log_w = log(cell(i - 1, j - chosen))
             degrees[i - 1] = chosen
             j -= chosen
             log_total = log_w
@@ -372,7 +425,14 @@ class DegreeSequenceSampler:
 
     def sample_simple(self, rng: np.random.Generator,
                       max_attempts: int | None = None) -> tuple[Multigraph, SampleReport]:
-        """Redraw multigraphs until one is simple; uniform over simple graphs."""
+        """Redraw multigraphs until one is simple; uniform over simple graphs.
+
+        Raises InfeasibleRegimeError, before drawing, when no simple graph
+        fits: with no degree above n - 1, no sequence sums to 2m.
+        """
+        if self._simple_reason is not None:
+            raise InfeasibleRegimeError(
+                f"no simple graph on {self.n} vertices: {self._simple_reason}")
         if max_attempts is None:
             max_attempts = self.default_max_attempts()
         if max_attempts < 1:

@@ -8,9 +8,11 @@ multigraphs realised by i vertices carrying j half-edges.  All entries are
 exact Python integers, and every division on the way is checked to leave no
 remainder.
 
-Full tables (:func:`build_table`, read by the sampler and the marked sums)
-come from row recurrences that fill a row in O(1) big-integer operations per
-cell instead of the generic O(|D|) convolution:
+Full tables (:func:`build_table`, read by the marked sums) and the banded
+table the exact sampler reads (:class:`BandedTable`) come from row
+recurrences that fill a row in O(1) big-integer operations per cell instead
+of the generic O(|D|) convolution, and skip the cells they know are zero
+(outside [i*min D, i*max D] or off the periodicity lattice):
 
 * finite lists use the defining convolution over the members,
 * minimum-degree sets use (e^x - head)' = (e^x - head) + x^(delta-1)/(delta-1)!,
@@ -46,13 +48,20 @@ from .degree_sets import INFINITE, DegreeSet
 
 
 def _rows_finite(members, j_max):
+    # row i is zero off [i*min D, i*max D] and off the lattice
+    # j = i*min D mod the periodicity, so only those cells are summed
+    low, high = members[0], members[-1]
+    step = 0
+    for d in members[1:]:
+        step = math.gcd(step, d - low)
     row = [1] + [0] * j_max
     yield row
     comb = math.comb
     prev = row
+    i = 1
     while True:
         new = [0] * (j_max + 1)
-        for j in range(j_max + 1):
+        for j in range(i * low, min(i * high, j_max) + 1, step or 1):
             s = 0
             for d in members:
                 if d > j:
@@ -63,6 +72,7 @@ def _rows_finite(members, j_max):
             new[j] = s
         yield new
         prev = new
+        i += 1
 
 
 def _rows_min(delta, j_max):
@@ -78,13 +88,13 @@ def _rows_min(delta, j_max):
             for j in range(j_max):
                 new[j + 1] = i * new[j]
         else:
+            # row i is zero below j = delta*i
             dm1 = delta - 1
-            for j in range(j_max):
+            for j in range(delta * i - 1, j_max):
                 t = i * new[j]
-                if j >= dm1:
-                    w = prev[j - dm1]
-                    if w:
-                        t += i * comb(j, dm1) * w
+                w = prev[j - dm1]
+                if w:
+                    t += i * comb(j, dm1) * w
                 new[j + 1] = t
         yield new
         prev = new
@@ -104,7 +114,8 @@ def _rows_parity(kind_odd, j_max):
     sign = 1 if kind_odd else -1
     while True:
         new = [0] * (j_max + 1)
-        start = i % 2 if kind_odd else 0
+        # sinh^i starts at x^i, so the odd rows are zero below j = i
+        start = i - 2 if kind_odd else 0
         if not kind_odd:
             new[0] = 1
         ii, cross = i * i, sign * i * (i - 1)
@@ -148,6 +159,43 @@ class CoefficientTable:
 def build_table(degree_set: DegreeSet, n_max: int, j_max: int) -> CoefficientTable:
     """Build the full table of T[i][j] = j! * [x^j] Set(x)^i."""
     return CoefficientTable(degree_set, n_max, j_max)
+
+
+class BandedTable:
+    """Rows T[0..n_max][0..j_max] that keep only a band of cells.
+
+    `band(i)` gives the inclusive range (lo, hi) of row i to keep; every
+    other cell holds None.  The rows are streamed from the same recurrences
+    as a full table, which hold two or three full rows at a time, so the
+    build costs what a full build costs and the memory is that of the band.
+    :meth:`value` is exact everywhere: off the band it computes the cell
+    alone with :func:`power_coefficient`.
+    """
+
+    def __init__(self, degree_set: DegreeSet, n_max: int, j_max: int, band):
+        if n_max < 0 or j_max < 0:
+            raise ValueError("table bounds must be nonnegative")
+        self.degree_set = degree_set
+        self.n_max = n_max
+        self.j_max = j_max
+        gen = _iter_rows(degree_set, j_max)
+        self._rows = []
+        for i in range(n_max + 1):
+            row = next(gen)
+            lo, hi = band(i)
+            lo, hi = max(lo, 0), min(hi, j_max)
+            kept = [None] * (j_max + 1)
+            kept[lo:hi + 1] = row[lo:hi + 1]
+            self._rows.append(kept)
+
+    def value(self, i: int, j: int) -> int:
+        """T[i][j], from the band or computed; zero for j < 0."""
+        if j < 0:
+            return 0
+        w = self._rows[i][j]
+        if w is None:
+            return power_coefficient(self.degree_set, i, j)
+        return w
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -305,7 +353,8 @@ def _short_sum(steps, n: int, e: int) -> bool:
     return bool(reach >> e & 1)
 
 
-def infeasibility_reason(degree_set: DegreeSet, n: int, m: int) -> str | None:
+def infeasibility_reason(degree_set: DegreeSet, n: int, m: int,
+                         top=INFINITE) -> str | None:
     """Why no multigraph on n vertices and m edges can fit, or None.
 
     The test is exact: None if and only if some sequence of n degrees from
@@ -314,6 +363,12 @@ def infeasibility_reason(degree_set: DegreeSet, n: int, m: int) -> str | None:
     2m - n*min(D).  Those decide every set but a finite one with two or more
     members; there degree r + p*s is step s from min(D) = r, and the excess
     over p must be a sum of at most n nonzero steps (:func:`_short_sum`).
+
+    With `top`, the degrees are those of the set up to top (a simple graph
+    on n vertices has none above n - 1).  A finite set is filtered.  An
+    infinite family's members up to top run from min(D) in steps of p with
+    none missing, so they are not listed: the largest of them stands in
+    for max(D), and range and periodicity decide.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
@@ -321,18 +376,32 @@ def infeasibility_reason(degree_set: DegreeSet, n: int, m: int) -> str | None:
         return None if m == 0 else "no vertices to carry the edges"
     total = 2 * m
     r = degree_set.valuation
+    mx = degree_set.max_degree
+    p = degree_set.periodicity
+    capped = ""
+    if mx > top:
+        if top < r:
+            return f"no degree in {degree_set} is at most {top}"
+        if degree_set.members:
+            degree_set = DegreeSet.finite(
+                d for d in degree_set.members if d <= top)
+            mx, p = degree_set.max_degree, degree_set.periodicity
+        else:
+            mx = top - (top - r) % p
+            if mx == r:
+                p = INFINITE
+        capped = f" with degrees at most {top}"
     if total < r * n:
         return f"total degree {total} is below n*min(D) = {r * n}"
-    mx = degree_set.max_degree
     if mx is not INFINITE and total > n * mx:
-        return f"total degree {total} exceeds n*max(D) = {n * mx}"
-    p = degree_set.periodicity
+        return f"total degree {total} exceeds n*max(D) = {n * mx}{capped}"
     if p is INFINITE:           # one member: the range tests forced 2m = n*d
         return None
     excess = total - r * n
     if excess % p != 0:
         return f"periodicity {p} does not divide 2m - n*min(D) = {excess}"
-    if mx is not INFINITE and not _short_sum(
+    # an infinite family, capped or not, has every step from 1 up
+    if degree_set.members and not _short_sum(
             [(d - r) // p for d in degree_set.members[1:]], n, excess // p):
         return (f"no degree sequence from {degree_set} on {n} vertices "
                 f"sums to {total}")

@@ -245,16 +245,18 @@ class TestSampling:
                           "--jobs", "2")
         assert serial == parallel
 
+    # K_10, the one simple 9-regular graph on ten vertices, comes from a
+    # pairing with probability about e^-20, so every attempt is rejected
     def test_exhausted_exits_three(self, capsys, schema):
-        code, out = run(capsys, "sample", "--degrees", "2", "--n", "2",
-                        "--m", "2", "--seed", "5", "--samples", "1",
+        code, out = run(capsys, "sample", "--degrees", "9", "--n", "10",
+                        "--m", "45", "--seed", "5", "--samples", "1",
                         "--max-attempts", "4")
         assert code == 3
         payload = json.loads(out)
         assert payload["error"] == "sampler attempts exhausted"
         assert payload["report"]["rejections"] == 4
         assert validate_json_lines(schema, out) == [{
-            "command": "sample", "degrees": "2", "n": 2, "m": 2,
+            "command": "sample", "degrees": "9", "n": 10, "m": 45,
             "feasible": True, "error": "sampler attempts exhausted",
             "report": {"samples_requested": 1, "samples_produced": 0,
                        "rejections": 4, "odd_sum_retries": 0,
@@ -262,11 +264,49 @@ class TestSampling:
 
     def test_exhausted_with_jobs_matches_serial(self, capsys):
         # the exception, with its report, crosses the process pool
-        argv = ["sample", "--degrees", "2", "--n", "2", "--m", "2",
+        argv = ["sample", "--degrees", "9", "--n", "10", "--m", "45",
                 "--seed", "5", "--samples", "2", "--max-attempts", "4"]
         serial = run(capsys, *argv)
         assert serial[0] == 3
         assert run(capsys, *argv, "--jobs", "2") == serial
+
+    # no simple graph: every degree is 10 on ten vertices; 2m = 92 and 14
+    # exceed n(n-1) = 90 and 12; a 2-regular graph on two vertices has a
+    # double edge.  --max-attempts keeps a rejection loop short.
+    NO_SIMPLE_GRAPH = [
+        (["--degrees", "10", "--n", "10", "--m", "50"],
+         "no simple graph on 10 vertices: no degree in 10 is at most 9"),
+        (["--degrees", "min=1", "--n", "10", "--m", "46"],
+         "no simple graph on 10 vertices: total degree 92 exceeds "
+         "n*max(D) = 90 with degrees at most 9"),
+        (["--degrees", "min=0", "--n", "4", "--m", "7"],
+         "no simple graph on 4 vertices: total degree 14 exceeds "
+         "n*max(D) = 12 with degrees at most 3"),
+        (["--degrees", "2", "--n", "2", "--m", "2"],
+         "no simple graph on 2 vertices: no degree in 2 is at most 1"),
+    ]
+
+    @pytest.mark.parametrize("instance, reason", NO_SIMPLE_GRAPH,
+                             ids=[" ".join(a[1::2]) for a, _ in NO_SIMPLE_GRAPH])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_no_simple_graph_exits_two(self, capsys, schema, instance,
+                                       reason, jobs):
+        code, out = run(capsys, "sample", *instance, "--samples", "2",
+                        "--max-attempts", "5", "--jobs", jobs)
+        assert code == 2
+        payload = validate_json_lines(schema, out)[0]
+        n, m = int(instance[3]), int(instance[5])
+        assert payload == {"command": "sample", "degrees": instance[1],
+                           "n": n, "m": m, "feasible": False,
+                           "reason": reason}
+
+    @pytest.mark.parametrize("instance", [a for a, _ in NO_SIMPLE_GRAPH],
+                             ids=[" ".join(a[1::2]) for a, _ in NO_SIMPLE_GRAPH])
+    def test_no_simple_graph_allows_multigraphs(self, capsys, instance):
+        code, out = run(capsys, "sample", *instance, "--samples", "2",
+                        "--allow-multi")
+        assert code == 0
+        assert json.loads(out.split("\n\n")[-1])["samples_produced"] == 2
 
     def test_allow_multi(self, capsys):
         code, out = run(capsys, "sample", "--degrees", "2", "--n", "2",

@@ -203,12 +203,122 @@ class TestFloatScreen:
         assert calls["exact"] < 20 * (n - 1) / 1000
 
 
+def check_exact_law_on_tiny_instances(ds):
+    # empirical frequencies against the enumerated law, 4 sigma slack
+    for n, m in ((2, 2), (3, 2)):
+        law = sequence_law(ds, n, m)
+        if not law:
+            continue
+        sampler = DegreeSequenceSampler(ds, n, m)
+        rng = make_rng(7)
+        trials = 20_000
+        counts = Counter(tuple(sampler.sample_degrees(rng))
+                         for _ in range(trials))
+        assert set(counts) <= set(law)
+        for seq, prob in law.items():
+            p = float(prob)
+            sigma = math.sqrt(p * (1 - p) / trials)
+            assert abs(counts[seq] / trials - p) <= 4 * sigma + 1e-9
+
+
+def count_off_band_cells(monkeypatch):
+    """Wrap power_coefficient, which computes every cell off the band."""
+    from degcount import tables
+    calls = Counter()
+    exact = tables.power_coefficient
+
+    def counted(*args):
+        calls["off band"] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(tables, "power_coefficient", counted)
+    return calls
+
+
+NARROW = [("even", 60, 30), ("2,3", 40, 50), ("min=2", 30, 45)]
+
+
+class TestTableBand:
+    @pytest.mark.parametrize("degrees, n, m", NARROW,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in NARROW])
+    def test_slack_alone_gives_the_same_sequences(self, monkeypatch,
+                                                  degrees, n, m):
+        ds = parse_degree_set(degrees)
+        wide = DegreeSequenceSampler(ds, n, m)
+        expected = [wide.sample_degrees(make_rng(s)) for s in range(10)]
+        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
+        narrow = DegreeSequenceSampler(ds, n, m)
+        assert [narrow.sample_degrees(make_rng(s))
+                for s in range(10)] == expected
+        # without the slack too, most reads fall off the band
+        monkeypatch.setattr(sampling, "_BAND_SLACK", 0)
+        bare = DegreeSequenceSampler(ds, n, m)
+        calls = count_off_band_cells(monkeypatch)
+        assert [bare.sample_degrees(make_rng(s))
+                for s in range(10)] == expected
+        assert calls["off band"] > 10 * n
+
+    @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
+    def test_exact_law_with_the_slack_alone(self, monkeypatch, ds):
+        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
+        check_exact_law_on_tiny_instances(ds)
+
+    @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
+    def test_exact_law_with_no_band(self, monkeypatch, ds):
+        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
+        monkeypatch.setattr(sampling, "_BAND_SLACK", 0)
+        check_exact_law_on_tiny_instances(ds)
+
+    @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
+    def test_cells_off_an_empty_band_are_exact(self, monkeypatch, ds):
+        # with no band at all only each row's centre is kept
+        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
+        monkeypatch.setattr(sampling, "_BAND_SLACK", 0)
+        n, m = 6, 6
+        try:
+            sampler = DegreeSequenceSampler(ds, n, m)
+        except InfeasibleRegimeError:
+            pytest.skip("no degree sequence")
+        full = build_table(ds, n, 2 * m)
+        assert any(None in row for row in sampler.table._rows)
+        for i in range(n + 1):
+            assert [sampler.table.value(i, j) for j in range(2 * m + 1)] == \
+                list(full.row(i))
+
+    @pytest.mark.parametrize("degrees, n, m", SCREENED,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED])
+    def test_draws_stay_on_the_band(self, monkeypatch, degrees, n, m):
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        calls = count_off_band_cells(monkeypatch)
+        for seed in range(20):
+            sampler.sample_degrees(make_rng(seed))
+        assert calls["off band"] == 0
+
+    @pytest.mark.parametrize("degrees, n, m, share",
+                             [("even", 500, 250, 0.50), ("2,3", 300, 375, 0.15)])
+    def test_band_keeps_a_fraction_of_the_cells(self, degrees, n, m, share):
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        kept = sum(len(row) - row.count(None) for row in sampler.table._rows)
+        assert kept < share * (n + 1) * (2 * m + 1)
+
+
 class TestDegreeSequences:
     def test_unique_sequence(self):
         sampler = DegreeSequenceSampler(DegreeSet.finite([2]), 3, 3)
         rng = make_rng(5)
         for _ in range(10):
             assert sampler.sample_degrees(rng) == [2, 2, 2]
+
+    @pytest.mark.parametrize("members, n, m", [((10,), 10, 50), ((2,), 2, 2)])
+    def test_no_simple_graph_raises_before_drawing(self, members, n, m):
+        sampler = DegreeSequenceSampler(DegreeSet.finite(members), n, m)
+
+        class NoRng:
+            bit_generator = None
+        with pytest.raises(InfeasibleRegimeError, match="no simple graph"):
+            sampler.sample_simple(NoRng(), max_attempts=5)
+        # multigraphs still exist
+        assert sum(sampler.sample_degrees(make_rng(0))) == 2 * m
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleRegimeError):
@@ -219,7 +329,7 @@ class TestDegreeSequences:
     def test_infeasible_builds_no_table(self, monkeypatch, members, n, m):
         def no_table(*args):
             raise AssertionError("built a table for an empty instance")
-        monkeypatch.setattr("degcount.sampling.build_table", no_table)
+        monkeypatch.setattr("degcount.sampling.BandedTable", no_table)
         with pytest.raises(InfeasibleRegimeError):
             DegreeSequenceSampler(DegreeSet.finite(members), n, m)
 
@@ -253,21 +363,7 @@ class TestDegreeSequences:
 
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_exact_law_on_tiny_instances(self, ds):
-        # empirical frequencies against the enumerated law, 4 sigma slack
-        for n, m in ((2, 2), (3, 2)):
-            law = sequence_law(ds, n, m)
-            if not law:
-                continue
-            sampler = DegreeSequenceSampler(ds, n, m)
-            rng = make_rng(7)
-            trials = 20_000
-            counts = Counter(tuple(sampler.sample_degrees(rng))
-                             for _ in range(trials))
-            assert set(counts) <= set(law)
-            for seq, prob in law.items():
-                p = float(prob)
-                sigma = math.sqrt(p * (1 - p) / trials)
-                assert abs(counts[seq] / trials - p) <= 4 * sigma + 1e-9
+        check_exact_law_on_tiny_instances(ds)
 
     def test_two_point_law(self):
         # degrees (1,3) and (3,1) are equally likely
@@ -479,8 +575,9 @@ class TestSimpleSampling:
         assert abs(total.empirical_acceptance - 0.5) < 0.03
 
     def test_exhaustion_carries_report(self):
-        # no simple 2-regular graph on two vertices exists
-        sampler = DegreeSequenceSampler(DegreeSet.finite([2]), 2, 2)
+        # K_10 is the one simple 9-regular graph on ten vertices, and a
+        # pairing gives it with probability about e^-20
+        sampler = DegreeSequenceSampler(DegreeSet.finite([9]), 10, 45)
         rng = make_rng(1)
         with pytest.raises(SamplerExhausted) as err:
             sampler.sample_simple(rng, max_attempts=6)

@@ -39,6 +39,36 @@ def test_degree_sequences(degrees, n, m, digest):
     assert sha256(json.dumps(sequences)) == digest
 
 
+# sha256 of json.dumps([sample_degrees(make_rng(seed)) for seed in 0..4]),
+# recorded before the sampler kept only a band of its table: one instance
+# per row recurrence the band streams (min, parity, finite)
+BAND_PINS = [
+    ("min=2", 200, 300,
+     "4dea1b2758a51a337c5c2a343514b9327e7f340ee3f67f9789d02edaae42a900"),
+    ("odd", 150, 150,
+     "1d39f94892c3df25a60a89d60278b3c7ea33e21b3e80e243fc6f323b8032f1f4"),
+    ("0,5,7", 60, 150,
+     "379db8c287ec67a169e5d445f814bca756252a954bcef31be1e4ef609ed3bccb"),
+]
+
+
+@pytest.mark.parametrize("degrees, n, m, digest", BAND_PINS,
+                         ids=[f"{d}-{n}-{m}" for d, n, m, _ in BAND_PINS])
+def test_banded_degree_sequences(degrees, n, m, digest):
+    sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+    sequences = [sampler.sample_degrees(make_rng(seed)) for seed in range(5)]
+    assert sha256(json.dumps(sequences)) == digest
+
+
+def test_simple_graph_texts():
+    # sha256 of json.dumps of the to_text() of sample_simple for seeds 0..4
+    sampler = DegreeSequenceSampler(DegreeSet.min_degree(1), 40, 50)
+    texts = [sampler.sample_simple(make_rng(seed))[0].to_text()
+             for seed in range(5)]
+    assert sha256(json.dumps(texts)) == (
+        "ffa835aecb231e4e0b1c0bc9a9265b4c84972db17bd915689102e07f05968193")
+
+
 @pytest.mark.parametrize("seed, digest", [
     (0, "f0b39c801632a1413196b22f6d9910cff6d0990ac868ec3d0072281cbeec56df"),
     (1, "f6a5e14464bd5645a3bd89815fcf6fbb9c56c93c172ee362dee2a8bae4eb9489"),

@@ -47,6 +47,18 @@ class TestTable:
         for i in range(7):
             assert list(t.row(i)) == ref[i]
 
+    @pytest.mark.parametrize("ds", FAMILY + [DegreeSet.finite([0, 5, 7]),
+                                             DegreeSet.finite([3, 6, 9]),
+                                             DegreeSet.min_degree(3)],
+                             ids=str)
+    def test_every_cell_matches_the_convolution(self, ds):
+        # the row recurrences skip cells they know are zero; every cell,
+        # zero or not, still equals the O(|D|) convolution
+        t = build_table(ds, 40, 120)
+        ref = reference_table(ds, 40, 120)
+        for i in range(41):
+            assert list(t.row(i)) == ref[i], i
+
     def test_unconstrained_powers(self):
         t = build_table(DegreeSet.min_degree(0), 6, 10)
         for i in range(7):
@@ -142,6 +154,28 @@ class TestFeasibility:
         for deficit in (1, 3, 5, 7, 9, 11):
             reason = infeasibility_reason(ds, n, (7 * n - deficit) // 2)
             assert (reason is None) == (deficit >= 7), deficit
+
+
+    @pytest.mark.parametrize("ds", FAMILY + [DegreeSet.finite([0, 5, 7]),
+                                             DegreeSet.min_degree(3)],
+                             ids=str)
+    def test_degrees_capped_at_top(self, ds):
+        # with top, None exactly when some sequence of degrees from the set
+        # up to top sums to 2m, which the listed capped set decides
+        for n in range(1, 9):
+            for top in range(n):
+                kept = list(ds.members_up_to(top))
+                for m in range(n * top // 2 + 3):
+                    reason = infeasibility_reason(ds, n, m, top=top)
+                    feasible = bool(kept) and power_coefficient(
+                        DegreeSet.finite(kept), n, 2 * m) != 0
+                    assert (reason is None) == feasible, (n, top, m)
+
+    def test_cap_above_every_degree_changes_nothing(self):
+        ds = DegreeSet.finite([1, 3])
+        for n, m in ((2, 4), (3, 2), (2, 1), (3, 3)):
+            assert (infeasibility_reason(ds, n, m, top=3)
+                    == infeasibility_reason(ds, n, m))
 
 
 class TestMultigraphWeight:
