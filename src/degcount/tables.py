@@ -47,13 +47,10 @@ from fractions import Fraction
 from .degree_sets import INFINITE, DegreeSet
 
 
-def _rows_finite(members, j_max):
+def _rows_finite(members, step, j_max):
     # row i is zero off [i*min D, i*max D] and off the lattice
-    # j = i*min D mod the periodicity, so only those cells are summed
+    # j = i*min D mod the periodicity step, so only those cells are summed
     low, high = members[0], members[-1]
-    step = 0
-    for d in members[1:]:
-        step = math.gcd(step, d - low)
     row = [1] + [0] * j_max
     yield row
     comb = math.comb
@@ -61,7 +58,7 @@ def _rows_finite(members, j_max):
     i = 1
     while True:
         new = [0] * (j_max + 1)
-        for j in range(i * low, min(i * high, j_max) + 1, step or 1):
+        for j in range(i * low, min(i * high, j_max) + 1, step):
             s = 0
             for d in members:
                 if d > j:
@@ -128,7 +125,9 @@ def _rows_parity(kind_odd, j_max):
 
 def _iter_rows(degree_set: DegreeSet, j_max: int):
     if degree_set.kind == "finite":
-        return _rows_finite(degree_set.members, j_max)
+        p = degree_set.periodicity     # INFINITE for one member: j = i*d
+        return _rows_finite(degree_set.members,
+                            1 if p is INFINITE else p, j_max)
     if degree_set.kind == "min":
         return _rows_min(degree_set.delta, j_max)
     return _rows_parity(degree_set.kind == "odd", j_max)
@@ -354,7 +353,7 @@ def _short_sum(steps, n: int, e: int) -> bool:
 
 
 def infeasibility_reason(degree_set: DegreeSet, n: int, m: int,
-                         top=INFINITE) -> str | None:
+                         top: int | float = INFINITE) -> str | None:
     """Why no multigraph on n vertices and m edges can fit, or None.
 
     The test is exact: None if and only if some sequence of n degrees from
@@ -399,7 +398,8 @@ def infeasibility_reason(degree_set: DegreeSet, n: int, m: int,
         return None
     excess = total - r * n
     if excess % p != 0:
-        return f"periodicity {p} does not divide 2m - n*min(D) = {excess}"
+        return (f"periodicity {p} does not divide 2m - n*min(D) = "
+                f"{excess}{capped}")
     # an infinite family, capped or not, has every step from 1 up
     if degree_set.members and not _short_sum(
             [(d - r) // p for d in degree_set.members[1:]], n, excess // p):
