@@ -17,9 +17,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .degree_sets import DegreeSet
-from .marked import _term_tables
 from .multigraph import Multigraph
-from .tables import infeasibility_reason, mixed_table_coefficient
+from .tables import build_table, infeasibility_reason, mixed_table_coefficient
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,11 @@ def marked_multigraph_weight_series(degree_set: DegreeSet, n: int, m: int,
     v = Fraction(v)
     if infeasibility_reason(degree_set, n, m) is not None:
         return Fraction(0)
-    cap, shifted_table, base_table = _term_tables(degree_set, n, m)
+    # an empty D-2 marks nothing; row 0 of any table is the constant 1
+    cap = min(n, m) if degree_set.max_degree >= 2 else 0
+    base_table = build_table(degree_set, n, 2 * m)
+    shifted_table = (build_table(degree_set.shift(2), cap, 2 * m) if cap
+                     else base_table)
     fact = math.factorial
     prefactor = Fraction(fact(2 * m), (1 << m) * fact(m))
     total = Fraction(0)

@@ -185,6 +185,9 @@ def _render_samples(args, blocks: list[str], report: SampleReport,
 def _cmd_sample(args) -> int:
     sampler = DegreeSequenceSampler(parse_degree_set(args.degrees),
                                     args.n, args.m)
+    # raised here, as sample_simple would, so that no pool starts for it
+    if sampler.simple_reason is not None and not args.allow_multi:
+        raise InfeasibleRegimeError(sampler.simple_reason)
     blocks, report = _collect_samples(args, sampler)
     _emit(args, _render_samples(args, blocks, report))
     return EXIT_OK

@@ -22,22 +22,6 @@ from .tables import (build_table, infeasibility_reason, mixed_table_coefficient,
                      multigraph_weight_and_reason)
 
 
-def _term_tables(degree_set: DegreeSet, n: int, m: int):
-    """(cap, D-2 table, D table), cap bounding the marked structures.
-
-    An empty D-2 (max(D) below 2) admits no marked loop or double edge, so
-    cap is 0; only row 0 of the D-2 table, the constant 1, is then read, and
-    the D table's row 0 is that same row.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    base = build_table(degree_set, n, 2 * m)
-    if degree_set.max_degree < 2:
-        return 0, base, base
-    cap = min(n, m)
-    return cap, build_table(degree_set.shift(2), cap, 2 * m), base
-
-
 def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
                              u, v) -> Fraction:
     """Weight polynomial of marked multigraphs, evaluated at (u, v).
@@ -71,24 +55,28 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
     reason = infeasibility_reason(degree_set, n, m)
     if reason is not None:
         return Fraction(0), reason
-    cap, shifted_table, base_table = _term_tables(degree_set, n, m)
+    # at most min(n, m) disjoint structures fit; rows 0..cap of D-2 are read
+    cap = min(n, m)
+    base_table = build_table(degree_set, n, 2 * m)
+    shifted_table = build_table(degree_set.shift(2), cap, 2 * m)
     comb = math.comb
     fact = math.factorial
     total = Fraction(0)
-    for k in range(cap // 2 + 1):
-        uk = u ** k
-        for ell in range(cap - 2 * k + 1):
-            a = 2 * k + ell
-            b = n - a
-            j = 2 * m - 4 * k - 2 * ell
-            mixed = mixed_table_coefficient(shifted_table, base_table, a, b, j)
-            if not mixed:
-                continue
+    for a in range(cap + 1):
+        # every (k, l) with 2k + l = a marked vertices fills the same
+        # 2m - 2a half-edges, so it reads the same mixed coefficient
+        mixed = mixed_table_coefficient(shifted_table, base_table,
+                                        a, n - a, 2 * m - 2 * a)
+        if not mixed:
+            continue
+        terms = Fraction(0)
+        for k in range(a // 2 + 1):
+            ell = a - 2 * k
             ways = (comb(n, 2 * k) * comb(n - 2 * k, ell)          # marked labels
                     * fact(2 * k) // ((1 << k) * fact(k))          # pair them up
                     * fact(2 * k) * 4 ** k // (1 << k)             # order and orient
                     * fact(ell)                                    # order the loops
                     * comb(m, 2 * k) * comb(m - 2 * k, ell))       # slots among edges
-            total += Fraction(ways * mixed) * uk * v ** ell
+            terms += ways * u ** k * v ** ell
+        total += mixed * terms
     return total / ((1 << m) * fact(m)), None
-

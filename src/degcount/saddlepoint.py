@@ -178,13 +178,15 @@ def saddle_point(degree_set: DegreeSet, n: int, m: int) -> SaddlePoint:
 class Regime:
     """One of: infeasible (`reason`), forced to `degree`, interior (`saddle`).
 
-    `loop_intensity` is L, the limiting expected number of loops.
+    `loop_intensity` is L, the limiting expected number of loops, and
+    `simple_reason` why a feasible instance has no simple graph, if so.
     """
 
     reason: str | None = None
     degree: int | None = None
     saddle: SaddlePoint | None = None
     loop_intensity: float = 0.0
+    simple_reason: str | None = None
 
     @property
     def acceptance(self) -> float:
@@ -201,17 +203,24 @@ def resolve(degree_set: DegreeSet, n: int, m: int) -> Regime:
     n*max(D), which covers a one-member D, m = 0 and n = 0: every degree is
     d and L = n d (d-1) / 4m, or 0 without edges.  Otherwise 2m/n lies
     strictly inside D's range and the saddle point is solved once.  Raises
-    ValueError for negative n or m.
+    ValueError for negative n or m.  When max(D) >= n, a feasible instance
+    also gets the test on degrees up to n - 1, the most a simple graph has.
     """
     reason = infeasibility_reason(degree_set, n, m)
     if reason is not None:
         return Regime(reason=reason)
+    simple = None
+    if degree_set.max_degree >= n:
+        simple = infeasibility_reason(degree_set, n, m, top=n - 1)
+        if simple is not None:
+            simple = f"no simple graph on {n} vertices: {simple}"
     for d in (degree_set.valuation, degree_set.max_degree):
         if 2 * m == n * d:
             lam = n * d * (d - 1) / (4.0 * m) if m > 0 else 0.0
-            return Regime(degree=d, loop_intensity=lam)
+            return Regime(degree=d, loop_intensity=lam, simple_reason=simple)
     sp = saddle_point(degree_set, n, m)
-    return Regime(saddle=sp, loop_intensity=sp.loop_intensity)
+    return Regime(saddle=sp, loop_intensity=sp.loop_intensity,
+                  simple_reason=simple)
 
 
 @dataclass(frozen=True)
@@ -242,8 +251,9 @@ class AsymptoticCount:
 def _estimate(degree_set: DegreeSet, n: int, m: int,
               simple: bool) -> AsymptoticCount:
     regime = resolve(degree_set, n, m)
-    if regime.reason is not None:
-        return AsymptoticCount(-math.inf, n, m, False, reason=regime.reason)
+    reason = regime.reason or (regime.simple_reason if simple else None)
+    if reason is not None:
+        return AsymptoticCount(-math.inf, n, m, False, reason=reason)
     log_value = math.lgamma(2 * m + 1) - m * _LN2 - math.lgamma(m + 1)
     sp = regime.saddle
     if sp is None:
@@ -275,7 +285,8 @@ def simple_graph_count_asymptotic(degree_set: DegreeSet, n: int, m: int) -> Asym
 
     The multigraph estimate times exp(-L^2 - L) where L is the loop
     intensity: at the saddle point, or n d (d-1) / (4m) for an instance
-    forced to degree d.
+    forced to degree d.  An instance with multigraphs but no simple graph
+    (`Regime.simple_reason`) comes back infeasible with that reason.
     """
     return _estimate(degree_set, n, m, simple=True)
 

@@ -10,11 +10,12 @@ there is no floating-point bias at all.  A float screen in front of that
 comparison decides nearly every vertex from the logs of the table cells,
 with a proven error bound (_SCREEN_MARGIN), and hands the rest to the
 integer one; it never reads a word, so the draws are those of the integer
-comparison alone, at word-size cost.  The table keeps only the band of
-each row the draw can plausibly reach, a few standard deviations around the
-remaining total's mean (_BAND_SIGMAS), and computes any cell off it exactly
-when read; so the draws read the same integers as from the full table, and
-memory shrinks with the band.  The Boltzmann one draws degrees
+comparison alone, at word-size cost.  The table (`build_table` with a
+band) keeps only the part of each row the draw can plausibly reach, a few
+standard deviations around the remaining total's mean (_BAND_SIGMAS), and
+computes any cell off it exactly when read; so the draws read the same
+integers as from the full table, and memory shrinks with the band.  The
+Boltzmann one draws degrees
 i.i.d. with P(d) proportional to x^d/d!, giving a random edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
@@ -28,7 +29,8 @@ infeasibility exception, :class:`InfeasibleRegimeError`: the exact sampler
 before it builds any table, the Boltzmann one when n is odd and every degree
 its law can draw is odd.  The exact sampler's `sample_simple` raises it too,
 before drawing, when multigraphs exist but no simple graph does because no
-degree sequence below n sums to 2m.
+degree sequence below n sums to 2m (`Regime.simple_reason`, which the
+simple-graph estimate reads too).
 
 numpy is loaded only by sampling: the functions that make generators and
 seeds (`make_rng`, `spawn_seeds`), the word reader behind every exact draw,
@@ -47,7 +49,7 @@ from typing import TYPE_CHECKING
 from .degree_sets import INFINITE, DegreeSet
 from .multigraph import Multigraph
 from .saddlepoint import InfeasibleRegimeError, resolve, solve_mean_degree
-from .tables import BandedTable, infeasibility_reason
+from .tables import build_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -265,12 +267,13 @@ class DegreeSequenceSampler:
     Raises InfeasibleRegimeError, before building any table, when
     :func:`~degcount.tables.infeasibility_reason` finds no degree sequence.
     The constructor builds the coefficient table the draws read, the tuple
-    of members up to 2m they scan, the default attempt budget and the
-    reason, if any, that no simple graph fits, and nothing is written
+    of members up to 2m they scan, the default attempt budget and
+    `simple_reason` (`Regime.simple_reason`), and nothing is written
     afterwards, so one sampler can serve many concurrent generators as long
     as each worker owns its own rng stream.
 
-    The table keeps only the band of each row that a draw can plausibly
+    The table, a :class:`~degcount.tables.CoefficientTable` built with a
+    band, keeps only the cells of each row that a draw can plausibly
     reach (_BAND_SIGMAS); every other cell is computed exactly when read,
     so the draws read the same integers as from a full table.  It pickles
     as (degree_set, n, m), never as its table: a forked process-pool worker
@@ -286,17 +289,13 @@ class DegreeSequenceSampler:
         self.n = n
         self.m = m
         sp = regime.saddle
-        self.table = BandedTable(degree_set, n, 2 * m, _band(
+        self.table = build_table(degree_set, n, 2 * m, band=_band(
             n, 2 * m, math.sqrt(sp.x * sp.slope) if sp is not None else 0.0))
         self._members = tuple(degree_set.members_up_to(2 * m))
         acc = regime.acceptance
         self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
                                   else 10 ** 6)
-        # no simple graph has a degree above n - 1; D within that range is
-        # D itself, which resolve has found feasible
-        self._simple_reason = (
-            None if degree_set.max_degree < n
-            else infeasibility_reason(degree_set, n, m, top=n - 1))
+        self.simple_reason = regime.simple_reason
 
     def __reduce__(self):
         # the table is a pure function of the instance and far larger than it
@@ -430,9 +429,8 @@ class DegreeSequenceSampler:
         Raises InfeasibleRegimeError, before drawing, when no simple graph
         fits: with no degree above n - 1, no sequence sums to 2m.
         """
-        if self._simple_reason is not None:
-            raise InfeasibleRegimeError(
-                f"no simple graph on {self.n} vertices: {self._simple_reason}")
+        if self.simple_reason is not None:
+            raise InfeasibleRegimeError(self.simple_reason)
         if max_attempts is None:
             max_attempts = self.default_max_attempts()
         if max_attempts < 1:

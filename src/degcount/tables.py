@@ -8,11 +8,12 @@ multigraphs realised by i vertices carrying j half-edges.  All entries are
 exact Python integers, and every division on the way is checked to leave no
 remainder.
 
-Full tables (:func:`build_table`, read by the marked sums) and the banded
-table the exact sampler reads (:class:`BandedTable`) come from row
-recurrences that fill a row in O(1) big-integer operations per cell instead
-of the generic O(|D|) convolution, and skip the cells they know are zero
-(outside [i*min D, i*max D] or off the periodicity lattice):
+:func:`build_table` makes the one table class, :class:`CoefficientTable`:
+in full for the marked sums, or with a band of each row for the exact
+sampler.  Its rows come from recurrences that fill a row in O(1) big-integer
+operations per cell instead of the generic O(|D|) convolution, and skip the
+cells they know are zero (outside [i*min D, i*max D] or off the periodicity
+lattice):
 
 * finite lists use the defining convolution over the members,
 * minimum-degree sets use (e^x - head)' = (e^x - head) + x^(delta-1)/(delta-1)!,
@@ -134,67 +135,54 @@ def _iter_rows(degree_set: DegreeSet, j_max: int):
 
 
 class CoefficientTable:
-    """All rows T[0..n_max][0..j_max] for one degree set, built eagerly."""
+    """Rows T[0..n_max][0..j_max] of one degree set, made by :func:`build_table`.
 
-    def __init__(self, degree_set: DegreeSet, n_max: int, j_max: int):
-        if n_max < 0 or j_max < 0:
-            raise ValueError("table bounds must be nonnegative")
-        self.degree_set = degree_set
-        self.n_max = n_max
-        self.j_max = j_max
-        gen = _iter_rows(degree_set, j_max)
-        self._rows = [next(gen) for _ in range(n_max + 1)]
-
-    def value(self, i: int, j: int) -> int:
-        """T[i][j]; zero for j < 0, so shifted lookups need no guards."""
-        if j < 0:
-            return 0
-        return self._rows[i][j]
-
-    def row(self, i: int):
-        return tuple(self._rows[i])
-
-
-def build_table(degree_set: DegreeSet, n_max: int, j_max: int) -> CoefficientTable:
-    """Build the full table of T[i][j] = j! * [x^j] Set(x)^i."""
-    return CoefficientTable(degree_set, n_max, j_max)
-
-
-class BandedTable:
-    """Rows T[0..n_max][0..j_max] that keep only a band of cells.
-
-    `band(i)` gives the inclusive range (lo, hi) of row i to keep; every
-    other cell holds None.  The rows are streamed from the same recurrences
-    as a full table, which hold two or three full rows at a time, so the
-    build costs what a full build costs and the memory is that of the band.
-    :meth:`value` is exact everywhere: off the band it computes the cell
-    alone with :func:`power_coefficient`.
+    A cell outside the kept band holds None; :meth:`value` is exact on
+    every cell all the same.
     """
 
-    def __init__(self, degree_set: DegreeSet, n_max: int, j_max: int, band):
-        if n_max < 0 or j_max < 0:
-            raise ValueError("table bounds must be nonnegative")
+    def __init__(self, degree_set: DegreeSet, rows: list):
         self.degree_set = degree_set
-        self.n_max = n_max
-        self.j_max = j_max
-        gen = _iter_rows(degree_set, j_max)
-        self._rows = []
-        for i in range(n_max + 1):
-            row = next(gen)
-            lo, hi = band(i)
-            lo, hi = max(lo, 0), min(hi, j_max)
-            kept = [None] * (j_max + 1)
-            kept[lo:hi + 1] = row[lo:hi + 1]
-            self._rows.append(kept)
+        self._rows = rows
 
     def value(self, i: int, j: int) -> int:
-        """T[i][j], from the band or computed; zero for j < 0."""
+        """T[i][j], kept or computed; zero for j < 0, so shifted lookups
+        need no guards."""
         if j < 0:
             return 0
         w = self._rows[i][j]
         if w is None:
             return power_coefficient(self.degree_set, i, j)
         return w
+
+    def row(self, i: int):
+        return tuple(self._rows[i])
+
+
+def build_table(degree_set: DegreeSet, n_max: int, j_max: int,
+                band=None) -> CoefficientTable:
+    """The table of T[i][j] = j! * [x^j] Set(x)^i, i <= n_max, j <= j_max.
+
+    Every cell is kept unless `band` is given: then row i keeps only the
+    inclusive range (lo, hi) = band(i), clipped to [0, j_max], and holds
+    None elsewhere.  The rows are streamed from the recurrences, which hold
+    two or three full rows at a time, so a banded build costs what a full
+    build costs and keeps the memory of the band.
+    """
+    if n_max < 0 or j_max < 0:
+        raise ValueError("table bounds must be nonnegative")
+    gen = _iter_rows(degree_set, j_max)
+    rows = []
+    for i in range(n_max + 1):
+        row = next(gen)
+        if band is not None:
+            lo, hi = band(i)
+            lo, hi = max(lo, 0), min(hi, j_max)
+            kept = [None] * (j_max + 1)
+            kept[lo:hi + 1] = row[lo:hi + 1]
+            row = kept
+        rows.append(row)
+    return CoefficientTable(degree_set, rows)
 
 
 def _exact_div(num: int, den: int) -> int:

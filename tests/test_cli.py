@@ -300,6 +300,21 @@ class TestSampling:
                            "n": n, "m": m, "feasible": False,
                            "reason": reason}
 
+    @pytest.mark.parametrize("instance, reason", NO_SIMPLE_GRAPH,
+                             ids=[" ".join(a[1::2]) for a, _ in NO_SIMPLE_GRAPH])
+    def test_no_simple_graph_sg_estimate_exits_two(self, capsys, schema,
+                                                   instance, reason):
+        # the estimate reads the sampler's simple-graph test
+        code, out = run(capsys, "sg-estimate", *instance)
+        assert code == 2
+        n, m = int(instance[3]), int(instance[5])
+        assert validate_json_lines(schema, out) == [{
+            "command": "sg-estimate", "degrees": instance[1], "n": n, "m": m,
+            "feasible": False, "reason": reason}]
+        code, out = run(capsys, "count-asymptotic", *instance)
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
+
     @pytest.mark.parametrize("instance", [a for a, _ in NO_SIMPLE_GRAPH],
                              ids=[" ".join(a[1::2]) for a, _ in NO_SIMPLE_GRAPH])
     def test_no_simple_graph_allows_multigraphs(self, capsys, instance):
@@ -530,6 +545,19 @@ class TestProcessPool:
         serial = run(capsys, *argv)
         assert run(capsys, *argv, "--jobs", "2") == serial
         assert pool_sizes == []
+
+    def test_no_simple_graph_starts_no_pool(self, capsys, monkeypatch,
+                                            pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        argv = ["sample", "--degrees", "10", "--n", "10", "--m", "50",
+                "--samples", "4"]
+        serial = run(capsys, *argv)
+        assert serial[0] == 2
+        assert run(capsys, *argv, "--jobs", "2") == serial
+        assert pool_sizes == []
+        # with --allow-multi the instance samples, through the pool
+        assert run(capsys, *argv, "--allow-multi", "--jobs", "2")[0] == 0
+        assert pool_sizes == [2]
 
     @pytest.mark.skipif(
         multiprocessing.get_context().get_start_method() != "fork"

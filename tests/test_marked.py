@@ -91,16 +91,41 @@ class TestMarkedWeight:
         assert isinstance(value, Fraction)
 
 
+class TestMixedCoefficientReads:
+    """Every (k, l) with the same 2k + l reads one mixed coefficient."""
+
+    @pytest.mark.parametrize("degrees, n, m", [
+        ("even", 9, 6), ("even", 6, 9), ("0,2,3", 8, 8), ("min=1", 7, 10)])
+    def test_one_read_per_marked_vertex_count(self, monkeypatch, degrees,
+                                              n, m):
+        from degcount import marked, parse_degree_set
+
+        reads = []
+
+        def counted(shifted, base, a, b, j):
+            reads.append(a)
+            return mixed(shifted, base, a, b, j)
+        mixed = marked.mixed_table_coefficient
+        monkeypatch.setattr(marked, "mixed_table_coefficient", counted)
+        ds = parse_degree_set(degrees)
+        value = marked_multigraph_weight(ds, n, m, Fraction(3, 2),
+                                         Fraction(-1, 2))
+        assert reads == list(range(min(n, m) + 1))
+        assert value == marked_multigraph_weight_series(
+            ds, n, m, Fraction(3, 2), Fraction(-1, 2))
+
+
 class TestInfeasible:
     @pytest.mark.parametrize("route", [marked_multigraph_weight,
                                        marked_multigraph_weight_series])
     def test_zero_without_tables(self, route, monkeypatch):
-        from degcount import marked
+        from degcount import bruteforce, marked
 
         def no_table(*args):
             raise AssertionError("a table was built")
 
         monkeypatch.setattr(marked, "build_table", no_table)
+        monkeypatch.setattr(bruteforce, "build_table", no_table)
         # 2m = 1200 exceeds n*max(D) = 300: no degree sequence exists
         assert route(DegreeSet.finite([1, 3]), 100, 600, -1, -1) == 0
         # 0,5,7 passes the range and periodicity tests at n = 2, m = 1

@@ -310,6 +310,27 @@ class TestResolve:
         with pytest.raises(ValueError):
             resolve(DegreeSet.even(), -1, 0)
 
+    def test_simple_reason(self):
+        # K_10 has 45 edges; 46 fit only in a multigraph
+        ds = DegreeSet.min_degree(1)
+        assert resolve(ds, 10, 45).simple_reason is None
+        assert resolve(DegreeSet.finite([1, 3]), 10, 12).simple_reason is None
+        regime = resolve(ds, 10, 46)
+        assert regime.reason is None and regime.saddle is not None
+        assert regime.simple_reason == (
+            "no simple graph on 10 vertices: total degree 92 exceeds "
+            "n*max(D) = 90 with degrees at most 9")
+        sg = simple_graph_count_asymptotic(ds, 10, 46)
+        assert (sg.feasible, sg.log_value, sg.reason) == (
+            False, -math.inf, regime.simple_reason)
+        # the multigraph estimate and the acceptance stay as they were
+        assert multigraph_count_asymptotic(ds, 10, 46).feasible
+        assert acceptance_probability(ds, 10, 46) == regime.acceptance > 0.0
+        forced = resolve(DegreeSet.finite([10]), 10, 50)
+        assert forced.degree == 10
+        assert forced.simple_reason == (
+            "no simple graph on 10 vertices: no degree in 10 is at most 9")
+
 
 class TestForcedEstimates:
     @pytest.mark.parametrize("ds,n,m,d", BOUNDARY, ids=BOUNDARY_IDS)

@@ -329,9 +329,25 @@ class TestDegreeSequences:
     def test_infeasible_builds_no_table(self, monkeypatch, members, n, m):
         def no_table(*args):
             raise AssertionError("built a table for an empty instance")
-        monkeypatch.setattr("degcount.sampling.BandedTable", no_table)
+        monkeypatch.setattr("degcount.sampling.build_table", no_table)
         with pytest.raises(InfeasibleRegimeError):
             DegreeSequenceSampler(DegreeSet.finite(members), n, m)
+
+    def test_table_comes_from_build_table(self, monkeypatch):
+        # the one table constructor, called as (D, n, 2m) with a band
+        ds, n, m = DegreeSet.even(), 12, 9
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append((args, sorted(kwargs)))
+            return build_table(*args, **kwargs)
+        monkeypatch.setattr("degcount.sampling.build_table", recorded)
+        sampler = DegreeSequenceSampler(ds, n, m)
+        assert calls == [((ds, n, 2 * m), ["band"])]
+        full = build_table(ds, n, 2 * m)
+        for i in range(n + 1):
+            assert [sampler.table.value(i, j) for j in range(2 * m + 1)] == \
+                list(full.row(i))
 
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_sum_and_membership_invariants(self, ds):
