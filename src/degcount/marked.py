@@ -61,7 +61,15 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
     shifted_table = build_table(degree_set.shift(2), cap, 2 * m)
     comb = math.comb
     fact = math.factorial
-    total = Fraction(0)
+    # u = p/q, v = r/s: u^k v^l = p^k q^(half-k) r^l s^(cap-l) / (q^half s^cap)
+    # for every k <= half = cap // 2 and l <= cap, so the sum is over integers
+    # and one Fraction is built at the end
+    half = cap // 2
+    p, q = u.numerator, u.denominator
+    r, s = v.numerator, v.denominator
+    u_pows = [p ** k * q ** (half - k) for k in range(half + 1)]
+    v_pows = [r ** ell * s ** (cap - ell) for ell in range(cap + 1)]
+    total = 0
     for a in range(cap + 1):
         # every (k, l) with 2k + l = a marked vertices fills the same
         # 2m - 2a half-edges, so it reads the same mixed coefficient
@@ -69,7 +77,7 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
                                         a, n - a, 2 * m - 2 * a)
         if not mixed:
             continue
-        terms = Fraction(0)
+        terms = 0
         for k in range(a // 2 + 1):
             ell = a - 2 * k
             ways = (comb(n, 2 * k) * comb(n - 2 * k, ell)          # marked labels
@@ -77,6 +85,6 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
                     * fact(2 * k) * 4 ** k // (1 << k)             # order and orient
                     * fact(ell)                                    # order the loops
                     * comb(m, 2 * k) * comb(m - 2 * k, ell))       # slots among edges
-            terms += ways * u ** k * v ** ell
+            terms += ways * u_pows[k] * v_pows[ell]
         total += mixed * terms
-    return total / ((1 << m) * fact(m)), None
+    return Fraction(total, q ** half * s ** cap * (1 << m) * fact(m)), None

@@ -26,14 +26,17 @@ never sweeps the n x (j+1) grid.  Each family takes its cheapest exact route:
 * min=0 is n^j,
 * min=1 is the surjection sum sum_i (-1)^i C(n,i) (n-i)^j,
 * even and odd expand cosh^n and sinh^n into exponentials,
-  2^-n sum_k (+-1)^k C(n,k) (n-2k)^j, in about n/2 big powers,
+  2^-n sum_k (+-1)^k C(n,k) (n-2k)^j, over the n/2 + 1 bases of n's parity;
+  both sums take their powers x^j from :func:`_powers`, which spends a full
+  pow only on odd primes and one shift or one product on every other base,
 * finite lists run J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2,
   4.7) from Set * (Set^n)' = n Set' * Set^n, with O(|D|) operations for
   each of the (j - n*min D)/periodicity steps; the step count does not
   depend on n,
 * min=delta >= 2 runs the row recurrence restricted to the band of cells
-  whose excess j' - delta*i is at most the target's, (n+1)(j - delta*n + 1)
-  cells in all.
+  whose excess j' - delta*i is at most the target's, up to row ceil(n/2)
+  only, ceil(n/2)(j - delta*n + 1) cells, and joins rows floor(n/2) and
+  ceil(n/2) by one binomial convolution of j - delta*n + 1 products.
 
 The generic convolution T[i][j] = sum_d C(j,d) T[i-1][j-d] remains the ground
 truth; the test suite pins every fast path against it.
@@ -44,6 +47,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from itertools import islice
 
 from .degree_sets import INFINITE, DegreeSet
 
@@ -192,32 +196,70 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+def _powers(limit: int, j: int):
+    """x**j for x = 0, 1, ..., limit, in order, from about limit/log(limit)
+    big powers.
+
+    Only odd primes take a pow.  An even base is the half base's power
+    shifted, (2y)^j = y^j << j, and an odd composite is a product of two
+    smaller powers, p^j * (x/p)^j with p its least prime factor.  Powers
+    above limit/2 are never factors, so only those up to it are kept.
+    """
+    keep = limit // 2
+    kept = []
+    least = [0] * (limit + 1)       # least prime factor of an odd composite
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if not least[p]:
+            for q in range(p * p, limit + 1, 2 * p):
+                if not least[q]:
+                    least[q] = p
+    for x in range(limit + 1):
+        if x > 1 and not x % 2:
+            w = kept[x >> 1] << j
+        elif least[x]:
+            w = kept[least[x]] * kept[x // least[x]]
+        else:                       # 0, 1 and the odd primes
+            w = x ** j
+        if x <= keep:
+            kept.append(w)
+        yield w
+
+
 def _parity_coefficient(odd: bool, n: int, j: int) -> int:
     # cosh^n, sinh^n = 2^-n sum_k (+-1)^k C(n,k) e^((n-2k)x).  On the support
     # (j = n*odd mod 2, and j >= n for odd) terms k and n-k are equal, so
-    # half the sum is taken twice.
+    # half the sum is taken twice.  The bases n - 2k share n's parity: for
+    # odd n they are the odd numbers up to n, and for even n they are 2y
+    # with y = n/2 - k, whose common factor 2^j is shifted in once at the end.
     low = n if odd else 0
     if j < low or (j - low) % 2:
         return 0
-    comb = math.comb
+    half = n // 2
+    if n % 2:
+        powers, shift = islice(_powers(n, j), 1, None, 2), 0
+    else:
+        powers, shift = _powers(half, j), j
+    c = math.comb(n, half)
     total = 0
-    for k in range(n // 2 + 1):
-        term = comb(n, k) * (n - 2 * k) ** j
+    for k, w in zip(range(half, -1, -1), powers):
+        term = c * w
         if 2 * k < n:
             term *= 2
         total += -term if odd and k % 2 else term
-    return _exact_div(total, 1 << n)
+        c = c * k // (n - k + 1)        # C(n, k - 1), exactly
+    return _exact_div(total << shift, 1 << n)
 
 
 def _surjections(n: int, j: int) -> int:
-    # (e^x - 1)^n = sum_i (-1)^i C(n,i) e^((n-i)x)
+    # (e^x - 1)^n = sum_i (-1)^i C(n,i) e^((n-i)x), summed over the base n - i
     if j < n:
         return 0
-    comb = math.comb
+    c = 1                               # C(n, x)
     total = 0
-    for i in range(n + 1):
-        term = comb(n, i) * (n - i) ** j
-        total += -term if i % 2 else term
+    for x, w in enumerate(_powers(n, j)):
+        term = c * w
+        total += -term if (n - x) % 2 else term
+        c = c * (n - x) // (x + 1)
     return total
 
 
@@ -259,20 +301,35 @@ def _min_band(delta: int, n: int, j: int) -> int:
     # (T[i][j] is i! times an associated Stirling number), which keeps the
     # entries about log2(n!) bits shorter.  With S_i[e] = T[i][delta*i + e] / i!:
     #   S_i[e] = i * S_i[e-1] + C(delta*i + e - 1, delta - 1) * S_(i-1)[e].
-    # Excess never falls along it, so the band e <= j - delta*n is closed.
+    # Excess never falls along it, so the band e <= w = j - delta*n is closed.
+    # The sweep stops at row b = ceil(n/2), keeping row a = floor(n/2) on the
+    # way, and Set^n = Set^a * Set^b joins the halves:
+    #   T[n][j] = a! b! sum_e C(j, delta*a + e) S_a[e] S_b[w - e].
     width = j - delta * n
     if width < 0:
         return 0
+    a = n // 2
+    b = n - a
     comb = math.comb
     dm1 = delta - 1
     row = [1] + [0] * width
-    for i in range(1, n + 1):
+    half = row[:]
+    for i in range(1, b + 1):
         col = delta * i - 1
         t = 0
         for e in range(width + 1):
             t = i * t + comb(col + e, dm1) * row[e]
             row[e] = t
-    return math.factorial(n) * row[width]
+        if i == a:
+            half = row[:]
+    k = delta * a
+    c = comb(j, k)
+    total = 0
+    for e in range(width + 1):
+        total += c * half[e] * row[width - e]
+        c = c * (j - k) // (k + 1)      # C(j, k + 1), exactly
+        k += 1
+    return math.factorial(a) * math.factorial(b) * total
 
 
 def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
@@ -281,15 +338,22 @@ def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     Costs, counted in big-integer operations on numbers of about j log n bits:
 
     * min=0: n^j, one power;
-    * min=1: the surjection sum, n + 1 powers;
+    * min=1: the surjection sum, n + 1 products with a binomial, on powers
+      that cost one pow per odd prime up to n and one shift or product per
+      other base;
     * even, odd: the exponential expansion of cosh^n or sinh^n, n/2 + 1
-      powers and one division by 2^n;
+      products on the powers of the odd bases up to n (odd n) or of the
+      bases up to n/2 (even n), and one division by 2^n;
     * finite D: Miller's recurrence, |D| operations for each of the
       (j - n*min D)/periodicity steps, whatever n is;
-    * min=delta >= 2: the banded row recurrence, (n+1)(j - delta*n + 1) cells.
+    * min=delta >= 2: the banded row recurrence up to row ceil(n/2),
+      ceil(n/2)(j - delta*n + 1) cells, then one convolution of
+      j - delta*n + 1 products joining the two halves of Set^n.
 
-    Memory is a few entries, or one band row of j - delta*n + 1 entries.
-    Every division is checked and raises ArithmeticError on a remainder.
+    Memory is a few entries, the powers up to n/2, or two band rows of
+    j - delta*n + 1 entries.  A binomial stepped by
+    C(j, k+1) = C(j, k)(j-k)/(k+1) divides exactly by that identity; every
+    other division is checked and raises ArithmeticError on a remainder.
     """
     if n < 0 or j < 0:
         raise ValueError("indices must be nonnegative")

@@ -90,6 +90,12 @@ class TestMarkedWeight:
         assert value == series
         assert isinstance(value, Fraction)
 
+    def test_rational_arguments_at_larger_n(self):
+        ds = DegreeSet.min_degree(2)
+        u, v = Fraction(-1, 2), Fraction(3, 7)
+        value = marked_multigraph_weight(ds, 20, 25, u, v)
+        assert value == marked_multigraph_weight_series(ds, 20, 25, u, v)
+
 
 class TestMixedCoefficientReads:
     """Every (k, l) with the same 2k + l reads one mixed coefficient."""

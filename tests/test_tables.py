@@ -234,8 +234,9 @@ class TestMixedCoefficient:
 
 
 # Sets beyond FAMILY whose single-coefficient routes differ: deeper minimum
-# degrees run the banded recurrence, 0,4,7 runs Miller's recurrence with a
-# nonzero constant term, and 3,6,9 steps it by periodicity 3.
+# degrees run the half band sweep joined by one convolution, 0,4,7 runs
+# Miller's recurrence with a nonzero constant term, and 3,6,9 steps it by
+# periodicity 3.
 WIDER = [DegreeSet.min_degree(3), DegreeSet.min_degree(5),
          DegreeSet.finite([0, 4, 7]), DegreeSet.finite([3, 6, 9])]
 ALL_ROUTES = FAMILY + WIDER
@@ -285,6 +286,22 @@ class TestPowerCoefficientRoutes:
         assert nonzero
         # n^j has no zero cells; every other set has some among these j
         assert off or ds == DegreeSet.min_degree(0)
+
+    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("delta", [2, 3])
+    def test_half_sweep_joins_both_halves(self, delta, n):
+        # n = 128 joins two equal halves, n = 129 rows 64 and 65
+        ds = DegreeSet.min_degree(delta)
+        low = delta * n
+        t = build_table(ds, n, low + 40)
+        for j in range(low, low + 41):
+            assert power_coefficient(ds, n, j) == t.value(n, j), j
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 63, 64, 1000])
+    def test_shared_powers(self, j):
+        from degcount.tables import _powers
+        assert list(_powers(300, j)) == [x ** j for x in range(301)]
+        assert list(_powers(0, j)) == [0 ** j]
 
     def test_inexact_division_raises(self):
         from degcount.tables import _exact_div
