@@ -7,10 +7,15 @@ by a uniform u in [0, 1) known only to its leading 64-bit words: the interval
 those words pin u to is compared, in integers, against the exact prefix
 weights, and another word is drawn only when a boundary falls inside it.  So
 there is no floating-point bias at all.  A float screen in front of that
-comparison decides nearly every vertex from the logs of the table cells,
-with a proven error bound (_SCREEN_MARGIN), and hands the rest to the
-integer one; it never reads a word, so the draws are those of the integer
-comparison alone, at word-size cost.  The table (`build_table` with a
+comparison decides nearly every vertex from float logs of the table cells,
+ln T[i][k] - ln k!, memoised so that a band cell is logged at most once and
+a candidate degree costs one exp and no big-integer work, with a proven
+error bound
+(_SCREEN_MARGIN) on a checked range of instances (_SCREEN_LIMIT), and hands
+the rest to the integer one; it never reads a word, so the draws are those
+of the integer comparison alone, at word-size cost.  This is the
+floating-point filter with exact fallback of Denise and Zimmermann
+(Theoret. Comput. Sci. 218, 1999).  The table (`build_table` with a
 band) keeps only the part of each row the draw can plausibly reach, a few
 standard deviations around the remaining total's mean (_BAND_SIGMAS), and
 computes any cell off it exactly when read; so the draws read the same
@@ -34,9 +39,10 @@ simple-graph estimate reads too).
 
 numpy is loaded only by sampling: the functions that make generators and
 seeds (`make_rng`, `spawn_seeds`), the word reader behind every exact draw,
-the half-edge pairing and the Boltzmann degree law import it when called.
+the half-edge pairing and the Boltzmann degree law import it when called,
+and the exact sampler's constructor imports `array` for its log memo.
 So importing the package, or running a CLI command that only counts or
-estimates, does not load it.
+estimates, loads neither.
 """
 
 from __future__ import annotations
@@ -63,27 +69,39 @@ _SCREEN_MARGIN = 2.0 ** -27
 """How near u a float prefix ratio may fall before the exact draw decides.
 
 `sample_degrees` compares u = word * 2^-64 against p_d, the float sum of
-exp(ln w - ln T + ln comb(j, d)) over the members up to d, where w stands
-for T[i-1][j-d] and T for T[i][j].  It skips d when p_d <= u - margin and
-returns d when p_d >= u + margin; anything between goes to `_draw_degree`.
-Both float decisions match the exact ones whenever p_d is within
-margin - 2^-52 - 2^-64 of c_d / T (the rounding of u and of u +- margin,
-and the word's width).
+exp(L(i-1, j-e) - L(i, j) - ln e!) over the members e up to d, where
+L(i, k) = ln T[i][k] - ln k!, so each term is comb(j, e) T[i-1][j-e] / T[i][j].
+It skips d when p_d <= u - margin and returns d when p_d >= u + margin;
+anything between goes to `_draw_degree`.  Both float decisions match the
+exact ones whenever p_d is within margin - 2^-52 - 2^-64 of c_d / T (the
+rounding of u and of u +- margin, and the word's width).
 
-Error bound, for cells below e^(2^20) and rows under 2^20 members:
-math.log of an int is log(x) + e*log(2) for its rounded 53-bit mantissa x
-and bit length e < 2^21, so it errs by under 2^-52 + 2^-33 (the error of
-the float ln 2, times e) + 2 * 2^-34 (rounding the product and the sum),
-below 2^-32.  The exponent adds three such logs (w, the T carried from the
-previous vertex, comb(j, d)) and rounds twice more, so it errs by under
-4 * 2^-32, and each exp term is off by that much relative; the terms sum to
-at most 1, and adding up to 2^20 of them costs 2^-33 more.  So
-|p_d - c_d/T| < 1.1e-9, and the margin 2^-27 = 7.45e-9 leaves more than
-six times that.  The cells covered are those of every instance with
-2m ln n < 2^20 (n = 10^4 up to m = 56,900, say), on the band or off it:
-T[i][j] counts maps of j labelled half-edges to i vertices with allowed
-fibre sizes, so it is at most i^j <= n^(2m).  A draw falls back with
+Error bound, inside _SCREEN_LIMIT (every cell and every k! for k <= 2m below
+e^(2^20)): math.log of an int is log(x) + e*log(2) for its rounded 53-bit
+mantissa x and bit length e < 2^21, so it errs by under 2^-52 + 2^-53 (the
+mantissa and the float log) + 2^-33 (the error of the float ln 2, times e)
++ 2 * 2^-34 (rounding the product and the sum), that is 2^-32 (1 + 2^-19).
+The exponent holds five such logs: T[i-1][j-e] and (j-e)! in one memo slot,
+T[i][j] and j! in the other, and e!.  Each slot rounds one difference below
+2^20 (2^-34 each), and the exponent rounds twice more below 2^21 (2^-33
+each; a term whose exponent is below -2^21 is 0 either way).  So it errs by
+under 6.5 * 2^-32 (1 + 2^-19) = 1.52e-9, and each exp term is off by that
+much relative; the terms sum to at most 1, and adding up to 2^20 of them
+costs 2^-33 = 1.2e-10 more.  So |p_d - c_d/T| < 1.7e-9, and the margin
+2^-27 = 7.45e-9 leaves more than four times that.  A draw falls back with
 probability about 2 * margin per prefix ratio it scans.
+"""
+
+_SCREEN_LIMIT = 2 ** 20
+"""Range of instances the float screen is proven on; see _SCREEN_MARGIN.
+
+The constructor screens an instance only when 2m ln n and ln (2m)! are both
+below it.  T[i][j] counts maps of j labelled half-edges to i vertices with
+allowed fibre sizes, so every cell the draw reads, on the band or off it, is
+at most i^j <= n^(2m), and every factorial it reads is at most (2m)!; then
+no row has 2^20 members either.  Outside it (2m above 99,763 whatever n is,
+or above 2^20 / ln n once n passes about 2m/e: 91,076 at n = 10^5) every
+vertex goes to `_draw_degree`.
 """
 
 _BAND_SIGMAS = 10
@@ -237,15 +255,30 @@ def _is_simple_pairing(codes, n: int) -> bool:
                 or (codes[1:] == codes[:-1]).any())
 
 
-def _band(n: int, total: int, sigma: float):
-    """Row bounds (lo, hi) of the sampler's table band; see _BAND_SIGMAS."""
-    def bounds(i: int) -> tuple[int, int]:
+def _band(n: int, total: int, sigma: float) -> list[tuple[int, int]]:
+    """Row bounds (lo, hi), clipped to [0, total], of the sampler's table
+    band for rows 0..n; see _BAND_SIGMAS.  A row with lo > hi keeps no cell."""
+    spans = []
+    for i in range(n + 1):
         if n == 0:
-            return 0, _BAND_SLACK
-        centre = total * i / n
-        half = _BAND_SIGMAS * sigma * math.sqrt(i * (n - i) / n) + _BAND_SLACK
-        return math.ceil(centre - half), math.floor(centre + half)
-    return bounds
+            lo, hi = 0, _BAND_SLACK
+        else:
+            centre = total * i / n
+            half = (_BAND_SIGMAS * sigma * math.sqrt(i * (n - i) / n)
+                    + _BAND_SLACK)
+            lo, hi = math.ceil(centre - half), math.floor(centre + half)
+        spans.append((max(lo, 0), min(hi, total)))
+    return spans
+
+
+def _log_factorials(limit: int) -> list[float]:
+    """ln k! for k = 0..limit, each math.log of the exact integer k!."""
+    logs = [0.0]
+    fact = 1
+    for k in range(1, limit + 1):
+        fact *= k
+        logs.append(math.log(fact))
+    return logs
 
 
 def _multigraph(n: int, codes) -> Multigraph:
@@ -267,15 +300,23 @@ class DegreeSequenceSampler:
     Raises InfeasibleRegimeError, before building any table, when
     :func:`~degcount.tables.infeasibility_reason` finds no degree sequence.
     The constructor builds the coefficient table the draws read, the tuple
-    of members up to 2m they scan, the default attempt budget and
-    `simple_reason` (`Regime.simple_reason`), and nothing is written
-    afterwards, so one sampler can serve many concurrent generators as long
-    as each worker owns its own rng stream.
+    of members up to 2m they scan, ln k! for k <= 2m, the default attempt
+    budget and `simple_reason` (`Regime.simple_reason`).  The one later
+    write fills a slot of the log memo, a flat array('d') of NaN with one
+    slot per band cell (i, k), with L(i, k) = ln T[i][k] - ln k!, a pure
+    function of the table, the first time a draw reads the cell; the draws
+    never depend on which slots are filled.  So one sampler can serve many
+    concurrent generators as long as each worker owns its own rng stream.
 
     The table, a :class:`~degcount.tables.CoefficientTable` built with a
     band, keeps only the cells of each row that a draw can plausibly
     reach (_BAND_SIGMAS); every other cell is computed exactly when read,
-    so the draws read the same integers as from a full table.  It pickles
+    so the draws read the same integers as from a full table.  The memo
+    covers the same band, taken from the one list of row bounds (`_band`)
+    the table was built from; a cell off it is logged on every read and
+    never stored.  Logging every band cell up front would cost about half
+    the build again, while a cold slot costs what a read cost before the
+    memo.  It pickles
     as (degree_set, n, m), never as its table: a forked process-pool worker
     shares the parent's sampler, and any other worker rebuilds the table
     when it unpickles one.
@@ -289,9 +330,24 @@ class DegreeSequenceSampler:
         self.n = n
         self.m = m
         sp = regime.saddle
-        self.table = build_table(degree_set, n, 2 * m, band=_band(
-            n, 2 * m, math.sqrt(sp.x * sp.slope) if sp is not None else 0.0))
+        spans = _band(n, 2 * m,
+                      math.sqrt(sp.x * sp.slope) if sp is not None else 0.0)
+        self.table = build_table(degree_set, n, 2 * m, band=spans.__getitem__)
         self._members = tuple(degree_set.members_up_to(2 * m))
+        self._log_fact = _log_factorials(2 * m)
+        self._screened = (2 * m * math.log(max(n, 1)) < _SCREEN_LIMIT
+                          and self._log_fact[-1] < _SCREEN_LIMIT)
+        # like numpy, loaded only by sampling, not by the counting commands
+        from array import array
+
+        # one memo slot per band cell: row i's slots start at offset + lo
+        self._log_spans = spans
+        self._log_offsets = []
+        size = 0
+        for lo, hi in spans:
+            self._log_offsets.append(size - lo)
+            size += max(hi - lo + 1, 0)
+        self._log_cells = array("d", [math.nan]) * size
         acc = regime.acceptance
         self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
                                   else 10 ** 6)
@@ -343,6 +399,25 @@ class DegreeSequenceSampler:
                 return d
         raise AssertionError("prefix weights did not reach the row total")
 
+    def _log_cell(self, i: int, k: int) -> float:
+        """L(i, k) = ln T[i][k] - ln k!, or -inf for a zero cell.
+
+        A cell on the band is logged once, into its memo slot, and read from
+        there afterwards; a cell off it is computed exactly and logged on
+        every read, and never stored.
+        """
+        lo, hi = self._log_spans[i]
+        on_band = lo <= k <= hi
+        if on_band:
+            v = self._log_cells[self._log_offsets[i] + k]
+            if v == v:              # not NaN: filled
+                return v
+        w = self.table.value(i, k)
+        v = math.log(w) - self._log_fact[k] if w else -math.inf
+        if on_band:
+            self._log_cells[self._log_offsets[i] + k] = v
+        return v
+
     def sample_degrees(self, rng: np.random.Generator) -> list[int]:
         """One sequence (d_1..d_n), every d_i allowed, summing to 2m.
 
@@ -354,58 +429,58 @@ class DegreeSequenceSampler:
         below 2^-64 per boundary.
 
         Each vertex is first screened in floats: u = word * 2^-64 against
-        the prefix ratios c_d / T[i][j], built from math.log of the cells,
-        which reads only their leading digits.  The log of the next T is
-        the log of the chosen cell, so it carries over.  When u lies within
-        _SCREEN_MARGIN of a ratio, `_draw_degree` decides in integers.  The
-        screen reads no word, and it decides only where the exact draw would
-        return the same degree without one, so the words read and the
-        sequence are those of the exact draw alone.  A cell off the table's
-        band is computed exactly, here as in `_draw_degree`.
+        the prefix ratios c_d / T[i][j], whose terms are
+        exp(L(i-1, j-d) - L(i, j) - ln d!) with L(i, k) = ln T[i][k] - ln k!
+        read from the memo (`_log_cell`); L(i, j) is the chosen cell's, so
+        it carries over.  When u lies within _SCREEN_MARGIN of a ratio, or
+        the instance lies outside the proven range (_SCREEN_LIMIT),
+        `_draw_degree` decides in integers.  The screen reads no word, and
+        it decides only where the exact draw would return the same degree
+        without one, so the words read and the sequence are those of the
+        exact draw alone.  A zero cell adds exp(-inf) = 0 to the prefix.
         """
         n = self.n
         if n == 0:
             return []
         batch, one = _word_source(rng)
         words = batch(n - 1)
-        rows = self.table._rows
-        cell = self.table.value
+        memo = self._log_cells
+        spans = self._log_spans
+        offsets = self._log_offsets
+        log_cell = self._log_cell
+        log_fact = self._log_fact
         members = self._members
-        log, exp, comb = math.log, math.exp, math.comb
-        margin = _SCREEN_MARGIN
+        exp, nan = math.exp, math.nan
+        margin = _SCREEN_MARGIN if self._screened else 1.0
         degrees = [0] * n
         j = 2 * self.m
-        log_total = log(cell(n, j))
+        top = log_cell(n, j)
         for i in range(n, 1, -1):
             word = words[n - i]
             u = word * _WORD_SCALE
-            prev = rows[i - 1]
+            below, above = u - margin, u + margin
+            lo, hi = spans[i - 1]
+            base = offsets[i - 1]
             acc = 0.0
             chosen = -1
             for d in members:
                 if d > j:
                     break
-                w = prev[j - d]
-                if not w:
-                    if w is None:   # off the band
-                        w = cell(i - 1, j - d)
-                    if not w:
-                        continue
-                log_w = log(w)
-                ratio = log_w - log_total
-                if d:
-                    ratio += log(comb(j, d))
-                acc += exp(ratio)
-                if acc > u - margin:
-                    if acc >= u + margin:
+                k = j - d
+                v = memo[base + k] if lo <= k <= hi else nan
+                if v != v:          # not filled yet, or off the band
+                    v = log_cell(i - 1, k)
+                acc += exp(v - top - log_fact[d])
+                if acc > below:
+                    if acc >= above:
                         chosen = d
                     break
             if chosen < 0:
                 chosen = self._draw_degree(i, j, word, one)
-                log_w = log(cell(i - 1, j - chosen))
+                v = log_cell(i - 1, j - chosen)
             degrees[i - 1] = chosen
             j -= chosen
-            log_total = log_w
+            top = v
         # every draw kept T[i-1][j] > 0, and T[1][j] > 0 means j is allowed
         if j not in self.degree_set:
             raise AssertionError("the remaining total is not an allowed degree")

@@ -251,15 +251,24 @@ def _parity_coefficient(odd: bool, n: int, j: int) -> int:
 
 
 def _surjections(n: int, j: int) -> int:
-    # (e^x - 1)^n = sum_i (-1)^i C(n,i) e^((n-i)x), summed over the base n - i
+    # (e^x - 1)^n = sum_y (-1)^(n-y) C(n,y) e^(yx).  The bases y and n - y
+    # share C(n, y), so each base y above n/2 is summed with n - y, whose
+    # power is among the first n/2 + 1 that _powers yields, and their pair
+    # takes one product: C(n,y) (-1)^y (y^j + (n-y)^j) for even n,
+    # C(n,y) (-1)^y ((n-y)^j - y^j) for odd n; even n leaves y = n/2 alone.
     if j < n:
         return 0
-    c = 1                               # C(n, x)
+    half, odd = divmod(n, 2)
+    powers = _powers(n, j)
+    low = list(islice(powers, half + 1))    # y^j for y <= n/2
+    c = math.comb(n, half)
     total = 0
-    for x, w in enumerate(_powers(n, j)):
-        term = c * w
-        total += -term if (n - x) % 2 else term
-        c = c * (n - x) // (x + 1)
+    if not odd:
+        total = -c * low[half] if half % 2 else c * low[half]
+    for y, w in enumerate(powers, half + 1):
+        c = c * (n - y + 1) // y            # C(n, y), exactly
+        term = c * (low[n - y] - w if odd else low[n - y] + w)
+        total += -term if y % 2 else term
     return total
 
 
@@ -338,9 +347,9 @@ def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     Costs, counted in big-integer operations on numbers of about j log n bits:
 
     * min=0: n^j, one power;
-    * min=1: the surjection sum, n + 1 products with a binomial, on powers
-      that cost one pow per odd prime up to n and one shift or product per
-      other base;
+    * min=1: the surjection sum, n/2 + 1 products with a binomial (the
+      bases y and n - y share one), on powers that cost one pow per odd
+      prime up to n and one shift or product per other base;
     * even, odd: the exponential expansion of cosh^n or sinh^n, n/2 + 1
       products on the powers of the odd bases up to n (odd n) or of the
       bases up to n/2 (even n), and one division by 2^n;

@@ -202,6 +202,47 @@ class TestFloatScreen:
             sampler.sample_degrees(make_rng(seed))
         assert calls["exact"] < 20 * (n - 1) / 1000
 
+    @pytest.mark.parametrize("degrees, n, m", SCREENED[:2],
+                             ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED[:2]])
+    def test_outside_the_screen_limit_every_draw_is_exact(self, monkeypatch,
+                                                          degrees, n, m):
+        ds = parse_degree_set(degrees)
+        screened = DegreeSequenceSampler(ds, n, m)
+        expected = [screened.sample_degrees(make_rng(s)) for s in range(10)]
+        monkeypatch.setattr(sampling, "_SCREEN_LIMIT", 1)
+        unscreened = DegreeSequenceSampler(ds, n, m)
+        calls = count_exact_draws(monkeypatch)
+        assert [unscreened.sample_degrees(make_rng(s))
+                for s in range(10)] == expected
+        assert calls["exact"] == 10 * (n - 1)
+
+    def test_screen_term_matches_the_exact_ratio(self):
+        # every term exp(L(i-1, j-d) - L(i, j) - ln d!) the draws can scan,
+        # against comb(j, d) T[i-1][j-d] / T[i][j] in Fractions
+        tolerance = Fraction(2e-9)
+        for degrees, n, m in [("even", 200, 400), ("min=2", 200, 300)]:
+            sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+            cell = sampler.table.value
+            checked = 0
+            for seed in range(20):
+                seq = sampler.sample_degrees(make_rng(seed))
+                j = 2 * m
+                for i in range(n, 1, -1):
+                    top = sampler._log_cell(i, j)
+                    for d in sampler._members:
+                        if d > seq[i - 1]:
+                            break
+                        w = cell(i - 1, j - d)
+                        if not w:
+                            continue
+                        term = math.exp(sampler._log_cell(i - 1, j - d) - top
+                                        - math.log(math.factorial(d)))
+                        exact = Fraction(math.comb(j, d) * w, cell(i, j))
+                        assert abs(Fraction(term) - exact) <= tolerance * exact
+                        checked += 1
+                    j -= seq[i - 1]
+            assert checked > 20 * n
+
 
 def check_exact_law_on_tiny_instances(ds):
     # empirical frequencies against the enumerated law, 4 sigma slack
@@ -300,6 +341,69 @@ class TestTableBand:
         sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
         kept = sum(len(row) - row.count(None) for row in sampler.table._rows)
         assert kept < share * (n + 1) * (2 * m + 1)
+
+
+def check_memo(sampler):
+    """The memo tiles the band cells; a filled slot holds its cell's log.
+
+    Returns the number of filled slots.
+    """
+    memo = sampler._log_cells
+    slots = [(i, k, sampler._log_offsets[i] + k)
+             for i, (lo, hi) in enumerate(sampler._log_spans)
+             for k in range(lo, hi + 1)]
+    assert [slot for _, _, slot in slots] == list(range(len(memo)))
+    assert len(memo) == sum(len(row) - row.count(None)
+                            for row in sampler.table._rows)
+    filled = 0
+    for i, k, slot in slots:
+        v = memo[slot]
+        if math.isnan(v):
+            continue
+        w = sampler.table.value(i, k)
+        assert v == (math.log(w) - math.log(math.factorial(k)) if w
+                     else -math.inf)
+        filled += 1
+    return filled
+
+
+class TestLogMemo:
+    @pytest.mark.parametrize("degrees, n, m", SCREENED,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED])
+    def test_warm_memo_gives_the_same_sequences(self, degrees, n, m):
+        ds = parse_degree_set(degrees)
+        warm = DegreeSequenceSampler(ds, n, m)
+        for seed in range(100, 150):
+            warm.sample_degrees(make_rng(seed))
+        fresh = DegreeSequenceSampler(ds, n, m)
+        assert [warm.sample_degrees(make_rng(s)) for s in range(10)] == \
+            [fresh.sample_degrees(make_rng(s)) for s in range(10)]
+
+    @pytest.mark.parametrize("degrees, n, m", SCREENED,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED])
+    def test_filled_slots_hold_the_cell_logs(self, degrees, n, m):
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        assert check_memo(sampler) == 0
+        for seed in range(20):
+            sampler.sample_degrees(make_rng(seed))
+        assert check_memo(sampler) > 0
+
+    @pytest.mark.parametrize("degrees, n, m", NARROW,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in NARROW])
+    def test_no_off_band_cell_is_stored(self, monkeypatch, degrees, n, m):
+        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
+        monkeypatch.setattr(sampling, "_BAND_SLACK", 0)
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        calls = count_off_band_cells(monkeypatch)
+        first = [sampler.sample_degrees(make_rng(s)) for s in range(10)]
+        off_band = calls["off band"]
+        assert off_band > 10 * n
+        check_memo(sampler)
+        # the same draws again compute every cell off the band again
+        assert [sampler.sample_degrees(make_rng(s))
+                for s in range(10)] == first
+        assert calls["off band"] == 2 * off_band
+        check_memo(sampler)
 
 
 class TestDegreeSequences:
