@@ -1,8 +1,7 @@
 """Exact enumeration, asymptotic estimation and uniform sampling of graphs
 and multigraphs whose vertex degrees all lie in a prescribed set."""
 
-from .degree_sets import (INFINITE, DegenerateShiftError, DegreeSet,
-                          parse_degree_set)
+from .degree_sets import INFINITE, DegreeSet, parse_degree_set
 from .marked import marked_multigraph_weight
 from .multigraph import GraphClass, Multigraph
 from .saddlepoint import (AsymptoticCount, InfeasibleRegimeError, Regime,
@@ -22,7 +21,6 @@ __all__ = [
     "INFINITE",
     "AsymptoticCount",
     "CoefficientTable",
-    "DegenerateShiftError",
     "DegreeSequenceSampler",
     "DegreeSet",
     "GraphClass",

@@ -1,10 +1,11 @@
 """Degree sets: which vertex degrees are allowed, and their generating function.
 
-A degree set is either an explicit finite list of nonnegative integers or one
-of three structured infinite families: all integers at least some minimum, the
-even numbers, or the odd numbers.  The infinite families have closed-form
-exponential generating functions, so every quantity built on them can be
-evaluated without tail-bound machinery.
+A degree set has one normal form: an ascending tuple of members, or the
+progression start, start + step, ...  A finite list has no progression;
+min=delta is (delta, 1), even is (0, 2) and odd is (1, 2), and each
+progression has a closed-form exponential generating function.  The form is
+closed under :meth:`DegreeSet.shift`: a shift past every member gives the
+empty set, whose egf_log is -inf, so Set_{D-i}(x) / Set_D(x) reads 0.0.
 
 Set_D(x), the sum of x**d / d! over D, is evaluated in one place and only in
 log space, :meth:`DegreeSet.egf_log`; the saddle point and the Boltzmann law
@@ -20,17 +21,8 @@ from dataclasses import dataclass
 #: singleton).  Compares correctly against any finite integer.
 INFINITE = math.inf
 
-_FINITE = "finite"
-_MIN = "min"
-_EVEN = "even"
-_ODD = "odd"
-
 # Largest x for which e**x fits in a double; beyond it only log-space works.
 _EXP_OVERFLOW = 709.0
-
-
-class DegenerateShiftError(ValueError):
-    """Shifting dropped every member of a finite degree set."""
 
 
 def _logsumexp(logs):
@@ -42,16 +34,21 @@ def _logsumexp(logs):
 
 @dataclass(frozen=True)
 class DegreeSet:
-    """An immutable set of allowed vertex degrees.
+    """An immutable set of allowed vertex degrees, in its normal form.
+
+    Either the ascending tuple `members` (step 0) or, with no members, the
+    progression start, start + step, ... (step > 0).  The empty set, which
+    only :meth:`shift` makes, has no members, valuation INFINITE and
+    max_degree -INFINITE (the min and max of nothing).
 
     Use the constructors :meth:`finite`, :meth:`min_degree`, :meth:`even`,
     :meth:`odd` or :func:`parse_degree_set` rather than calling the dataclass
     directly.
     """
 
-    kind: str
     members: tuple[int, ...] = ()
-    delta: int = 0
+    start: int = 0
+    step: int = 0
 
     # -- constructors ------------------------------------------------------
 
@@ -62,109 +59,89 @@ class DegreeSet:
             raise ValueError("a finite degree set needs at least one member")
         if members[0] < 0:
             raise ValueError("degrees must be nonnegative")
-        return cls(_FINITE, members=members)
+        return cls(members)
 
     @classmethod
     def min_degree(cls, delta: int) -> "DegreeSet":
         delta = int(delta)
         if delta < 0:
             raise ValueError("minimum degree must be nonnegative")
-        return cls(_MIN, delta=delta)
+        return cls(start=delta, step=1)
 
     @classmethod
     def even(cls) -> "DegreeSet":
-        return cls(_EVEN)
+        return cls(step=2)
 
     @classmethod
     def odd(cls) -> "DegreeSet":
-        return cls(_ODD)
+        return cls(start=1, step=2)
 
     # -- basic structure ---------------------------------------------------
 
     def __contains__(self, d: int) -> bool:
-        if d < 0:
-            return False
-        if self.kind == _FINITE:
-            return d in self.members
-        if self.kind == _MIN:
-            return d >= self.delta
-        if self.kind == _EVEN:
-            return d % 2 == 0
-        return d % 2 == 1
+        if self.step:
+            return d >= self.start and (d - self.start) % self.step == 0
+        return d in self.members
 
     @property
     def size(self):
-        """Number of members; INFINITE for the structured families."""
-        return len(self.members) if self.kind == _FINITE else INFINITE
+        """Number of members; INFINITE for a progression."""
+        return INFINITE if self.step else len(self.members)
 
     @property
-    def valuation(self) -> int:
-        """Smallest allowed degree."""
-        if self.kind == _FINITE:
-            return self.members[0]
-        if self.kind == _MIN:
-            return self.delta
-        return 0 if self.kind == _EVEN else 1
+    def valuation(self):
+        """Smallest allowed degree; INFINITE for the empty set."""
+        if self.step:
+            return self.start
+        return self.members[0] if self.members else INFINITE
 
     @property
     def max_degree(self):
-        """Largest allowed degree; INFINITE for the structured families."""
-        return self.members[-1] if self.kind == _FINITE else INFINITE
+        """Largest allowed degree; INFINITE for a progression, -INFINITE for
+        the empty set."""
+        if self.step:
+            return INFINITE
+        return self.members[-1] if self.members else -INFINITE
 
     @property
     def periodicity(self):
-        """gcd of pairwise member differences; INFINITE for a singleton."""
-        if self.kind == _FINITE:
-            if len(self.members) == 1:
-                return INFINITE
-            g = 0
-            base = self.members[0]
-            for d in self.members[1:]:
-                g = math.gcd(g, d - base)
-            return g
-        if self.kind == _MIN:
-            return 1
-        return 2
+        """gcd of pairwise member differences; INFINITE for a singleton or
+        the empty set."""
+        g = self.step
+        for d in self.members[1:]:
+            g = math.gcd(g, d - self.members[0])
+        return g or INFINITE
 
     def members_up_to(self, j: int):
         """Iterate the members not exceeding j, ascending."""
-        if self.kind == _FINITE:
-            return (d for d in self.members if d <= j)
-        if self.kind == _MIN:
-            return iter(range(self.delta, j + 1))
-        if self.kind == _EVEN:
-            return iter(range(0, j + 1, 2))
-        return iter(range(1, j + 1, 2))
+        if self.step:
+            return iter(range(self.start, j + 1, self.step))
+        return (d for d in self.members if d <= j)
 
     def shift(self, i: int) -> "DegreeSet":
-        """The set {d - i : d in self, d - i >= 0}.
+        """The set {d - i : d in self, d - i >= 0}, possibly empty.
 
-        Raises DegenerateShiftError if nothing survives; the downstream
-        formulas all divide by generating-function values, so an empty set
-        is rejected rather than silently producing zeros.
+        Returns self whenever the shift leaves the set unchanged (i = 0,
+        even and odd by an even amount, min=0, the empty set).
         """
         if i < 0:
             raise ValueError("shift amount must be nonnegative")
-        if i == 0:
-            return self
-        if self.kind == _FINITE:
-            members = tuple(d - i for d in self.members if d >= i)
-            if not members:
-                raise DegenerateShiftError(
-                    f"shifting {self} by {i} leaves no degrees")
-            return DegreeSet(_FINITE, members=members)
-        if self.kind == _MIN:
-            return DegreeSet(_MIN, delta=max(self.delta - i, 0))
-        if i % 2 == 0:
-            return self
-        return DegreeSet(_ODD) if self.kind == _EVEN else DegreeSet(_EVEN)
+        if self.step:
+            # the first member at or above i, less i
+            start = (self.start - i if self.start >= i
+                     else (self.start - i) % self.step)
+            if start == self.start:
+                return self
+            return DegreeSet(start=start, step=self.step)
+        members = tuple(d - i for d in self.members if d >= i)
+        return self if members == self.members else DegreeSet(members)
 
     # -- generating function -----------------------------------------------
 
     def _min_series(self, x: float) -> float:
-        # Tail of e**x starting at degree delta; terms decay factorially
+        # Tail of e**x starting at degree start; terms decay factorially
         # once d > x, so the stop rule is safe.
-        d = self.delta
+        d = self.start
         term = x ** d / math.factorial(d)
         total = 0.0
         while True:
@@ -178,23 +155,23 @@ class DegreeSet:
         """log Set_D(x), the log of the sum of x**d / d! over the members.
 
         Stable for any finite x > 0, far beyond where Set_D(x) overflows a
-        double (near x = 709); any other x raises ValueError.
+        double (near x = 709); -inf for the empty set; any other x raises
+        ValueError.
         """
         if not 0 < x < math.inf:
             raise ValueError("egf_log is only evaluated at finite positive points")
         lx = math.log(x)
-        if self.kind == _FINITE:
+        if not self.step:
+            if not self.members:
+                return -math.inf
             return _logsumexp([d * lx - math.lgamma(d + 1) for d in self.members])
-        if self.kind == _EVEN:
+        if self.step == 2:      # cosh for even, sinh for odd
+            sign = 1 - 2 * self.start
             if x < 20:
-                return math.log(math.cosh(x))
-            return x - math.log(2.0) + math.log1p(math.exp(-2 * x))
-        if self.kind == _ODD:
-            if x < 20:
-                return math.log(math.sinh(x))
-            return x - math.log(2.0) + math.log1p(-math.exp(-2 * x))
-        # minimum-degree family
-        delta = self.delta
+                return math.log(math.cosh(x) if sign > 0 else math.sinh(x))
+            return x - math.log(2.0) + math.log1p(sign * math.exp(-2 * x))
+        # step 1: the tail of e**x from delta = start
+        delta = self.start
         if delta == 0:
             return x
         lead = delta * lx - math.lgamma(delta + 1)
@@ -216,11 +193,11 @@ class DegreeSet:
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.kind == _FINITE:
+        if not self.step:
             return ",".join(str(d) for d in self.members)
-        if self.kind == _MIN:
-            return f"min={self.delta}"
-        return self.kind
+        if self.step == 1:
+            return f"min={self.start}"
+        return ("even", "odd")[self.start]
 
 
 def parse_degree_set(text: str) -> DegreeSet:

@@ -12,8 +12,8 @@ once (:func:`_point`); the mean, its slope and L are formed from them.
 forced (2m equals n*min(D) or n*max(D), which covers a one-member D, m = 0
 and n = 0, so every degree takes one value and the closed regular form is
 exact), or interior (2m/n strictly inside D's range, where the saddle point
-exists).  An empty D-2 reads as Set_{D-2} = 0: no loop or double edge can
-occur, so L = 0.
+exists).  An empty D-2 has egf_log -inf, so Set_{D-2}/Set_D reads 0.0 with
+no special case: no loop or double edge can occur, and L = 0.
 """
 
 from __future__ import annotations
@@ -37,27 +37,19 @@ class InfeasibleRegimeError(ValueError):
     """
 
 
-def _shift2_ratio(degree_set: DegreeSet, x: float, log0: float) -> float:
-    # Set_{D-2}(x) / Set_D(x) given log0 = log Set_D(x).  An empty D-2 allows
-    # no loop or double edge, so it reads as Set_{D-2} = 0.
-    if degree_set.max_degree < 2:
-        return 0.0
-    return math.exp(degree_set.shift(2).egf_log(x) - log0)
-
-
 def _point(degree_set: DegreeSet, x: float,
            slope: bool = True) -> tuple[float, float, float, float]:
     # (log Set_D(x), mean degree, its slope, Set_{D-2}/Set_D); slope=False
     # skips Set_{D-2} and leaves the last two 0.0, for steps that need the mean
-    if degree_set.size == 1:
-        raise InfeasibleRegimeError(
-            "mean-degree function is degenerate for a one-member set")
+    if degree_set.size < 2:
+        raise InfeasibleRegimeError("mean-degree function is degenerate "
+                                    "for a set with fewer than two members")
     log0 = degree_set.egf_log(x)
     r1 = math.exp(degree_set.shift(1).egf_log(x) - log0)
     mean = x * r1
     if not slope:
         return log0, mean, 0.0, 0.0
-    r2 = _shift2_ratio(degree_set, x, log0)
+    r2 = math.exp(degree_set.shift(2).egf_log(x) - log0)
     return log0, mean, r1 + x * r2 - x * r1 * r1, r2
 
 
@@ -150,7 +142,8 @@ def loop_intensity(degree_set: DegreeSet, n: int, m: int, x: float) -> float:
     random multigraph of the model; its square is the expected number of
     double edges.
     """
-    return _loop(n, m, x, _shift2_ratio(degree_set, x, degree_set.egf_log(x)))
+    log0 = degree_set.egf_log(x)
+    return _loop(n, m, x, math.exp(degree_set.shift(2).egf_log(x) - log0))
 
 
 @dataclass(frozen=True)

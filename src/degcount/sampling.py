@@ -372,7 +372,6 @@ class DegreeSequenceSampler:
         """
         cell = self.table.value
         total = cell(i, j)
-        prev = self.table._rows[i - 1]
         comb = math.comb
         bits = _WORD_BITS
         scaled = word * total
@@ -381,12 +380,9 @@ class DegreeSequenceSampler:
         for d in self._members:
             if d > j:
                 break
-            w = prev[j - d]
+            w = cell(i - 1, j - d)
             if not w:
-                if w is None:       # off the band
-                    w = cell(i - 1, j - d)
-                if not w:
-                    continue
+                continue
             if d:
                 w *= comb(j, d)
             acc += w

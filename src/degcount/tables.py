@@ -54,8 +54,9 @@ from .degree_sets import INFINITE, DegreeSet
 
 def _rows_finite(members, step, j_max):
     # row i is zero off [i*min D, i*max D] and off the lattice
-    # j = i*min D mod the periodicity step, so only those cells are summed
-    low, high = members[0], members[-1]
+    # j = i*min D mod the periodicity step, so only those cells are summed;
+    # for the empty set every row past row 0 is zero
+    low, high = (members[0], members[-1]) if members else (1, 0)
     row = [1] + [0] * j_max
     yield row
     comb = math.comb
@@ -103,22 +104,22 @@ def _rows_min(delta, j_max):
         i += 1
 
 
-def _rows_parity(kind_odd, j_max):
+def _rows_parity(odd, j_max):
     row0 = [1] + [0] * j_max
     yield row0
-    if kind_odd:
+    if odd:
         row1 = [1 if j % 2 == 1 else 0 for j in range(j_max + 1)]
     else:
         row1 = [1 if j % 2 == 0 else 0 for j in range(j_max + 1)]
     yield row1
     back2, i = row0, 2
     prev = row1
-    sign = 1 if kind_odd else -1
+    sign = 1 if odd else -1
     while True:
         new = [0] * (j_max + 1)
         # sinh^i starts at x^i, so the odd rows are zero below j = i
-        start = i - 2 if kind_odd else 0
-        if not kind_odd:
+        start = i - 2 if odd else 0
+        if not odd:
             new[0] = 1
         ii, cross = i * i, sign * i * (i - 1)
         for j in range(start, j_max - 1, 2):
@@ -129,13 +130,13 @@ def _rows_parity(kind_odd, j_max):
 
 
 def _iter_rows(degree_set: DegreeSet, j_max: int):
-    if degree_set.kind == "finite":
-        p = degree_set.periodicity     # INFINITE for one member: j = i*d
-        return _rows_finite(degree_set.members,
-                            1 if p is INFINITE else p, j_max)
-    if degree_set.kind == "min":
-        return _rows_min(degree_set.delta, j_max)
-    return _rows_parity(degree_set.kind == "odd", j_max)
+    start, step = degree_set.start, degree_set.step
+    if step == 1:
+        return _rows_min(start, j_max)
+    if step == 2:
+        return _rows_parity(start == 1, j_max)
+    p = degree_set.periodicity     # INFINITE for one member: j = i*d
+    return _rows_finite(degree_set.members, 1 if p is INFINITE else p, j_max)
 
 
 class CoefficientTable:
@@ -278,6 +279,8 @@ def _miller_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     #   (K - nr) C(K+r, r) T_K = sum_{d > r} ((n+1)d - K - r) C(K+r, d) T_(K+r-d),
     # where only K = nr + p*e can be nonzero.
     members = degree_set.members
+    if not members:             # the empty set: Set^n is 0, or 1 for n = 0
+        return int(n == j == 0)
     r = members[0]
     base = n * r
     if j < base or j > n * members[-1]:
@@ -366,16 +369,16 @@ def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     """
     if n < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    kind = degree_set.kind
-    if kind == "finite":
+    start, step = degree_set.start, degree_set.step
+    if step == 0:
         return _miller_coefficient(degree_set, n, j)
-    if kind == "min":
-        if degree_set.delta == 0:
-            return n ** j
-        if degree_set.delta == 1:
-            return _surjections(n, j)
-        return _min_band(degree_set.delta, n, j)
-    return _parity_coefficient(kind == "odd", n, j)
+    if step == 2:
+        return _parity_coefficient(start == 1, n, j)
+    if start == 0:              # step 1: min=start
+        return n ** j
+    if start == 1:
+        return _surjections(n, j)
+    return _min_band(start, n, j)
 
 
 def _short_sum(steps, n: int, e: int) -> bool:

@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from degcount import (INFINITE, DegenerateShiftError, DegreeSet,
-                      parse_degree_set)
+from degcount import (INFINITE, DegreeSequenceSampler, DegreeSet,
+                      InfeasibleRegimeError, build_table,
+                      marked_multigraph_weight, mean_degree,
+                      multigraph_count_asymptotic, multigraph_weight,
+                      parse_degree_set, power_coefficient, resolve,
+                      simple_graph_count_asymptotic)
+from degcount.tables import multigraph_weight_and_reason
 
 from conftest import FAMILY, FAMILY_IDS
 
@@ -87,9 +92,12 @@ class TestShift:
     def test_min_degree_clamps(self):
         assert DegreeSet.min_degree(2).shift(2) == DegreeSet.min_degree(0)
 
-    def test_degenerate_shift_raises(self):
-        with pytest.raises(DegenerateShiftError):
-            DegreeSet.finite([1, 3]).shift(4)
+    def test_unchanged_shift_is_self(self):
+        for ds in (DegreeSet.even(), DegreeSet.odd(), DegreeSet.min_degree(0),
+                   DegreeSet.finite([1]).shift(2)):
+            assert ds.shift(2) is ds
+        ds = DegreeSet.finite([1, 3])
+        assert ds.shift(0) is ds
 
     @pytest.mark.parametrize("members", [(4, 6), (5, 7, 9), (3, 8)])
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1)])
@@ -100,12 +108,73 @@ class TestShift:
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_shift_membership(self, ds):
         for i in range(0, 3):
-            try:
-                shifted = ds.shift(i)
-            except DegenerateShiftError:
-                continue
+            shifted = ds.shift(i)
             expected = sorted({d - i for d in ds.members_up_to(20) if d >= i})
             assert sorted(shifted.members_up_to(20 - i)) == expected
+
+    @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
+    def test_shift_structure_by_brute_force(self, ds):
+        # no FAMILY set stops between 41 and 80, so members there mean unbounded
+        for i in range(5):
+            shifted = ds.shift(i)
+            brute = [d - i for d in range(i, 41 + i) if d in ds]
+            unbounded = any(d in ds for d in range(41 + i, 81 + i))
+            assert [d for d in range(-2, 41) if d in shifted] == brute
+            assert list(shifted.members_up_to(40)) == brute
+            assert shifted.valuation == (brute[0] if brute else INFINITE)
+            assert shifted.max_degree == (
+                INFINITE if unbounded else brute[-1] if brute else -INFINITE)
+            assert shifted.size == (INFINITE if unbounded else len(brute))
+            g = 0
+            for d in brute[1:]:
+                g = math.gcd(g, d - brute[0])
+            assert shifted.periodicity == (g or INFINITE)
+
+    @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
+    def test_shift_composes_on_every_set(self, ds):
+        for a in range(5):
+            for b in range(5):
+                assert ds.shift(a).shift(b) == ds.shift(a + b)
+
+
+class TestEmptySet:
+    # the finite set with no members, made only by shifting past every member
+    empty = DegreeSet.finite([1]).shift(2)
+
+    def test_structure(self):
+        empty = self.empty
+        assert empty == DegreeSet.finite([1, 3]).shift(4)
+        assert empty.size == 0
+        assert not any(d in empty for d in range(-2, 10))
+        assert list(empty.members_up_to(10)) == []
+        assert empty.valuation == INFINITE
+        assert empty.max_degree == -INFINITE
+        for x in (1e-3, 1.0, 50.0, 1e4):
+            assert empty.egf_log(x) == -math.inf
+
+    def test_exact_paths(self):
+        assert power_coefficient(self.empty, 0, 0) == 1
+        assert power_coefficient(self.empty, 3, 4) == 0
+        table = build_table(self.empty, 3, 4)
+        assert [[table.value(i, j) for j in range(5)] for i in range(4)] == \
+            [[1, 0, 0, 0, 0]] + [[0] * 5] * 3
+        assert multigraph_weight(self.empty, 0, 0) == 1
+
+    def test_every_entry_point_reports_infeasible(self):
+        n, m = 3, 2
+        weight, reason = multigraph_weight_and_reason(self.empty, n, m)
+        assert weight == 0 and reason
+        assert multigraph_weight(self.empty, n, m) == 0
+        assert marked_multigraph_weight(self.empty, n, m, -1, -1) == 0
+        assert resolve(self.empty, n, m).reason
+        for estimate in (multigraph_count_asymptotic,
+                         simple_graph_count_asymptotic):
+            count = estimate(self.empty, n, m)
+            assert not count.feasible and count.reason
+        with pytest.raises(InfeasibleRegimeError, match="total degree"):
+            DegreeSequenceSampler(self.empty, n, m)
+        with pytest.raises(InfeasibleRegimeError):
+            mean_degree(self.empty, 1.0)
 
 
 class TestEgf:
@@ -152,10 +221,7 @@ class TestEgf:
         # slope of its log is Set_{D-1}(x) / Set_D(x)
         h = 1e-6 * x
         derivative = (ds.egf_log(x + h) - ds.egf_log(x - h)) / (2 * h)
-        try:
-            shifted = ds.shift(1)
-        except DegenerateShiftError:
-            return
+        shifted = ds.shift(1)
         assert math.exp(shifted.egf_log(x) - ds.egf_log(x)) == pytest.approx(
             derivative, rel=1e-6)
 

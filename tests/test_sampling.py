@@ -12,7 +12,7 @@ from degcount import (DegreeSet, DegreeSequenceSampler, GraphClass,
                       InfeasibleRegimeError, Multigraph, SampleReport,
                       SamplerExhausted, boltzmann_degree_law, boltzmann_sample,
                       boltzmann_tune, build_table, make_rng, mean_degree,
-                      pair_half_edges, parse_degree_set)
+                      pair_half_edges, parse_degree_set, power_coefficient)
 from degcount import sampling
 from degcount.sampling import (_WORD_BITS, _edge_codes, _is_simple_pairing,
                                _multigraph, _pair_endpoints)
@@ -509,6 +509,34 @@ class TestDegreeSequences:
                                   table.value(i, j))
                     j -= d
                 assert p == prob
+
+    def test_degree_law_at_scale(self):
+        # at n = 1000 the band and the float screen both act.  Each degree's
+        # count over the draws against n * p_d per draw, with the exact
+        # p_d = C(2m, d) T_{n-1}(2m - d) / T_n(2m) and the variance bound
+        # n p_d (1 - p_d) per draw; degrees expected fewer than 25 times are
+        # pooled with every degree above them, where a normal z means nothing
+        ds, n, m, draws = DegreeSet.even(), 1000, 500, 400
+        sampler = DegreeSequenceSampler(ds, n, m)
+        rng = make_rng(17)
+        counts = Counter()
+        for _ in range(draws):
+            counts.update(sampler.sample_degrees(rng))
+        assert all(d in ds for d in counts)
+
+        def z(observed, p):
+            return (observed - draws * n * p) / math.sqrt(draws * n * p * (1 - p))
+
+        j = 2 * m
+        total = power_coefficient(ds, n, j)
+        head = 0.0
+        for d in ds.members_up_to(j):
+            p = math.comb(j, d) * power_coefficient(ds, n - 1, j - d) / total
+            if draws * n * p < 25:
+                break
+            assert abs(z(counts.pop(d, 0), p)) <= 5
+            head += p
+        assert abs(z(sum(counts.values()), 1.0 - head)) <= 5
 
 
 def small_pairings(count=2000):
