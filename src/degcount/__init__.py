@@ -3,7 +3,7 @@ and multigraphs whose vertex degrees all lie in a prescribed set."""
 
 from .degree_sets import INFINITE, DegreeSet, parse_degree_set
 from .marked import marked_multigraph_weight
-from .multigraph import GraphClass, Multigraph
+from .multigraph import Multigraph
 from .saddlepoint import (AsymptoticCount, InfeasibleRegimeError, Regime,
                           SaddlePoint, acceptance_probability, loop_intensity,
                           mean_degree, mean_degree_slope,
@@ -23,7 +23,6 @@ __all__ = [
     "CoefficientTable",
     "DegreeSequenceSampler",
     "DegreeSet",
-    "GraphClass",
     "InfeasibleRegimeError",
     "Multigraph",
     "Regime",

@@ -8,8 +8,8 @@ recovers (up to a vanishing correction) the number of simple graphs.
 
 The value is a constructive sum over the bijective decomposition: choose the
 marked vertices, wire the marked structures, fill the rest from shifted
-degree sets.  An independent series form, kept as a test reference in
-:mod:`degcount.bruteforce`, agrees with it exactly.
+degree sets.  An independent series form, kept as a reference in the test
+suite's oracle module, agrees with it exactly.
 """
 
 from __future__ import annotations

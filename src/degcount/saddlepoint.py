@@ -192,9 +192,10 @@ def resolve(degree_set: DegreeSet, n: int, m: int) -> Regime:
     """Decide which regime (D, n, m) is in; the one place edge cases are met.
 
     Infeasible exactly when no degree sequence exists, with the reason from
-    :func:`infeasibility_reason`.  Forced when 2m equals n*min(D) or
-    n*max(D), which covers a one-member D, m = 0 and n = 0: every degree is
-    d and L = n d (d-1) / 4m, or 0 without edges.  Otherwise 2m/n lies
+    :func:`infeasibility_reason`.  Forced when n = 0 (the empty graph, with
+    degree min(D), or 0 for the empty set) or when 2m equals n*min(D) or
+    n*max(D), which covers a one-member D and m = 0: every degree is d and
+    L = n d (d-1) / 4m, or 0 without edges.  Otherwise 2m/n lies
     strictly inside D's range and the saddle point is solved once.  Raises
     ValueError for negative n or m.  When max(D) >= n, a feasible instance
     also gets the test on degrees up to n - 1, the most a simple graph has.
@@ -207,6 +208,9 @@ def resolve(degree_set: DegreeSet, n: int, m: int) -> Regime:
         simple = infeasibility_reason(degree_set, n, m, top=n - 1)
         if simple is not None:
             simple = f"no simple graph on {n} vertices: {simple}"
+    if n == 0:  # the empty graph (m = 0); the empty set has no min(D) to read
+        return Regime(degree=degree_set.valuation if degree_set.size else 0,
+                      simple_reason=simple)
     for d in (degree_set.valuation, degree_set.max_degree):
         if 2 * m == n * d:
             lam = n * d * (d - 1) / (4.0 * m) if m > 0 else 0.0

@@ -6,19 +6,21 @@ counts, total compensated multigraph weights, ordering counts and
 marked-multigraph sums.  Clarity beats speed throughout; hard guards refuse
 instances whose enumeration would blow past roughly 1e8 primitive steps.
 The marked sums also get a second exact route, the falling-factorial series
-form, which the tests hold equal to the constructive one.
+form, which the tests hold equal to the constructive one.  This module is
+part of the test suite, not of the installed package.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .degree_sets import DegreeSet
-from .multigraph import Multigraph
-from .tables import build_table, infeasibility_reason, mixed_table_coefficient
+from degcount import DegreeSet, Multigraph, build_table, infeasibility_reason
+from degcount.tables import mixed_table_coefficient
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,51 @@ DEFAULT_LIMIT = EnumerationLimit()
 
 class EnumerationLimitExceeded(ValueError):
     """The requested instance is too large for exhaustive enumeration."""
+
+
+class GraphClass(enum.Enum):
+    """SIMPLE: no loop or repeated edge.  STAR: every non-simple edge is a
+    single loop or a double edge, and no vertex touches two of them.
+    NONSTAR: the rest (a double loop, a triple edge, a loop meeting a double
+    edge, or two double edges sharing a vertex)."""
+
+    SIMPLE = "simple"
+    STAR = "star"
+    NONSTAR = "nonstar"
+
+
+def classify(graph: Multigraph) -> GraphClass:
+    """Place the multigraph in the SIMPLE / STAR / NONSTAR partition."""
+    if graph.is_simple():
+        return GraphClass.SIMPLE
+    loops, double_count = [], [0] * (graph.n + 1)
+    for (a, b), c in graph.edge_items():
+        if c >= (2 if a == b else 3):
+            return GraphClass.NONSTAR
+        if a == b:
+            loops.append(a)
+        elif c == 2:
+            double_count[a] += 1
+            double_count[b] += 1
+    if max(double_count) >= 2 or any(double_count[v] for v in loops):
+        return GraphClass.NONSTAR
+    return GraphClass.STAR
+
+
+def compensation_factor(graph: Multigraph) -> Fraction:
+    """Weight of the multigraph under the random half-edge pairing: 1 over
+    the product of 2^mult * mult! over distinct loops and of mult! over
+    distinct non-loop edges, so 1 exactly for a simple graph."""
+    return _marked_compensation(graph, {})
+
+
+def multiplicity(graph: Multigraph, u: int, v: int) -> int:
+    return dict(graph.edge_items()).get((min(u, v), max(u, v)), 0)
+
+
+def edge_occurrences(graph: Multigraph) -> list[tuple[int, int]]:
+    """Every edge occurrence as a sorted pair, repeats included, in order."""
+    return [pair for pair, c in graph.edge_items() for _ in range(c)]
 
 
 def _allowed_table(degree_set: DegreeSet, max_deg: int) -> list[bool]:
@@ -98,7 +145,7 @@ def multigraph_weight_brute(degree_set: DegreeSet, n: int, m: int,
     total = Fraction(0)
     for graph in iter_multigraphs(n, m, limit):
         if all(allowed[d] for d in graph.degrees()):
-            total += graph.compensation_factor()
+            total += compensation_factor(graph)
     return total
 
 
@@ -112,7 +159,7 @@ def count_orderings(graph: Multigraph,
     m = graph.num_edges
     if math.factorial(m) * (1 << m) > limit.max_candidate_sets:
         raise EnumerationLimitExceeded(f"m = {m} is too many edges to order")
-    occurrences = list(graph.edge_occurrences())
+    occurrences = edge_occurrences(graph)
     seen = set()
     for perm in permutations(occurrences):
         for mask in range(1 << m):
@@ -127,12 +174,12 @@ def contains_forbidden_configuration(graph: Multigraph) -> bool:
     """Search for any of the four dense-defect patterns.
 
     A repeated loop, a triple edge, a loop meeting a double edge, or two
-    double edges sharing a vertex.  Independent of Multigraph.classify, which
+    double edges sharing a vertex.  Independent of :func:`classify`, which
     checks the complementary membership conditions; the tests hold the two
     routes to exhaustive agreement.
     """
     n = graph.n
-    mult = graph.multiplicity
+    mult = partial(multiplicity, graph)
     for v in range(1, n + 1):
         if mult(v, v) >= 2:
             return True
@@ -192,7 +239,7 @@ def marked_weight_brute(degree_set: DegreeSet, n: int, m: int, u, v,
     for graph in iter_multigraphs(n, m, limit):
         if not all(allowed[d] for d in graph.degrees()):
             continue
-        if classes is not None and graph.classify() not in classes:
+        if classes is not None and classify(graph) not in classes:
             continue
         loops, doubles = _marking_structures(graph)
         structures = ([("loop", pair) for pair, _ in loops]

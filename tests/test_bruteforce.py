@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from degcount import DegreeSet, GraphClass, Multigraph, multigraph_weight
-from degcount.bruteforce import (DEFAULT_LIMIT, EnumerationLimit,
-                                 EnumerationLimitExceeded, count_orderings,
-                                 count_simple_graphs, iter_multigraphs,
-                                 marked_weight_brute, multigraph_weight_brute)
+from degcount import DegreeSet, Multigraph, multigraph_weight
 
 from conftest import FAMILY, FAMILY_IDS
+from oracle import (DEFAULT_LIMIT, EnumerationLimit, EnumerationLimitExceeded,
+                    GraphClass, count_orderings, count_simple_graphs,
+                    iter_multigraphs, marked_weight_brute,
+                    multigraph_weight_brute)
 
 
 class TestCountSimpleGraphs:
@@ -100,7 +100,7 @@ class TestMarkedBrute:
         assert with_marks - without == Fraction(1, 2)
 
     def test_marked_compensation_closed_form(self):
-        from degcount.bruteforce import _marked_compensation
+        from oracle import _marked_compensation
         triple = Multigraph(2, [(1, 2)] * 3)
         assert _marked_compensation(triple, {(1, 2): 2}) == Fraction(1, 2)
         assert _marked_compensation(triple, {}) == Fraction(1, 6)
@@ -112,7 +112,7 @@ class TestMarkedBrute:
         # mark bit and compare the closed form against orderings/(2^m m!)
         from itertools import permutations
 
-        from degcount.bruteforce import _marked_compensation
+        from oracle import _marked_compensation
 
         def tagged_orderings(normal, marked):
             tagged = ([(u, v, 0) for u, v in normal]

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from degcount import (INFINITE, DegreeSequenceSampler, DegreeSet,
-                      InfeasibleRegimeError, build_table,
+                      InfeasibleRegimeError, Multigraph,
+                      acceptance_probability, build_table, make_rng,
                       marked_multigraph_weight, mean_degree,
                       multigraph_count_asymptotic, multigraph_weight,
                       parse_degree_set, power_coefficient, resolve,
@@ -175,6 +176,15 @@ class TestEmptySet:
             DegreeSequenceSampler(self.empty, n, m)
         with pytest.raises(InfeasibleRegimeError):
             mean_degree(self.empty, 1.0)
+
+    def test_empty_graph_without_vertices(self):
+        # (0, 0) has one instance, the empty graph, whatever D is
+        for estimate in (multigraph_count_asymptotic,
+                         simple_graph_count_asymptotic):
+            assert estimate(self.empty, 0, 0).log_value == 0.0
+        assert acceptance_probability(self.empty, 0, 0) == 1.0
+        sampler = DegreeSequenceSampler(self.empty, 0, 0)
+        assert sampler.sample_simple(make_rng(1))[0] == Multigraph(0)
 
 
 class TestEgf:

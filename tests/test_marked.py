@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from degcount import DegreeSet, marked_multigraph_weight, multigraph_weight
-from degcount.bruteforce import (disjointness_factor,
-                                 marked_multigraph_weight_series,
-                                 marked_weight_brute)
 
 from conftest import FAMILY, FAMILY_IDS
+from oracle import (disjointness_factor, marked_multigraph_weight_series,
+                    marked_weight_brute)
 
 UV_POINTS = [(0, 0), (1, 1), (-1, -1), (2, -1)]
 
@@ -72,8 +71,7 @@ class TestMarkedWeight:
     def test_gap_to_simple_count_is_the_dense_class(self, ds):
         # the inclusion-exclusion value misses the simple count by exactly
         # the marked weight of the dense-defect multigraphs
-        from degcount.bruteforce import count_simple_graphs
-        from degcount.multigraph import GraphClass
+        from oracle import GraphClass, count_simple_graphs
         for n in range(1, 4):
             for m in range(0, 4):
                 value = marked_multigraph_weight(ds, n, m, -1, -1)
@@ -125,13 +123,14 @@ class TestInfeasible:
     @pytest.mark.parametrize("route", [marked_multigraph_weight,
                                        marked_multigraph_weight_series])
     def test_zero_without_tables(self, route, monkeypatch):
-        from degcount import bruteforce, marked
+        import oracle
+        from degcount import marked
 
         def no_table(*args):
             raise AssertionError("a table was built")
 
         monkeypatch.setattr(marked, "build_table", no_table)
-        monkeypatch.setattr(bruteforce, "build_table", no_table)
+        monkeypatch.setattr(oracle, "build_table", no_table)
         # 2m = 1200 exceeds n*max(D) = 300: no degree sequence exists
         assert route(DegreeSet.finite([1, 3]), 100, 600, -1, -1) == 0
         # 0,5,7 passes the range and periodicity tests at n = 2, m = 1

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from degcount import (DegreeSet, DegreeSequenceSampler, GraphClass,
+from degcount import (DegreeSet, DegreeSequenceSampler,
                       InfeasibleRegimeError, Multigraph, SampleReport,
                       SamplerExhausted, boltzmann_degree_law, boltzmann_sample,
                       boltzmann_tune, build_table, make_rng, mean_degree,
@@ -18,6 +18,8 @@ from degcount.sampling import (_WORD_BITS, _edge_codes, _is_simple_pairing,
                                _multigraph, _pair_endpoints)
 
 from conftest import FAMILY, FAMILY_IDS
+from oracle import (GraphClass, classify, compensation_factor,
+                    edge_occurrences, multiplicity)
 
 WORD = 1 << _WORD_BITS
 
@@ -557,7 +559,7 @@ class TestPairing:
         rng = make_rng(3)
         for _ in range(5):
             g = pair_half_edges([1, 1], rng)
-            assert list(g.edge_occurrences()) == [(1, 2)]
+            assert edge_occurrences(g) == [(1, 2)]
 
     def test_degree_four_vertex(self):
         rng = make_rng(4)
@@ -609,12 +611,12 @@ class TestPairing:
             assert fast.edge_items() == checked.edge_items()
             assert fast.to_text() == checked.to_text()
             assert fast.degrees() == checked.degrees() == degrees
-            assert all(fast.multiplicity(u, v) == checked.multiplicity(u, v)
+            assert all(multiplicity(fast, u, v) == multiplicity(checked, u, v)
                        for u in range(1, n + 1) for v in range(1, n + 1))
             assert fast.is_simple() == checked.is_simple()
-            assert fast.classify() == checked.classify()
-            assert fast.compensation_factor() == checked.compensation_factor()
-            seen[fast.classify()] += 1
+            assert classify(fast) == classify(checked)
+            assert compensation_factor(fast) == compensation_factor(checked)
+            seen[classify(fast)] += 1
             seen.update("loop" if u == v else c
                         for (u, v), c in fast.edge_items())
         assert all(seen[key] for key in (*GraphClass, "loop", 2, 3))
@@ -718,7 +720,7 @@ class TestSimpleSampling:
         total = None
         for _ in range(4000):
             g, report = sampler.sample_simple(rng)
-            assert list(g.edge_occurrences()) == [(1, 2)]
+            assert edge_occurrences(g) == [(1, 2)]
             total = report if total is None else total.merge(report)
         assert abs(total.empirical_acceptance - 0.5) < 0.03
 

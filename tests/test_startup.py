@@ -5,6 +5,7 @@ imported numpy.
 """
 
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,15 @@ def test_imports_leave_numpy_and_the_pool_unloaded():
                   f"print(*[m for m in {HEAVY!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_package_holds_only_modules_the_library_imports():
+    # test-only code, such as the brute-force oracle, lives under tests/
+    names = [f"degcount.{m.name}" for m in pkgutil.iter_modules(degcount.__path__)]
+    proc = python("import sys, degcount, degcount.cli\n"
+                  f"print(*[m for m in {names!r} if m not in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert "degcount.cli" in names and proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("argv", COUNTING,
