@@ -33,10 +33,17 @@ never sweeps the n x (j+1) grid.  Each family takes its cheapest exact route:
   4.7) from Set * (Set^n)' = n Set' * Set^n, with O(|D|) operations for
   each of the (j - n*min D)/periodicity steps; the step count does not
   depend on n,
-* min=delta >= 2 runs the row recurrence restricted to the band of cells
-  whose excess j' - delta*i is at most the target's, up to row ceil(n/2)
-  only, ceil(n/2)(j - delta*n + 1) cells, and joins rows floor(n/2) and
-  ceil(n/2) by one binomial convolution of j - delta*n + 1 products.
+* min=delta >= 2 runs the row recurrence in excess coordinates, on the cells
+  whose excess over the row's least total is at most the target's,
+  w = j - delta*n, along one of two routes:
+  the peel splits off the vertices of degree exactly delta,
+  Set_(>=delta) = x^delta/delta! + Set_(>=delta+1), and reads one cell per
+  row of min=delta+1 from the triangle i + e <= w, about w^2/2 cells
+  whatever n is, summed by a Horner scheme; the half sweep fills the band
+  e <= w up to row ceil(n/2), ceil(n/2)(w + 1) cells, and joins rows
+  floor(n/2) and ceil(n/2) by one binomial convolution of w + 1 products.
+  The route with fewer cells runs, each cell weighted by the half-edges its
+  entry counts: the peel below about w = 0.83n, the half sweep from there up.
 
 The generic convolution T[i][j] = sum_d C(j,d) T[i-1][j-d] remains the ground
 truth; the test suite pins every fast path against it.
@@ -308,40 +315,102 @@ def _miller_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     return window[-1]
 
 
-def _min_band(delta: int, n: int, j: int) -> int:
-    # The _rows_min recurrence in excess coordinates, divided through by i!
-    # (T[i][j] is i! times an associated Stirling number), which keeps the
-    # entries about log2(n!) bits shorter.  With S_i[e] = T[i][delta*i + e] / i!:
+def _product(values: list) -> int:
+    """The product of small integers, multiplied pairwise in rounds so that
+    big partial products meet others of their size."""
+    while len(values) > 1:
+        paired = [a * b for a, b in zip(values[::2], values[1::2])]
+        if len(values) % 2:
+            paired.append(values[-1])
+        values = paired
+    return values[0] if values else 1
+
+
+def _band_row(row: list, i: int, delta: int, cells: int) -> None:
+    # One row of the _rows_min recurrence in excess coordinates, divided
+    # through by i! (T[i][j] is i! times an associated Stirling number), which
+    # keeps the entries about log2(i!) bits shorter.  With
+    # S_i[e] = T[i][delta*i + e] / i!, row[:cells] goes from S_(i-1) to S_i:
     #   S_i[e] = i * S_i[e-1] + C(delta*i + e - 1, delta - 1) * S_(i-1)[e].
-    # Excess never falls along it, so the band e <= w = j - delta*n is closed.
-    # The sweep stops at row b = ceil(n/2), keeping row a = floor(n/2) on the
-    # way, and Set^n = Set^a * Set^b joins the halves:
-    #   T[n][j] = a! b! sum_e C(j, delta*a + e) S_a[e] S_b[w - e].
-    width = j - delta * n
-    if width < 0:
-        return 0
-    a = n // 2
-    b = n - a
+    # Excess never falls along it, so both the band e <= w and the triangle
+    # i + e <= w are closed.
     comb = math.comb
     dm1 = delta - 1
-    row = [1] + [0] * width
+    col = delta * i - 1
+    t = 0
+    for e in range(cells):
+        t = i * t + comb(col + e, dm1) * row[e]
+        row[e] = t
+
+
+def _min_halves(delta: int, n: int, w: int) -> int:
+    # The band e <= w up to row b = ceil(n/2), keeping row a = floor(n/2) on
+    # the way, and Set^n = Set^a * Set^b joins the halves at j = delta*n + w:
+    #   T[n][j] = a! b! sum_e C(j, delta*a + e) S_a[e] S_b[w - e].
+    a = n // 2
+    b = n - a
+    j = delta * n + w
+    row = [1] + [0] * w
     half = row[:]
     for i in range(1, b + 1):
-        col = delta * i - 1
-        t = 0
-        for e in range(width + 1):
-            t = i * t + comb(col + e, dm1) * row[e]
-            row[e] = t
+        _band_row(row, i, delta, w + 1)
         if i == a:
             half = row[:]
     k = delta * a
-    c = comb(j, k)
+    c = math.comb(j, k)
     total = 0
-    for e in range(width + 1):
-        total += c * half[e] * row[width - e]
+    for e in range(w + 1):
+        total += c * half[e] * row[w - e]
         c = c * (j - k) // (k + 1)      # C(j, k + 1), exactly
         k += 1
     return math.factorial(a) * math.factorial(b) * total
+
+
+def _min_peel(delta: int, n: int, w: int) -> int:
+    # Set_(>=delta) = x^delta/delta! + Set_(>=delta+1): choose the i vertices
+    # of degree above delta, which carry J_i = delta*i + w half-edges, and
+    #   T[n][j] = sum_(i <= top) n!/(n-i)! S_i[w - i] V_i,  top = min(n, w),
+    # with S the excess rows of min=delta+1 (row i needs e <= w - i only) and
+    # V_i = j! / (delta!^(n-i) J_i!), so V_n = 1 and V_(i-1) = V_i C(J_i, delta).
+    # Horner upward, G_i = G_(i-1) C(J_i, delta) + n!/(n-i)! S_i[w - i], leaves
+    # T[n][j] = G_top V_top, and V_top is the product of C(J_k, delta) over
+    # k > top: no division at all.
+    top = min(n, w)
+    comb = math.comb
+    row = [1] + [0] * w
+    total = int(w == 0)
+    falling = 1
+    for i in range(1, top + 1):
+        _band_row(row, i, delta + 1, w - i + 1)
+        falling *= n - i + 1
+        total = total * comb(delta * i + w, delta) + falling * row[w - i]
+    return total * _product(
+        [comb(delta * k + w, delta) for k in range(top + 1, n + 1)])
+
+
+def _peel_is_cheaper(delta: int, n: int, w: int) -> bool:
+    """Whether min=delta at excess w over n vertices takes _min_peel.
+
+    The one routing rule: the cells of _band_row that each route fills,
+    each weighted by the half-edges J its entry counts (an entry holds
+    about J log J bits, and a cell multiplies it twice by a small number).
+    The half sweep fills e <= w on rows i <= b = ceil(n/2) at J = delta*i
+    + e; the peel fills e <= w - i on rows i <= t = min(n, w) at
+    J = (delta+1)*i + e.  With W = w + 1 the two sums are
+        halves = delta W b(b+1)/2 + b C(W, 2),
+        peel = (delta+1)(W t(t+1)/2 - t(t+1)(2t+1)/6) + C(W, 3) - C(W-t, 3).
+    They cross between w = 0.82n and 0.86n for delta from 2 to 10 and n
+    from 40 to 2048; BENCH_exact.json (min_delta_crossover) times both
+    routes from w = 0.5n to 2n.
+    """
+    cols = w + 1
+    b = (n + 1) // 2
+    t = min(n, w)
+    comb = math.comb
+    halves = delta * cols * b * (b + 1) // 2 + b * comb(cols, 2)
+    rows = cols * t * (t + 1) // 2 - t * (t + 1) * (2 * t + 1) // 6
+    peel = (delta + 1) * rows + comb(cols, 3) - comb(cols - t, 3)
+    return peel < halves
 
 
 def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
@@ -358,12 +427,18 @@ def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
       bases up to n/2 (even n), and one division by 2^n;
     * finite D: Miller's recurrence, |D| operations for each of the
       (j - n*min D)/periodicity steps, whatever n is;
-    * min=delta >= 2: the banded row recurrence up to row ceil(n/2),
-      ceil(n/2)(j - delta*n + 1) cells, then one convolution of
-      j - delta*n + 1 products joining the two halves of Set^n.
+    * min=delta >= 2, at excess w = j - delta*n: below about w = 0.83n the
+      peel, about w^2/2 cells of the min=delta+1 recurrence (exactly
+      sum_(i <= min(n, w)) (w - i + 1)), min(n, w) Horner steps and one
+      product of n - min(n, w) binomials C(., delta); from there up the
+      half sweep, ceil(n/2)(w + 1) cells and one convolution of w + 1
+      products joining the two halves of Set^n.  :func:`_peel_is_cheaper`
+      compares these cells weighted by entry size and is the only routing
+      rule.
 
-    Memory is a few entries, the powers up to n/2, or two band rows of
-    j - delta*n + 1 entries.  A binomial stepped by
+    Memory is a few entries, the powers up to n/2, two band rows of w + 1
+    entries for the half sweep, or one row and the n - min(n, w) binomial
+    factors for the peel.  A binomial stepped by
     C(j, k+1) = C(j, k)(j-k)/(k+1) divides exactly by that identity; every
     other division is checked and raises ArithmeticError on a remainder.
     """
@@ -378,7 +453,12 @@ def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
         return n ** j
     if start == 1:
         return _surjections(n, j)
-    return _min_band(start, n, j)
+    w = j - start * n
+    if w < 0:
+        return 0
+    if _peel_is_cheaper(start, n, w):
+        return _min_peel(start, n, w)
+    return _min_halves(start, n, w)
 
 
 def _short_sum(steps, n: int, e: int) -> bool:

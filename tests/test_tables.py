@@ -310,6 +310,74 @@ class TestPowerCoefficientRoutes:
             _exact_div(13, 4)
 
 
+def crossover(delta, n):
+    """The least excess w at which min=delta takes the half sweep."""
+    from degcount.tables import _peel_is_cheaper
+    return next(w for w in range(3 * n + 3)
+                if not _peel_is_cheaper(delta, n, w))
+
+
+def row_n_table(delta, n, w_max):
+    """The table of min=delta keeping row n only, up to excess w_max."""
+    low = delta * n
+    return build_table(DegreeSet.min_degree(delta), n, low + w_max,
+                       band=lambda i: (low, low + w_max) if i == n else (1, 0))
+
+
+class TestMinDeltaRoutes:
+    @pytest.mark.parametrize("n", [40, 61, 128, 129])
+    @pytest.mark.parametrize("delta", [2, 3, 5])
+    def test_rule_weighs_each_cell_by_its_half_edges(self, delta, n):
+        # the closed forms are the sums of J over the cells each route fills
+        from degcount.tables import _peel_is_cheaper
+        for w in range(0, 3 * n, 7):
+            halves = sum(delta * i + e for i in range(1, (n + 1) // 2 + 1)
+                         for e in range(w + 1))
+            peel = sum((delta + 1) * i + e for i in range(1, min(n, w) + 1)
+                       for e in range(w - i + 1))
+            assert _peel_is_cheaper(delta, n, w) == (peel < halves), w
+        c = crossover(delta, n)
+        assert 0.8 * n < c < 0.9 * n
+        assert all(_peel_is_cheaper(delta, n, w) for w in range(c))
+        assert not any(_peel_is_cheaper(delta, n, w)
+                       for w in range(c, 3 * n))
+
+    @pytest.mark.parametrize("n", [40, 61, 128, 129])
+    @pytest.mark.parametrize("delta", [2, 3, 5])
+    def test_both_routes_match_full_table(self, delta, n):
+        from degcount.tables import _min_halves, _min_peel
+        c = crossover(delta, n)
+        excesses = sorted({0, 1, c - 1, c, c + 1, n, n + n // 2})
+        t = row_n_table(delta, n, excesses[-1])
+        ds = DegreeSet.min_degree(delta)
+        for w in excesses:
+            j = delta * n + w
+            expected = t.value(n, j)
+            assert _min_peel(delta, n, w) == expected, w
+            assert _min_halves(delta, n, w) == expected, w
+            assert power_coefficient(ds, n, j) == expected, w
+
+    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("delta", [2, 3])
+    def test_half_sweep_at_excess_past_n(self, delta, n):
+        from degcount.tables import _min_halves
+        t = row_n_table(delta, n, n + 40)
+        ds = DegreeSet.min_degree(delta)
+        for w in range(n, n + 41):
+            j = delta * n + w
+            assert _min_halves(delta, n, w) == t.value(n, j), w
+            assert power_coefficient(ds, n, j) == t.value(n, j), w
+
+    @pytest.mark.parametrize("delta, n, w", [(2, 20_000, 40), (3, 10_000, 20)])
+    def test_lower_end_at_large_n(self, delta, n, w):
+        # T[n][delta*n + w] reads only the degrees up to delta + w
+        from degcount.tables import _miller_coefficient
+        j = delta * n + w
+        value = power_coefficient(DegreeSet.min_degree(delta), n, j)
+        finite = DegreeSet.finite(range(delta, delta + w + 1))
+        assert value == _miller_coefficient(finite, n, j)
+
+
 class TestMixedTableCoefficient:
     def test_marked_sums_share_the_tables_routine(self):
         from degcount import marked, tables
