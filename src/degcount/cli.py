@@ -101,10 +101,17 @@ def _cmd_estimate(args, simple: bool) -> int:
     return EXIT_OK
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} {text} has a zero denominator") from None
+
+
 def _cmd_marked(args) -> int:
     degree_set = parse_degree_set(args.degrees)
-    u = Fraction(args.u)
-    v = Fraction(args.v)
+    u = _rational("--u", args.u)
+    v = _rational("--v", args.v)
     value, reason = marked_weight_and_reason(degree_set, args.n, args.m, u, v)
     if reason is not None:
         raise InfeasibleRegimeError(reason)

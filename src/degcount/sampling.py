@@ -256,8 +256,8 @@ def _is_simple_pairing(codes, n: int) -> bool:
 
 
 def _band(n: int, total: int, sigma: float) -> list[tuple[int, int]]:
-    """Row bounds (lo, hi), clipped to [0, total], of the sampler's table
-    band for rows 0..n; see _BAND_SIGMAS.  A row with lo > hi keeps no cell."""
+    """Row bounds (lo, hi) of the sampler's table band for rows 0..n, which
+    `build_table` clips; see _BAND_SIGMAS."""
     spans = []
     for i in range(n + 1):
         if n == 0:
@@ -267,7 +267,7 @@ def _band(n: int, total: int, sigma: float) -> list[tuple[int, int]]:
             half = (_BAND_SIGMAS * sigma * math.sqrt(i * (n - i) / n)
                     + _BAND_SLACK)
             lo, hi = math.ceil(centre - half), math.floor(centre + half)
-        spans.append((max(lo, 0), min(hi, total)))
+        spans.append((lo, hi))
     return spans
 
 
@@ -302,24 +302,23 @@ class DegreeSequenceSampler:
     The constructor builds the coefficient table the draws read, the tuple
     of members up to 2m they scan, ln k! for k <= 2m, the default attempt
     budget and `simple_reason` (`Regime.simple_reason`).  The one later
-    write fills a slot of the log memo, a flat array('d') of NaN with one
-    slot per band cell (i, k), with L(i, k) = ln T[i][k] - ln k!, a pure
-    function of the table, the first time a draw reads the cell; the draws
-    never depend on which slots are filled.  So one sampler can serve many
-    concurrent generators as long as each worker owns its own rng stream.
+    write fills a slot of the log memo with L(i, k) = ln T[i][k] - ln k!,
+    a pure function of the table, the first time a draw reads the cell;
+    the draws never depend on which slots are filled.  So one sampler can
+    serve many concurrent generators as long as each worker owns its own
+    rng stream.
 
-    The table, a :class:`~degcount.tables.CoefficientTable` built with a
-    band, keeps only the cells of each row that a draw can plausibly
-    reach (_BAND_SIGMAS); every other cell is computed exactly when read,
-    so the draws read the same integers as from a full table.  The memo
-    covers the same band, taken from the one list of row bounds (`_band`)
-    the table was built from; a cell off it is logged on every read and
-    never stored.  Logging every band cell up front would cost about half
-    the build again, while a cold slot costs what a read cost before the
-    memo.  It pickles
-    as (degree_set, n, m), never as its table: a forked process-pool worker
-    shares the parent's sampler, and any other worker rebuilds the table
-    when it unpickles one.
+    The table, a :class:`~degcount.tables.CoefficientTable` built with the
+    band `_band`, keeps only the cells of each row that a draw can
+    plausibly reach (_BAND_SIGMAS); every other cell is computed exactly
+    when read, so the draws read the same integers as from a full table.
+    The memo has the table's layout, one array('d') of NaN per row with
+    cell (i, k) in slot k - lo of span (lo, hi) = table.spans[i]; a cell
+    off the span is logged on every read and never stored.  Logging every
+    kept cell up front would cost about half the build again, while a cold
+    slot costs what a read cost before the memo.  It pickles as
+    (degree_set, n, m), never as its table: a forked process-pool worker
+    shares the parent's sampler, and any other worker rebuilds the table.
     """
 
     def __init__(self, degree_set: DegreeSet, n: int, m: int):
@@ -330,9 +329,9 @@ class DegreeSequenceSampler:
         self.n = n
         self.m = m
         sp = regime.saddle
-        spans = _band(n, 2 * m,
-                      math.sqrt(sp.x * sp.slope) if sp is not None else 0.0)
-        self.table = build_table(degree_set, n, 2 * m, band=spans.__getitem__)
+        sigma = math.sqrt(sp.x * sp.slope) if sp is not None else 0.0
+        self.table = build_table(degree_set, n, 2 * m,
+                                 band=_band(n, 2 * m, sigma))
         self._members = tuple(degree_set.members_up_to(2 * m))
         self._log_fact = _log_factorials(2 * m)
         self._screened = (2 * m * math.log(max(n, 1)) < _SCREEN_LIMIT
@@ -340,14 +339,9 @@ class DegreeSequenceSampler:
         # like numpy, loaded only by sampling, not by the counting commands
         from array import array
 
-        # one memo slot per band cell: row i's slots start at offset + lo
-        self._log_spans = spans
-        self._log_offsets = []
-        size = 0
-        for lo, hi in spans:
-            self._log_offsets.append(size - lo)
-            size += max(hi - lo + 1, 0)
-        self._log_cells = array("d", [math.nan]) * size
+        # one memo row per table row: cell (i, k) in slot k - lo of row i
+        self._log_cells = [array("d", [math.nan]) * len(row)
+                           for row in self.table.rows]
         acc = regime.acceptance
         self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
                                   else 10 ** 6)
@@ -402,16 +396,16 @@ class DegreeSequenceSampler:
         there afterwards; a cell off it is computed exactly and logged on
         every read, and never stored.
         """
-        lo, hi = self._log_spans[i]
+        lo, hi = self.table.spans[i]
         on_band = lo <= k <= hi
         if on_band:
-            v = self._log_cells[self._log_offsets[i] + k]
+            v = self._log_cells[i][k - lo]
             if v == v:              # not NaN: filled
                 return v
         w = self.table.value(i, k)
         v = math.log(w) - self._log_fact[k] if w else -math.inf
         if on_band:
-            self._log_cells[self._log_offsets[i] + k] = v
+            self._log_cells[i][k - lo] = v
         return v
 
     def sample_degrees(self, rng: np.random.Generator) -> list[int]:
@@ -441,8 +435,7 @@ class DegreeSequenceSampler:
         batch, one = _word_source(rng)
         words = batch(n - 1)
         memo = self._log_cells
-        spans = self._log_spans
-        offsets = self._log_offsets
+        spans = self.table.spans
         log_cell = self._log_cell
         log_fact = self._log_fact
         members = self._members
@@ -456,14 +449,14 @@ class DegreeSequenceSampler:
             u = word * _WORD_SCALE
             below, above = u - margin, u + margin
             lo, hi = spans[i - 1]
-            base = offsets[i - 1]
+            row = memo[i - 1]
             acc = 0.0
             chosen = -1
             for d in members:
                 if d > j:
                     break
                 k = j - d
-                v = memo[base + k] if lo <= k <= hi else nan
+                v = row[k - lo] if lo <= k <= hi else nan
                 if v != v:          # not filled yet, or off the band
                     v = log_cell(i - 1, k)
                 acc += exp(v - top - log_fact[d])

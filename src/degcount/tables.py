@@ -10,10 +10,10 @@ remainder.
 
 :func:`build_table` makes the one table class, :class:`CoefficientTable`:
 in full for the marked sums, or with a band of each row for the exact
-sampler.  Its rows come from recurrences that fill a row in O(1) big-integer
-operations per cell instead of the generic O(|D|) convolution, and skip the
-cells they know are zero (outside [i*min D, i*max D] or off the periodicity
-lattice):
+sampler; row i keeps one span of cells, T[i][lo..hi], as a list.  Its rows
+come from recurrences that fill a row in O(1) big-integer operations per
+cell instead of the generic O(|D|) convolution, and skip the cells they
+know are zero (outside [i*min D, i*max D] or off the periodicity lattice):
 
 * finite lists use the defining convolution over the members,
 * minimum-degree sets use (e^x - head)' = (e^x - head) + x^(delta-1)/(delta-1)!,
@@ -149,52 +149,52 @@ def _iter_rows(degree_set: DegreeSet, j_max: int):
 class CoefficientTable:
     """Rows T[0..n_max][0..j_max] of one degree set, made by :func:`build_table`.
 
-    A cell outside the kept band holds None; :meth:`value` is exact on
-    every cell all the same.
+    Row i keeps rows[i] = [T[i][lo], ..., T[i][hi]] for its span spans[i] =
+    (lo, hi) within [0, j_max], none if lo > hi; :meth:`value` and
+    :meth:`row` are exact on every cell all the same.
     """
 
-    def __init__(self, degree_set: DegreeSet, rows: list):
+    def __init__(self, degree_set: DegreeSet, j_max: int, spans, rows):
         self.degree_set = degree_set
-        self._rows = rows
+        self.j_max = j_max
+        self.spans = spans
+        self.rows = rows
 
     def value(self, i: int, j: int) -> int:
         """T[i][j], kept or computed; zero for j < 0, so shifted lookups
         need no guards."""
         if j < 0:
             return 0
-        w = self._rows[i][j]
-        if w is None:
-            return power_coefficient(self.degree_set, i, j)
-        return w
+        lo, hi = self.spans[i]
+        if lo <= j <= hi:
+            return self.rows[i][j - lo]
+        return power_coefficient(self.degree_set, i, j)
 
-    def row(self, i: int):
-        return tuple(self._rows[i])
+    def row(self, i: int) -> tuple:
+        return tuple(self.value(i, j) for j in range(self.j_max + 1))
 
 
 def build_table(degree_set: DegreeSet, n_max: int, j_max: int,
                 band=None) -> CoefficientTable:
     """The table of T[i][j] = j! * [x^j] Set(x)^i, i <= n_max, j <= j_max.
 
-    Every cell is kept unless `band` is given: then row i keeps only the
-    inclusive range (lo, hi) = band(i), clipped to [0, j_max], and holds
-    None elsewhere.  The rows are streamed from the recurrences, which hold
-    two or three full rows at a time, so a banded build costs what a full
-    build costs and keeps the memory of the band.
+    Every cell is kept unless `band` is given: a list of n_max + 1 inclusive
+    spans (lo, hi), and row i keeps band[i] clipped to [0, j_max].  The
+    rows are streamed from the recurrences, which hold two or three full
+    rows at a time, so a banded build costs what a full build costs and
+    keeps the memory of the band; a whole row is stored with no copy.
     """
     if n_max < 0 or j_max < 0:
         raise ValueError("table bounds must be nonnegative")
-    gen = _iter_rows(degree_set, j_max)
-    rows = []
-    for i in range(n_max + 1):
-        row = next(gen)
-        if band is not None:
-            lo, hi = band(i)
-            lo, hi = max(lo, 0), min(hi, j_max)
-            kept = [None] * (j_max + 1)
-            kept[lo:hi + 1] = row[lo:hi + 1]
-            row = kept
-        rows.append(row)
-    return CoefficientTable(degree_set, rows)
+    if band is None:
+        band = [(0, j_max)] * (n_max + 1)
+    elif len(band) != n_max + 1:
+        raise ValueError(f"band has {len(band)} spans for {n_max + 1} rows")
+    spans = [(max(lo, 0), min(hi, j_max)) for lo, hi in band]
+    # zip takes a span first, so the endless recurrence stops at row n_max
+    rows = [row if lo == 0 and hi == j_max else row[lo:hi + 1]
+            for (lo, hi), row in zip(spans, _iter_rows(degree_set, j_max))]
+    return CoefficientTable(degree_set, j_max, spans, rows)
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -583,10 +583,10 @@ def mixed_table_coefficient(shifted_table: CoefficientTable,
                             a: int, b: int, j: int) -> int:
     """j! * [x^j] ( Shifted(x)^a * Set(x)^b ) from rows a and b of two tables.
 
-    The binomial convolution of the two rows, read in place.
+    The binomial convolution of the two rows of full tables, read in place.
     """
-    row_a = shifted_table._rows[a]
-    row_b = base_table._rows[b]
+    row_a = shifted_table.rows[a]
+    row_b = base_table.rows[b]
     comb = math.comb
     total = 0
     for k in range(j + 1):

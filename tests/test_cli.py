@@ -484,7 +484,14 @@ class TestUsageErrors:
                      "--u", "1/0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "degcount: Fraction(1, 0)\n"
+        assert captured.err == "degcount: --u 1/0 has a zero denominator\n"
+
+    def test_zero_denominator_in_v(self, capsys):
+        assert main(["marked", "--degrees", "even", "--n", "4", "--m", "2",
+                     "--v=-3/0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "degcount: --v -3/0 has a zero denominator\n"
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"

@@ -18,8 +18,7 @@ from degcount.sampling import (_WORD_BITS, _edge_codes, _is_simple_pairing,
                                _multigraph, _pair_endpoints)
 
 from conftest import FAMILY, FAMILY_IDS
-from oracle import (GraphClass, classify, compensation_factor,
-                    edge_occurrences, multiplicity)
+from oracle import GraphClass, classify, edge_occurrences
 
 WORD = 1 << _WORD_BITS
 
@@ -323,7 +322,7 @@ class TestTableBand:
         except InfeasibleRegimeError:
             pytest.skip("no degree sequence")
         full = build_table(ds, n, 2 * m)
-        assert any(None in row for row in sampler.table._rows)
+        assert any(len(row) < 2 * m + 1 for row in sampler.table.rows)
         for i in range(n + 1):
             assert [sampler.table.value(i, j) for j in range(2 * m + 1)] == \
                 list(full.row(i))
@@ -341,31 +340,29 @@ class TestTableBand:
                              [("even", 500, 250, 0.50), ("2,3", 300, 375, 0.15)])
     def test_band_keeps_a_fraction_of_the_cells(self, degrees, n, m, share):
         sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
-        kept = sum(len(row) - row.count(None) for row in sampler.table._rows)
+        kept = sum(len(row) for row in sampler.table.rows)
         assert kept < share * (n + 1) * (2 * m + 1)
 
 
 def check_memo(sampler):
-    """The memo tiles the band cells; a filled slot holds its cell's log.
+    """The memo has one slot per kept cell of the table, cell (i, k) in
+    slot k - lo of row i; a filled slot holds its cell's log.
 
     Returns the number of filled slots.
     """
-    memo = sampler._log_cells
-    slots = [(i, k, sampler._log_offsets[i] + k)
-             for i, (lo, hi) in enumerate(sampler._log_spans)
-             for k in range(lo, hi + 1)]
-    assert [slot for _, _, slot in slots] == list(range(len(memo)))
-    assert len(memo) == sum(len(row) - row.count(None)
-                            for row in sampler.table._rows)
+    table = sampler.table
+    assert len(sampler._log_cells) == len(table.rows)
     filled = 0
-    for i, k, slot in slots:
-        v = memo[slot]
-        if math.isnan(v):
-            continue
-        w = sampler.table.value(i, k)
-        assert v == (math.log(w) - math.log(math.factorial(k)) if w
-                     else -math.inf)
-        filled += 1
+    for i, ((lo, hi), row, memo) in enumerate(
+            zip(table.spans, table.rows, sampler._log_cells)):
+        assert len(memo) == len(row) == max(hi - lo + 1, 0)
+        for k, v in enumerate(memo, lo):
+            if math.isnan(v):
+                continue
+            w = table.value(i, k)
+            assert v == (math.log(w) - math.log(math.factorial(k)) if w
+                         else -math.inf)
+            filled += 1
     return filled
 
 
@@ -611,11 +608,7 @@ class TestPairing:
             assert fast.edge_items() == checked.edge_items()
             assert fast.to_text() == checked.to_text()
             assert fast.degrees() == checked.degrees() == degrees
-            assert all(multiplicity(fast, u, v) == multiplicity(checked, u, v)
-                       for u in range(1, n + 1) for v in range(1, n + 1))
             assert fast.is_simple() == checked.is_simple()
-            assert classify(fast) == classify(checked)
-            assert compensation_factor(fast) == compensation_factor(checked)
             seen[classify(fast)] += 1
             seen.update("loop" if u == v else c
                         for (u, v), c in fast.edge_items())

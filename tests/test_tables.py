@@ -59,6 +59,22 @@ class TestTable:
         for i in range(41):
             assert list(t.row(i)) == ref[i], i
 
+    def test_band_of_the_wrong_length_raises(self):
+        with pytest.raises(ValueError, match="band"):
+            build_table(DegreeSet.even(), 3, 6, band=[(0, 6)] * 3)
+
+    @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
+    def test_banded_rows_equal_the_full_rows(self, ds):
+        # spans inside, across and past the row, and one empty span
+        band = [(0, 14), (-3, 2), (4, 9), (10, 30), (7, 6), (20, 25),
+                (14, 14), (-1, 100)]
+        t = build_table(ds, 7, 14, band=band)
+        full = build_table(ds, 7, 14)
+        assert t.spans[1] == (0, 2) and t.rows[4] == []
+        assert all(None not in row for row in t.rows)
+        for i in range(8):
+            assert t.row(i) == full.row(i)
+
     def test_unconstrained_powers(self):
         t = build_table(DegreeSet.min_degree(0), 6, 10)
         for i in range(7):
@@ -321,7 +337,7 @@ def row_n_table(delta, n, w_max):
     """The table of min=delta keeping row n only, up to excess w_max."""
     low = delta * n
     return build_table(DegreeSet.min_degree(delta), n, low + w_max,
-                       band=lambda i: (low, low + w_max) if i == n else (1, 0))
+                       band=[(1, 0)] * n + [(low, low + w_max)])
 
 
 class TestMinDeltaRoutes:
