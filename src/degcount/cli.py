@@ -106,6 +106,8 @@ def _rational(flag: str, text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{flag} {text} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{flag} {text} is not a rational number") from None
 
 
 def _cmd_marked(args) -> int:

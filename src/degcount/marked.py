@@ -6,10 +6,14 @@ tracking marked double edges and v tracking marked loops gives a bivariate
 polynomial; evaluating it at (-1, -1) performs the inclusion-exclusion that
 recovers (up to a vanishing correction) the number of simple graphs.
 
-The value is a constructive sum over the bijective decomposition: choose the
-marked vertices, wire the marked structures, fill the rest from shifted
-degree sets.  An independent series form, kept as a reference in the test
-suite's oracle module, agrees with it exactly.
+The value is one sum over the number a of marked vertices,
+
+    2^m m! W(u, v) = sum_(a <= min(n, m)) C(n, a) m!/(m-a)! H_a(u, v) M_a,
+
+with M_a = (2m-2a)! [x^(2m-2a)] Set_(D-2)(x)^a Set_D(x)^(n-a) and
+H_a = a! [z^a] e^(vz + uz^2), so H_0 = 1, H_1 = v and
+H_(a+1) = v H_a + 2a u H_(a-1).  An independent series form, kept in the
+test suite's oracle module, agrees with it exactly.
 """
 
 from __future__ import annotations
@@ -26,16 +30,22 @@ def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
                              u, v) -> Fraction:
     """Weight polynomial of marked multigraphs, evaluated at (u, v).
 
-    Constructive route.  The (k, l) term marks k double edges and l loops:
-    pick the 2k + l vertices, pair up and orient the marked structures,
-    choose their slots among the m edges, then fill the remaining
-    2m - 4k - 2l half-edges with the marked vertices demoted to the
-    twice-shifted degree set.  At (0, 0) this is exactly the total
-    multigraph weight, and so it is at every (u, v) when D-2 is empty (a
-    subset of {0, 1}): nothing can be marked, and no table is built.  Every
-    marked multigraph has all its degrees in the set, so when
-    :func:`infeasibility_reason` gives a reason the value is 0 and no table
-    is built either.
+    Marking k double edges and l loops takes a = 2k + l vertices: pick
+    them, pair up and orient the double edges, order the loops, choose
+    their slots among the m edges, and fill the other 2m - 2a half-edges
+    with the marked vertices demoted to D-2.  That is n! m! / ((n-a)!
+    (m-a)! k! l!) ways, so the pairs with one a sum to the term a of the
+    module's one sum.  With u = p/q and v = r/s, G_a = q^(cap//2) s^cap H_a
+    is an integer for a <= cap = min(n, m); a term u^k v^l of H_a has
+    l <= a and 2k <= a, so G_(a+1) = r (G_a / s) + 2a p (G_(a-1) / q)
+    divides exactly.  C(n, a) m!/(m-a)! steps by (n-a+1)(m-a+1)/a, and the
+    sum over integers makes one Fraction at the end.
+
+    At (0, 0) this is exactly the total multigraph weight, and so it is at
+    every (u, v) when D-2 is empty (a subset of {0, 1}): nothing can be
+    marked, and no table is built.  Every marked multigraph has all its
+    degrees in the set, so when :func:`infeasibility_reason` gives a reason
+    the value is 0 and no table is built either.
     """
     return marked_weight_and_reason(degree_set, n, m, u, v)[0]
 
@@ -48,8 +58,7 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
     The one routine behind the marked weight; it runs the feasibility test
     once.  A feasible instance can also give 0, with reason None.
     """
-    u = Fraction(u)
-    v = Fraction(v)
+    u, v = Fraction(u), Fraction(v)
     if degree_set.max_degree < 2:
         return multigraph_weight_and_reason(degree_set, n, m)
     reason = infeasibility_reason(degree_set, n, m)
@@ -59,32 +68,16 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
     cap = min(n, m)
     base_table = build_table(degree_set, n, 2 * m)
     shifted_table = build_table(degree_set.shift(2), cap, 2 * m)
-    comb = math.comb
-    fact = math.factorial
-    # u = p/q, v = r/s: u^k v^l = p^k q^(half-k) r^l s^(cap-l) / (q^half s^cap)
-    # for every k <= half = cap // 2 and l <= cap, so the sum is over integers
-    # and one Fraction is built at the end
-    half = cap // 2
-    p, q = u.numerator, u.denominator
-    r, s = v.numerator, v.denominator
-    u_pows = [p ** k * q ** (half - k) for k in range(half + 1)]
-    v_pows = [r ** ell * s ** (cap - ell) for ell in range(cap + 1)]
+    (p, q), (r, s) = u.as_integer_ratio(), v.as_integer_ratio()
+    scale = q ** (cap // 2) * s ** cap
+    before, g = 0, scale            # G_(a-1), G_a
+    c = 1                           # C(n, a) m!/(m-a)!
     total = 0
     for a in range(cap + 1):
-        # every (k, l) with 2k + l = a marked vertices fills the same
-        # 2m - 2a half-edges, so it reads the same mixed coefficient
+        if a:
+            before, g = g, r * (g // s) + 2 * (a - 1) * p * (before // q)
+            c = c * (n - a + 1) * (m - a + 1) // a
         mixed = mixed_table_coefficient(shifted_table, base_table,
                                         a, n - a, 2 * m - 2 * a)
-        if not mixed:
-            continue
-        terms = 0
-        for k in range(a // 2 + 1):
-            ell = a - 2 * k
-            ways = (comb(n, 2 * k) * comb(n - 2 * k, ell)          # marked labels
-                    * fact(2 * k) // ((1 << k) * fact(k))          # pair them up
-                    * fact(2 * k) * 4 ** k // (1 << k)             # order and orient
-                    * fact(ell)                                    # order the loops
-                    * comb(m, 2 * k) * comb(m - 2 * k, ell))       # slots among edges
-            terms += ways * u_pows[k] * v_pows[ell]
-        total += mixed * terms
-    return Fraction(total, q ** half * s ** cap * (1 << m) * fact(m)), None
+        total += c * g * mixed
+    return Fraction(total, scale * (1 << m) * math.factorial(m)), None

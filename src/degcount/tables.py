@@ -583,8 +583,12 @@ def mixed_table_coefficient(shifted_table: CoefficientTable,
                             a: int, b: int, j: int) -> int:
     """j! * [x^j] ( Shifted(x)^a * Set(x)^b ) from rows a and b of two tables.
 
-    The binomial convolution of the two rows of full tables, read in place.
+    The binomial convolution of the two rows, read in place: both must keep
+    cells 0..j, as full rows do, or it raises ValueError.
     """
+    (lo_a, hi_a), (lo_b, hi_b) = shifted_table.spans[a], base_table.spans[b]
+    if lo_a or lo_b or min(hi_a, hi_b) < j:
+        raise ValueError(f"rows {a} and {b} do not keep cells 0..{j}")
     row_a = shifted_table.rows[a]
     row_b = base_table.rows[b]
     comb = math.comb

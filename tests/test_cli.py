@@ -479,6 +479,15 @@ class TestUsageErrors:
         assert main(["marked", "--degrees", "0,1", "--n", "4", "--m", "2",
                      "--u", "nope", "--v", "0"]) == 1
 
+    def test_bad_rational_names_its_flag(self, capsys):
+        for flag in ("--u", "--v"):
+            assert main(["marked", "--degrees", "even", "--n", "4", "--m", "2",
+                         flag, "abc"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"degcount: {flag} abc is not a rational "
+                                    "number\n")
+
     def test_zero_denominator(self, capsys):
         assert main(["marked", "--degrees", "even", "--n", "4", "--m", "2",
                      "--u", "1/0"]) == 1

@@ -88,11 +88,18 @@ class TestMarkedWeight:
         assert value == series
         assert isinstance(value, Fraction)
 
-    def test_rational_arguments_at_larger_n(self):
-        ds = DegreeSet.min_degree(2)
-        u, v = Fraction(-1, 2), Fraction(3, 7)
-        value = marked_multigraph_weight(ds, 20, 25, u, v)
-        assert value == marked_multigraph_weight_series(ds, 20, 25, u, v)
+    # an odd cap = min(n, m), so cap // 2 rounds down, and denominators above
+    # 1 in both u and v exercise the marked sum's integer scaling
+    @pytest.mark.parametrize("ds, n, m, u, v", [
+        (DegreeSet.min_degree(2), 20, 25, Fraction(-1, 2), Fraction(3, 7)),
+        (DegreeSet.finite([2, 3]), 31, 40, Fraction(4, 9), Fraction(-7, 4)),
+        (DegreeSet.odd(), 34, 33, Fraction(-5, 7), Fraction(2, 9)),
+        (DegreeSet.even(), 40, 21, Fraction(3, 2), Fraction(-1, 3)),
+    ], ids=["min=2", "2,3", "odd", "even"])
+    def test_rational_arguments_at_larger_n(self, ds, n, m, u, v):
+        value = marked_multigraph_weight(ds, n, m, u, v)
+        assert value != 0
+        assert value == marked_multigraph_weight_series(ds, n, m, u, v)
 
 
 class TestMixedCoefficientReads:

@@ -412,3 +412,11 @@ class TestMixedTableCoefficient:
                     expected = sum(math.comb(j, k) * ref_a[a][k] * ref_b[b][j - k]
                                    for k in range(j + 1))
                     assert mixed_table_coefficient(ta, tb, a, b, j) == expected
+
+    @pytest.mark.parametrize("j", [6, 7, 8])
+    def test_banded_rows_raise(self, j):
+        # cells 2..8 of each row are kept, so cells 0 and 1 cannot be read
+        # (a full table gives 544 at j = 6)
+        t = build_table(DegreeSet.even(), 4, 8, band=[(2, 8)] * 5)
+        with pytest.raises(ValueError):
+            mixed_table_coefficient(t, t, 2, 2, j)
