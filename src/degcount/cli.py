@@ -152,7 +152,10 @@ def _run_one_sample(task, sampler=None):
 
 def _collect_samples(args, sampler) -> tuple[list[str], SampleReport]:
     seeds = spawn_seeds(args.seed, args.samples)
-    max_attempts = args.max_attempts or sampler.default_max_attempts()
+    # the automatic budget refuses here, before any pool starts, when the
+    # predicted attempts pass its cap; multigraphs need no budget
+    max_attempts = args.max_attempts or (
+        None if args.allow_multi else sampler.default_max_attempts())
     tasks = [(seed, args.allow_multi, max_attempts) for seed in seeds]
     # a pool starts all its workers up front, so start none that would idle
     workers = min(args.jobs, args.samples, os.cpu_count() or 1)
@@ -352,9 +355,13 @@ def main(argv=None) -> int:
         _emit_json(args, _infeasible_payload(args, str(exc)))
         return EXIT_INFEASIBLE
     except SamplerExhausted as exc:
-        _emit_json(args, {**_instance(args), "feasible": True,
-                          "error": "sampler attempts exhausted",
-                          "report": exc.report.as_dict()})
+        payload = {**_instance(args), "feasible": True,
+                   "error": "sampler attempts exhausted",
+                   "report": exc.report.as_dict()}
+        if exc.log10_predicted_attempts is not None:
+            payload["error"] = "predicted attempts exceed the automatic budget"
+            payload["log10_predicted_attempts"] = exc.log10_predicted_attempts
+        _emit_json(args, payload)
         return EXIT_EXHAUSTED
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"degcount: {exc}\n")

@@ -2,26 +2,27 @@
 
 Two generators are provided.  The exact one draws a degree sequence with
 probability proportional to prod 1/d_i! among all admissible sequences of
-fixed total, using the big-integer coefficient table.  Each degree is chosen
-by a uniform u in [0, 1) known only to its leading 64-bit words: the interval
-those words pin u to is compared, in integers, against the exact prefix
-weights, and another word is drawn only when a boundary falls inside it.  So
-there is no floating-point bias at all.  A float screen in front of that
-comparison decides nearly every vertex from float logs of the table cells,
-ln T[i][k] - ln k!, memoised so that a band cell is logged at most once and
-a candidate degree costs one exp and no big-integer work, with a proven
-error bound
-(_SCREEN_MARGIN) on a checked range of instances (_SCREEN_LIMIT), and hands
-the rest to the integer one; it never reads a word, so the draws are those
-of the integer comparison alone, at word-size cost.  This is the
-floating-point filter with exact fallback of Denise and Zimmermann
-(Theoret. Comput. Sci. 218, 1999).  The table (`build_table` with a
-band) keeps only the part of each row the draw can plausibly reach, a few
-standard deviations around the remaining total's mean (_BAND_SIGMAS), and
-computes any cell off it exactly when read; so the draws read the same
-integers as from the full table, and memory shrinks with the band.  The
-Boltzmann one draws degrees
-i.i.d. with P(d) proportional to x^d/d!, giving a random edge count.
+fixed total, from the ratios of the big-integer coefficients
+T[i][j] = j! [x^j] Set(x)^i.  Each degree is chosen by a uniform u in
+[0, 1) known only to its leading 64-bit words: the interval those words pin
+u to is compared, in integers, against the exact prefix weights, and
+another word is drawn only when a boundary falls inside it.  So there is no
+floating-point bias at all.  A float screen in front of that comparison
+decides nearly every vertex from float logs of the cells,
+L(i, k) = ln T[i][k] - ln k!, so that a candidate degree costs one exp and
+no big-integer work, with a proven error bound (_SCREEN_MARGIN) on a
+checked range of instances (_SCREEN_LIMIT), and hands the rest to the
+integer one; it never reads a word, so the draws are those of the integer
+comparison alone, at word-size cost.  This is the floating-point filter
+with exact fallback of Denise and Zimmermann (Theoret. Comput. Sci. 218,
+1999).  The sampler keeps no integers: it streams the rows of T over a band
+of each row, the part the draw can plausibly reach, a few standard
+deviations around the remaining total's mean (_BAND_SIGMAS), and keeps
+only L of each band cell.  The exact comparison, and the screen off the
+band, compute their cells exactly with `power_coefficient` when read; so
+the draws read the same integers as from the full table, and memory is
+one float per band cell.  The Boltzmann one draws degrees i.i.d. with
+P(d) proportional to x^d/d!, giving a random edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
 by its compensation factor; rejecting until simple therefore yields the
@@ -31,7 +32,7 @@ accepted graph is built from it without a second check or sort.
 
 An instance that admits no degree sequence raises the package's one
 infeasibility exception, :class:`InfeasibleRegimeError`: the exact sampler
-before it builds any table, the Boltzmann one when n is odd and every degree
+before it computes any row, the Boltzmann one when n is odd and every degree
 its law can draw is odd.  The exact sampler's `sample_simple` raises it too,
 before drawing, when multigraphs exist but no simple graph does because no
 degree sequence below n sums to 2m (`Regime.simple_reason`, which the
@@ -55,7 +56,7 @@ from typing import TYPE_CHECKING
 from .degree_sets import INFINITE, DegreeSet
 from .multigraph import Multigraph
 from .saddlepoint import InfeasibleRegimeError, resolve, solve_mean_degree
-from .tables import build_table
+from .tables import band_rows, power_coefficient
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,18 +106,31 @@ vertex goes to `_draw_degree`.
 """
 
 _BAND_SIGMAS = 10
-"""Half-width of the sampler's table band, in standard deviations.
+"""Half-width of the sampler's band, in standard deviations.
 
 At vertex i the draw's remaining total j is the sum of i Boltzmann degrees
 conditioned on the n of them summing to 2m, so it lies near 2m*i/n with
 standard deviation sigma*sqrt(i(n-i)/n), where sigma^2 = x*slope at the
-saddle point (0 for a forced instance).  The sampler keeps row i within
-_BAND_SIGMAS such deviations plus _BAND_SLACK cells of that centre.  A draw
-that reads a cell off the band gets it from power_coefficient, so a band
-too narrow costs time but never exactness.
+saddle point (0 for a forced instance).  The sampler keeps the logs of row
+i within _BAND_SIGMAS such deviations plus _BAND_SLACK cells of that
+centre.  A draw that reads a cell off the band gets it from
+power_coefficient, so a band too narrow costs time but never exactness.
 """
 
 _BAND_SLACK = 8
+
+_AUTO_ATTEMPT_CAP = 10 ** 6
+"""Most predicted attempts per simple graph the automatic budget takes on.
+
+The predicted attempts are 1/acceptance = e^(L^2 + L).  Without an explicit
+max_attempts, `sample_simple` (and the CLI's `sample` without
+--max-attempts) raises SamplerExhausted before drawing when they pass this
+cap, instead of running for hours or for ever: K_33 (min=2, n = 33,
+m = 528) predicts 1.3e118 attempts and K_10 (9, n = 10, m = 45) 4.9e8.
+At about 1 ms an attempt the cap allows some twenty minutes; 1,2,8 at
+(30, 83), which predicts 3.8e5, still draws.  An explicit max_attempts is
+never capped.
+"""
 
 # Past x the Boltzmann degree law stops at a weight below _TAIL times its mass.
 _TAIL = 1e-18
@@ -127,16 +141,23 @@ _LEFT_SIGMAS = 40
 
 
 class SamplerExhausted(RuntimeError):
-    """Rejection sampling hit its attempt budget; carries the report."""
+    """Rejection sampling hit its attempt budget; carries the report.
 
-    def __init__(self, message: str, report: "SampleReport"):
+    `log10_predicted_attempts` is set when the automatic budget refused to
+    start because the predicted attempts passed _AUTO_ATTEMPT_CAP.
+    """
+
+    def __init__(self, message: str, report: "SampleReport",
+                 log10_predicted_attempts: float | None = None):
         super().__init__(message)
         self.report = report
+        self.log10_predicted_attempts = log10_predicted_attempts
 
     def __reduce__(self):
         # a process-pool worker hands its exception back by pickle, and the
         # default pickles only args, which cannot rebuild this one
-        return type(self), (self.args[0], self.report)
+        return type(self), (self.args[0], self.report,
+                            self.log10_predicted_attempts)
 
 
 @dataclass
@@ -256,8 +277,8 @@ def _is_simple_pairing(codes, n: int) -> bool:
 
 
 def _band(n: int, total: int, sigma: float) -> list[tuple[int, int]]:
-    """Row bounds (lo, hi) of the sampler's table band for rows 0..n, which
-    `build_table` clips; see _BAND_SIGMAS."""
+    """Row bounds (lo, hi) of the sampler's band for rows 0..n, clipped to
+    [0, total]; see _BAND_SIGMAS."""
     spans = []
     for i in range(n + 1):
         if n == 0:
@@ -267,7 +288,7 @@ def _band(n: int, total: int, sigma: float) -> list[tuple[int, int]]:
             half = (_BAND_SIGMAS * sigma * math.sqrt(i * (n - i) / n)
                     + _BAND_SLACK)
             lo, hi = math.ceil(centre - half), math.floor(centre + half)
-        spans.append((lo, hi))
+        spans.append((max(lo, 0), min(hi, total)))
     return spans
 
 
@@ -297,28 +318,30 @@ def pair_half_edges(degrees, rng: np.random.Generator) -> Multigraph:
 class DegreeSequenceSampler:
     """Exact sampler of degree sequences and multigraphs at fixed (n, m).
 
-    Raises InfeasibleRegimeError, before building any table, when
+    Raises InfeasibleRegimeError, before computing any row, when
     :func:`~degcount.tables.infeasibility_reason` finds no degree sequence.
-    The constructor builds the coefficient table the draws read, the tuple
-    of members up to 2m they scan, ln k! for k <= 2m, the default attempt
-    budget and `simple_reason` (`Regime.simple_reason`).  The one later
-    write fills a slot of the log memo with L(i, k) = ln T[i][k] - ln k!,
-    a pure function of the table, the first time a draw reads the cell;
-    the draws never depend on which slots are filled.  So one sampler can
-    serve many concurrent generators as long as each worker owns its own
-    rng stream.
+    The constructor sets everything the sampler keeps: the band `_band`,
+    one clipped span (lo, hi) per row i <= n holding the cells a draw can
+    plausibly reach (_BAND_SIGMAS); the log memo, one array('d') per row
+    with L(i, k) = ln T[i][k] - ln k! (-inf for a zero cell) in slot k - lo;
+    the tuple of members up to 2m the draws scan; ln k! for k <= 2m; the
+    predicted attempts and `simple_reason` (`Regime.simple_reason`).  The
+    memo comes from :func:`~degcount.tables.band_rows`, which streams the
+    rows of T on the closure of the band, so no more than the two or three
+    rows its recurrence holds are ever alive as integers, and no integer is
+    kept.  Nothing is written after that, so one sampler can serve many
+    concurrent generators as long as each worker owns its own rng stream.
 
-    The table, a :class:`~degcount.tables.CoefficientTable` built with the
-    band `_band`, keeps only the cells of each row that a draw can
-    plausibly reach (_BAND_SIGMAS); every other cell is computed exactly
-    when read, so the draws read the same integers as from a full table.
-    The memo has the table's layout, one array('d') of NaN per row with
-    cell (i, k) in slot k - lo of span (lo, hi) = table.spans[i]; a cell
-    off the span is logged on every read and never stored.  Logging every
-    kept cell up front would cost about half the build again, while a cold
-    slot costs what a read cost before the memo.  It pickles as
-    (degree_set, n, m), never as its table: a forked process-pool worker
-    shares the parent's sampler, and any other worker rebuilds the table.
+    Every integer a draw reads is computed on demand by
+    :func:`~degcount.tables.power_coefficient`: the cells of the exact
+    comparison `_draw_degree`, which the float screen reaches with
+    probability about 2 * _SCREEN_MARGIN per prefix ratio, and the cells
+    the screen reads off the band, logged on every read and never stored.
+    An instance outside _SCREEN_LIMIT is not screened, so it reads every
+    cell from power_coefficient; such instances (2m above about 10^5) are
+    beyond the reach of the build anyway.  It pickles as (degree_set, n,
+    m), never as its memo: a forked process-pool worker shares the
+    parent's sampler, and any other worker rebuilds the memo.
     """
 
     def __init__(self, degree_set: DegreeSet, n: int, m: int):
@@ -330,25 +353,29 @@ class DegreeSequenceSampler:
         self.m = m
         sp = regime.saddle
         sigma = math.sqrt(sp.x * sp.slope) if sp is not None else 0.0
-        self.table = build_table(degree_set, n, 2 * m,
-                                 band=_band(n, 2 * m, sigma))
+        self._spans = _band(n, 2 * m, sigma)
         self._members = tuple(degree_set.members_up_to(2 * m))
-        self._log_fact = _log_factorials(2 * m)
+        self._log_fact = log_fact = _log_factorials(2 * m)
         self._screened = (2 * m * math.log(max(n, 1)) < _SCREEN_LIMIT
-                          and self._log_fact[-1] < _SCREEN_LIMIT)
+                          and log_fact[-1] < _SCREEN_LIMIT)
         # like numpy, loaded only by sampling, not by the counting commands
         from array import array
 
-        # one memo row per table row: cell (i, k) in slot k - lo of row i
-        self._log_cells = [array("d", [math.nan]) * len(row)
-                           for row in self.table.rows]
-        acc = regime.acceptance
-        self._default_attempts = (10 * math.ceil(1.0 / acc) if acc > 0.0
-                                  else 10 ** 6)
+        # one memo row per band row, cell (i, k) in slot k - lo; the rows
+        # are streamed, so their integers die as soon as they are logged
+        log, zero = math.log, -math.inf
+        self._log_cells = [
+            array("d", [log(w) - log_fact[k] if w else zero
+                        for k, w in enumerate(row, lo)])
+            for (lo, _), row in zip(self._spans,
+                                    band_rows(degree_set, 2 * m, self._spans))]
+        lam = regime.loop_intensity
+        self._predicted_log = lam * lam + lam       # ln (1/acceptance)
+        self._acceptance = regime.acceptance
         self.simple_reason = regime.simple_reason
 
     def __reduce__(self):
-        # the table is a pure function of the instance and far larger than it
+        # the memo is a pure function of the instance and far larger than it
         return type(self), (self.degree_set, self.n, self.m)
 
     # -- degree sequences ---------------------------------------------------
@@ -364,7 +391,7 @@ class DegreeSequenceSampler:
         at the first c_d above that interval and skips every c_d at or below
         it.  A c_d inside it appends the word `one()` to u.
         """
-        cell = self.table.value
+        cell = functools.partial(power_coefficient, self.degree_set)
         total = cell(i, j)
         comb = math.comb
         bits = _WORD_BITS
@@ -392,27 +419,21 @@ class DegreeSequenceSampler:
     def _log_cell(self, i: int, k: int) -> float:
         """L(i, k) = ln T[i][k] - ln k!, or -inf for a zero cell.
 
-        A cell on the band is logged once, into its memo slot, and read from
-        there afterwards; a cell off it is computed exactly and logged on
-        every read, and never stored.
+        A cell on the band is read from its memo slot; a cell off it is
+        computed exactly by power_coefficient and logged on every read, and
+        never stored.
         """
-        lo, hi = self.table.spans[i]
-        on_band = lo <= k <= hi
-        if on_band:
-            v = self._log_cells[i][k - lo]
-            if v == v:              # not NaN: filled
-                return v
-        w = self.table.value(i, k)
-        v = math.log(w) - self._log_fact[k] if w else -math.inf
-        if on_band:
-            self._log_cells[i][k - lo] = v
-        return v
+        lo, hi = self._spans[i]
+        if lo <= k <= hi:
+            return self._log_cells[i][k - lo]
+        w = power_coefficient(self.degree_set, i, k)
+        return math.log(w) - self._log_fact[k] if w else -math.inf
 
     def sample_degrees(self, rng: np.random.Generator) -> list[int]:
         """One sequence (d_1..d_n), every d_i allowed, summing to 2m.
 
         Drawn with probability proportional to prod 1/d_i! among all such
-        sequences, exactly: the last degree is drawn from the table ratio law,
+        sequences, exactly: the last degree is drawn from the ratio law of T,
         then the remainder recursively, down to vertex 1, which takes what is
         left.  One call takes n - 1 uniform 64-bit words from the rng in one
         batch, plus one word per boundary straddle, which has probability
@@ -421,13 +442,14 @@ class DegreeSequenceSampler:
         Each vertex is first screened in floats: u = word * 2^-64 against
         the prefix ratios c_d / T[i][j], whose terms are
         exp(L(i-1, j-d) - L(i, j) - ln d!) with L(i, k) = ln T[i][k] - ln k!
-        read from the memo (`_log_cell`); L(i, j) is the chosen cell's, so
-        it carries over.  When u lies within _SCREEN_MARGIN of a ratio, or
-        the instance lies outside the proven range (_SCREEN_LIMIT),
-        `_draw_degree` decides in integers.  The screen reads no word, and
-        it decides only where the exact draw would return the same degree
-        without one, so the words read and the sequence are those of the
-        exact draw alone.  A zero cell adds exp(-inf) = 0 to the prefix.
+        read from the memo, or from `_log_cell` off the band; L(i, j) is
+        the chosen cell's, so it carries over.  When u lies within
+        _SCREEN_MARGIN of a ratio, or the instance lies outside the proven
+        range (_SCREEN_LIMIT), `_draw_degree` decides in integers.  The
+        screen reads no word, and it decides only where the exact draw
+        would return the same degree without one, so the words read and
+        the sequence are those of the exact draw alone.  A zero cell adds
+        exp(-inf) = 0 to the prefix.
         """
         n = self.n
         if n == 0:
@@ -435,7 +457,7 @@ class DegreeSequenceSampler:
         batch, one = _word_source(rng)
         words = batch(n - 1)
         memo = self._log_cells
-        spans = self.table.spans
+        spans = self._spans
         log_cell = self._log_cell
         log_fact = self._log_fact
         members = self._members
@@ -457,7 +479,7 @@ class DegreeSequenceSampler:
                     break
                 k = j - d
                 v = row[k - lo] if lo <= k <= hi else nan
-                if v != v:          # not filled yet, or off the band
+                if v != v:          # off the band
                     v = log_cell(i - 1, k)
                 acc += exp(v - top - log_fact[d])
                 if acc > below:
@@ -483,15 +505,29 @@ class DegreeSequenceSampler:
         return pair_half_edges(self.sample_degrees(rng), rng)
 
     def default_max_attempts(self) -> int:
-        """Ten times the predicted attempts per simple graph."""
-        return self._default_attempts
+        """Ten times the predicted attempts per simple graph.
+
+        Raises SamplerExhausted, with the predicted attempts, when those
+        pass _AUTO_ATTEMPT_CAP.
+        """
+        if self._predicted_log > math.log(_AUTO_ATTEMPT_CAP):
+            log10 = self._predicted_log / math.log(10)
+            raise SamplerExhausted(
+                f"about 10^{log10:.1f} attempts predicted per simple graph, "
+                f"above the automatic budget's cap of {_AUTO_ATTEMPT_CAP}; "
+                f"give max_attempts to draw anyway",
+                SampleReport(samples_requested=1), log10)
+        return 10 * math.ceil(1.0 / self._acceptance)
 
     def sample_simple(self, rng: np.random.Generator,
                       max_attempts: int | None = None) -> tuple[Multigraph, SampleReport]:
         """Redraw multigraphs until one is simple; uniform over simple graphs.
 
         Raises InfeasibleRegimeError, before drawing, when no simple graph
-        fits: with no degree above n - 1, no sequence sums to 2m.
+        fits: with no degree above n - 1, no sequence sums to 2m.  Without
+        max_attempts the budget is :meth:`default_max_attempts`, which
+        raises SamplerExhausted before drawing when the predicted attempts
+        pass _AUTO_ATTEMPT_CAP.
         """
         if self.simple_reason is not None:
             raise InfeasibleRegimeError(self.simple_reason)

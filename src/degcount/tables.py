@@ -8,12 +8,16 @@ multigraphs realised by i vertices carrying j half-edges.  All entries are
 exact Python integers, and every division on the way is checked to leave no
 remainder.
 
-:func:`build_table` makes the one table class, :class:`CoefficientTable`:
-in full for the marked sums, or with a band of each row for the exact
-sampler; row i keeps one span of cells, T[i][lo..hi], as a list.  Its rows
-come from recurrences that fill a row in O(1) big-integer operations per
-cell instead of the generic O(|D|) convolution, and skip the cells they
-know are zero (outside [i*min D, i*max D] or off the periodicity lattice):
+Rows come from one source, :func:`band_rows`, which streams row i as
+the span T[i][lo..hi] its caller asks for and computes each row only on
+the closure of those spans under the recurrence's reads, holding two or
+three rows at a time.  The exact sampler asks for a band of each row and
+keeps only float logs of it; :func:`build_table` asks for whole rows and
+keeps them as the one table class, :class:`CoefficientTable`, which the
+marked sums read.  The recurrences fill a row in O(1) big-integer
+operations per cell instead of the generic O(|D|) convolution, and skip
+the cells they know are zero (outside [i*min D, i*max D] or off the
+periodicity lattice):
 
 * finite lists use the defining convolution over the members,
 * minimum-degree sets use (e^x - head)' = (e^x - head) + x^(delta-1)/(delta-1)!,
@@ -59,19 +63,21 @@ from itertools import islice
 from .degree_sets import INFINITE, DegreeSet
 
 
-def _rows_finite(members, step, j_max):
+def _rows_finite(members, step, j_max, need):
     # row i is zero off [i*min D, i*max D] and off the lattice
-    # j = i*min D mod the periodicity step, so only those cells are summed;
-    # for the empty set every row past row 0 is zero
+    # j = i*min D mod the periodicity step, so only those cells of its needed
+    # span are summed; for the empty set every row past row 0 is zero
     low, high = (members[0], members[-1]) if members else (1, 0)
     row = [1] + [0] * j_max
     yield row
     comb = math.comb
     prev = row
-    i = 1
-    while True:
+    for i, (lo, hi) in enumerate(islice(need, 1, None), 1):
         new = [0] * (j_max + 1)
-        for j in range(i * low, min(i * high, j_max) + 1, step):
+        first = i * low
+        if lo > first:             # the first lattice cell at or above lo
+            first += (lo - first + step - 1) // step * step
+        for j in range(first, min(i * high, hi) + 1, step):
             s = 0
             for d in members:
                 if d > j:
@@ -82,25 +88,23 @@ def _rows_finite(members, step, j_max):
             new[j] = s
         yield new
         prev = new
-        i += 1
 
 
-def _rows_min(delta, j_max):
+def _rows_min(delta, j_max, need):
     row = [1] + [0] * j_max
     yield row
     comb = math.comb
     prev = row
-    i = 1
-    while True:
+    for i, (_, hi) in enumerate(islice(need, 1, None), 1):
         new = [0] * (j_max + 1)
         if delta == 0:
             new[0] = 1
-            for j in range(j_max):
+            for j in range(hi):
                 new[j + 1] = i * new[j]
         else:
             # row i is zero below j = delta*i
             dm1 = delta - 1
-            for j in range(delta * i - 1, j_max):
+            for j in range(delta * i - 1, hi):
                 t = i * new[j]
                 w = prev[j - dm1]
                 if w:
@@ -108,10 +112,9 @@ def _rows_min(delta, j_max):
                 new[j + 1] = t
         yield new
         prev = new
-        i += 1
 
 
-def _rows_parity(odd, j_max):
+def _rows_parity(odd, j_max, need):
     row0 = [1] + [0] * j_max
     yield row0
     if odd:
@@ -119,82 +122,114 @@ def _rows_parity(odd, j_max):
     else:
         row1 = [1 if j % 2 == 0 else 0 for j in range(j_max + 1)]
     yield row1
-    back2, i = row0, 2
-    prev = row1
+    back2, prev = row0, row1
     sign = 1 if odd else -1
-    while True:
+    for i, (_, hi) in enumerate(islice(need, 2, None), 2):
         new = [0] * (j_max + 1)
         # sinh^i starts at x^i, so the odd rows are zero below j = i
         start = i - 2 if odd else 0
         if not odd:
             new[0] = 1
         ii, cross = i * i, sign * i * (i - 1)
-        for j in range(start, j_max - 1, 2):
+        for j in range(start, hi - 1, 2):
             new[j + 2] = ii * new[j] + cross * back2[j]
         yield new
         back2, prev = prev, new
-        i += 1
 
 
-def _iter_rows(degree_set: DegreeSet, j_max: int):
+def _closure(spans, back: int, near: int, far: int) -> list:
+    """The cells each row must compute so that every span is exact.
+
+    Cell j of row i reads cells j - far .. j - near of row i - back, so
+    a row's needed span grows by what the rows `back` below it read; an
+    empty span (lo > hi) asks for nothing.  Lower ends below 0 are cut.
+    """
+    need = list(spans)
+    for i in range(len(need) - 1, back - 1, -1):
+        lo, hi = need[i]
+        if lo > hi:
+            continue
+        lo, hi = max(lo - far, 0), hi - near
+        if lo > hi:
+            continue
+        below_lo, below_hi = need[i - back]
+        if below_lo <= below_hi:
+            lo, hi = min(lo, below_lo), max(hi, below_hi)
+        need[i - back] = (lo, hi)
+    return need
+
+
+def band_rows(degree_set: DegreeSet, j_max: int, spans):
+    """Rows 0, 1, ... of T, one per span: the list T[i][lo..hi] for the
+    span (lo, hi) = spans[i], which must lie within [0, j_max] (lo > hi
+    asks for no cell).
+
+    The one row source of the tables and the exact sampler.  Its row
+    recurrences fill a row in O(1) big-integer operations per cell instead
+    of the generic O(|D|) convolution, skip the cells they know are zero
+    (outside [i*min D, i*max D] or off the periodicity lattice), and compute
+    each row only on the closure of the spans under their reads
+    (:func:`_closure`): a minimum-degree or parity row runs from its first
+    cell up to the highest cell that it or a later row needs, and a finite
+    list's row only between the lowest and highest such cells.  Two or
+    three full-width rows are alive at a time; a span that covers the whole
+    row yields the recurrence's own list, uncopied.
+    """
+    spans = list(spans)
+    for lo, hi in spans:
+        if lo <= hi and (lo < 0 or hi > j_max):
+            raise ValueError(f"span ({lo}, {hi}) leaves [0, {j_max}]")
     start, step = degree_set.start, degree_set.step
     if step == 1:
-        return _rows_min(start, j_max)
-    if step == 2:
-        return _rows_parity(start == 1, j_max)
-    p = degree_set.periodicity     # INFINITE for one member: j = i*d
-    return _rows_finite(degree_set.members, 1 if p is INFINITE else p, j_max)
+        # min=delta: cell j reads cell j - delta of the row below (none for
+        # delta = 0) and the cells below it in its own row
+        if start == 0:
+            need = spans
+        else:
+            need = _closure(spans, 1, start, start)
+        rows = _rows_min(start, j_max, need)
+    elif step == 2:
+        rows = _rows_parity(start == 1, j_max, _closure(spans, 2, 2, 2))
+    else:
+        members = degree_set.members
+        p = degree_set.periodicity     # INFINITE for one member: j = i*d
+        low, high = (members[0], members[-1]) if members else (0, 0)
+        rows = _rows_finite(members, 1 if p is INFINITE else p, j_max,
+                            _closure(spans, 1, low, high))
+    for (lo, hi), row in zip(spans, rows):
+        if lo > hi:
+            yield []
+        elif lo == 0 and hi == j_max:
+            yield row
+        else:
+            yield row[lo:hi + 1]
 
 
 class CoefficientTable:
-    """Rows T[0..n_max][0..j_max] of one degree set, made by :func:`build_table`.
+    """Rows T[0..n_max][0..j_max] of one degree set, made by
+    :func:`build_table`: rows[i] is the list [T[i][0], ..., T[i][j_max]]."""
 
-    Row i keeps rows[i] = [T[i][lo], ..., T[i][hi]] for its span spans[i] =
-    (lo, hi) within [0, j_max], none if lo > hi; :meth:`value` and
-    :meth:`row` are exact on every cell all the same.
-    """
-
-    def __init__(self, degree_set: DegreeSet, j_max: int, spans, rows):
+    def __init__(self, degree_set: DegreeSet, j_max: int, rows):
         self.degree_set = degree_set
         self.j_max = j_max
-        self.spans = spans
         self.rows = rows
 
     def value(self, i: int, j: int) -> int:
-        """T[i][j], kept or computed; zero for j < 0, so shifted lookups
-        need no guards."""
-        if j < 0:
-            return 0
-        lo, hi = self.spans[i]
-        if lo <= j <= hi:
-            return self.rows[i][j - lo]
-        return power_coefficient(self.degree_set, i, j)
+        """T[i][j]; zero for j < 0, so shifted lookups need no guards."""
+        return self.rows[i][j] if j >= 0 else 0
 
     def row(self, i: int) -> tuple:
-        return tuple(self.value(i, j) for j in range(self.j_max + 1))
+        return tuple(self.rows[i])
 
 
-def build_table(degree_set: DegreeSet, n_max: int, j_max: int,
-                band=None) -> CoefficientTable:
-    """The table of T[i][j] = j! * [x^j] Set(x)^i, i <= n_max, j <= j_max.
-
-    Every cell is kept unless `band` is given: a list of n_max + 1 inclusive
-    spans (lo, hi), and row i keeps band[i] clipped to [0, j_max].  The
-    rows are streamed from the recurrences, which hold two or three full
-    rows at a time, so a banded build costs what a full build costs and
-    keeps the memory of the band; a whole row is stored with no copy.
-    """
+def build_table(degree_set: DegreeSet, n_max: int,
+                j_max: int) -> CoefficientTable:
+    """The full table of T[i][j] = j! * [x^j] Set(x)^i, i <= n_max,
+    j <= j_max, streamed from :func:`band_rows`."""
     if n_max < 0 or j_max < 0:
         raise ValueError("table bounds must be nonnegative")
-    if band is None:
-        band = [(0, j_max)] * (n_max + 1)
-    elif len(band) != n_max + 1:
-        raise ValueError(f"band has {len(band)} spans for {n_max + 1} rows")
-    spans = [(max(lo, 0), min(hi, j_max)) for lo, hi in band]
-    # zip takes a span first, so the endless recurrence stops at row n_max
-    rows = [row if lo == 0 and hi == j_max else row[lo:hi + 1]
-            for (lo, hi), row in zip(spans, _iter_rows(degree_set, j_max))]
-    return CoefficientTable(degree_set, j_max, spans, rows)
+    rows = list(band_rows(degree_set, j_max, [(0, j_max)] * (n_max + 1)))
+    return CoefficientTable(degree_set, j_max, rows)
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -583,21 +618,18 @@ def mixed_table_coefficient(shifted_table: CoefficientTable,
                             a: int, b: int, j: int) -> int:
     """j! * [x^j] ( Shifted(x)^a * Set(x)^b ) from rows a and b of two tables.
 
-    The binomial convolution of the two rows, read in place: both must keep
-    cells 0..j, as full rows do, or it raises ValueError.
+    The binomial convolution of the two rows, read in place, with C(j, k)
+    stepped by C(j, k+1) = C(j, k)(j-k)/(k+1), which divides exactly.
     """
-    (lo_a, hi_a), (lo_b, hi_b) = shifted_table.spans[a], base_table.spans[b]
-    if lo_a or lo_b or min(hi_a, hi_b) < j:
-        raise ValueError(f"rows {a} and {b} do not keep cells 0..{j}")
     row_a = shifted_table.rows[a]
     row_b = base_table.rows[b]
-    comb = math.comb
+    c = 1                           # C(j, k)
     total = 0
     for k in range(j + 1):
         wa = row_a[k]
-        if not wa:
-            continue
-        wb = row_b[j - k]
-        if wb:
-            total += comb(j, k) * wa * wb
+        if wa:
+            wb = row_b[j - k]
+            if wb:
+                total += c * wa * wb
+        c = c * (j - k) // (k + 1)
     return total

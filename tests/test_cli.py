@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -261,6 +262,36 @@ class TestSampling:
             "report": {"samples_requested": 1, "samples_produced": 0,
                        "rejections": 4, "odd_sum_retries": 0,
                        "empirical_acceptance": 0.0}}]
+
+    # predicted attempts 1/acceptance: 1.3e118 for K_33 (min=2 on 33
+    # vertices and 528 edges) and 4.9e8 for K_10, both past the cap
+    CAPPED = [(["--degrees", "min=2", "--n", "33", "--m", "528"], 118.13),
+              (["--degrees", "9", "--n", "10", "--m", "45"], 8.69)]
+
+    @pytest.mark.parametrize("instance, log10", CAPPED, ids=["K33", "K10"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_automatic_budget_is_capped(self, capsys, schema, instance,
+                                        log10, jobs):
+        start = time.perf_counter()
+        code, out = run(capsys, "sample", *instance, "--samples", "2",
+                        "--jobs", jobs)
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        payload = validate_json_lines(schema, out)[0]
+        assert payload["error"] == \
+            "predicted attempts exceed the automatic budget"
+        assert payload["log10_predicted_attempts"] == pytest.approx(
+            log10, abs=0.01)
+        assert payload["report"]["rejections"] == 0
+
+    def test_explicit_budget_overrides_the_cap(self, capsys, schema):
+        code, out = run(capsys, "sample", *self.CAPPED[0][0],
+                        "--max-attempts", "3")
+        assert code == 3
+        payload = validate_json_lines(schema, out)[0]
+        assert payload["error"] == "sampler attempts exhausted"
+        assert "log10_predicted_attempts" not in payload
+        assert payload["report"]["rejections"] == 3
 
     def test_exhausted_with_jobs_matches_serial(self, capsys):
         # the exception, with its report, crosses the process pool

@@ -14,6 +14,7 @@ from degcount import (DegreeSet, DegreeSequenceSampler,
                       boltzmann_tune, build_table, make_rng, mean_degree,
                       pair_half_edges, parse_degree_set, power_coefficient)
 from degcount import sampling
+from degcount.tables import band_rows
 from degcount.sampling import (_WORD_BITS, _edge_codes, _is_simple_pairing,
                                _multigraph, _pair_endpoints)
 
@@ -83,7 +84,7 @@ class TestLazyDraw:
     @pytest.mark.parametrize("refine, degree", [(0, 1), (WORD - 1, 2)])
     def test_straddle_reads_exactly_one_more_word(self, refine, degree):
         sampler = DegreeSequenceSampler(DegreeSet.finite([1, 2]), 3, 2)
-        total = sampler.table.value(3, 4)
+        total = power_coefficient(DegreeSet.finite([1, 2]), 3, 4)
         assert total == 36
         assert self.STRADDLE * total < 24 * WORD < (self.STRADDLE + 1) * total
         # the batch holds one word for each of vertices 3 and 2 (vertex 1
@@ -105,7 +106,7 @@ class TestLazyDraw:
 
         n, m = 4, 4
         sampler = DegreeSequenceSampler(ds, n, m)
-        table = sampler.table
+        table = build_table(ds, n, 2 * m)
         for i in range(2, n + 1):
             for j in range(2 * m + 1):
                 total = table.value(i, j)
@@ -178,6 +179,7 @@ def count_exact_draws(monkeypatch):
 
 
 SCREENED = [("even", 500, 250), ("2,3", 300, 375), ("even", 200, 400)]
+NARROW = [("even", 60, 30), ("2,3", 40, 50), ("min=2", 30, 45)]
 
 
 class TestFloatScreen:
@@ -217,13 +219,31 @@ class TestFloatScreen:
                 for s in range(10)] == expected
         assert calls["exact"] == 10 * (n - 1)
 
+    @pytest.mark.parametrize("degrees, n, m", NARROW[:2],
+                             ids=[f"{d}-{n}-{m}" for d, n, m in NARROW[:2]])
+    def test_every_cell_from_power_coefficient(self, monkeypatch,
+                                               degrees, n, m):
+        # with every vertex exact, _draw_degree reads each cell it needs
+        # from power_coefficient, and the draws are the screened ones
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        for seed in range(10):
+            screened = sampler.sample_degrees(make_rng(seed))
+            monkeypatch.setattr(sampling, "_SCREEN_MARGIN", 1.0)
+            draws = count_exact_draws(monkeypatch)
+            cells = count_off_band_cells(monkeypatch)
+            assert sampler.sample_degrees(make_rng(seed)) == screened
+            assert draws["exact"] == n - 1
+            # each exact draw reads its row total and at least one term
+            assert cells["off band"] >= 2 * (n - 1)
+            monkeypatch.undo()
+
     def test_screen_term_matches_the_exact_ratio(self):
         # every term exp(L(i-1, j-d) - L(i, j) - ln d!) the draws can scan,
         # against comb(j, d) T[i-1][j-d] / T[i][j] in Fractions
         tolerance = Fraction(2e-9)
         for degrees, n, m in [("even", 200, 400), ("min=2", 200, 300)]:
             sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
-            cell = sampler.table.value
+            cell = build_table(sampler.degree_set, n, 2 * m).value
             checked = 0
             for seed in range(20):
                 seq = sampler.sample_degrees(make_rng(seed))
@@ -264,20 +284,17 @@ def check_exact_law_on_tiny_instances(ds):
 
 
 def count_off_band_cells(monkeypatch):
-    """Wrap power_coefficient, which computes every cell off the band."""
-    from degcount import tables
+    """Wrap power_coefficient, which computes every cell the sampler reads
+    off its band, and every cell of an exact draw."""
     calls = Counter()
-    exact = tables.power_coefficient
+    exact = sampling.power_coefficient
 
     def counted(*args):
         calls["off band"] += 1
         return exact(*args)
 
-    monkeypatch.setattr(tables, "power_coefficient", counted)
+    monkeypatch.setattr(sampling, "power_coefficient", counted)
     return calls
-
-
-NARROW = [("even", 60, 30), ("2,3", 40, 50), ("min=2", 30, 45)]
 
 
 class TestTableBand:
@@ -313,7 +330,8 @@ class TestTableBand:
 
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_cells_off_an_empty_band_are_exact(self, monkeypatch, ds):
-        # with no band at all only each row's centre is kept
+        # with no band at all only each row's centre is kept, and every
+        # other cell's log comes from its exact value
         monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
         monkeypatch.setattr(sampling, "_BAND_SLACK", 0)
         n, m = 6, 6
@@ -322,10 +340,26 @@ class TestTableBand:
         except InfeasibleRegimeError:
             pytest.skip("no degree sequence")
         full = build_table(ds, n, 2 * m)
-        assert any(len(row) < 2 * m + 1 for row in sampler.table.rows)
+        assert any(len(row) < 2 * m + 1 for row in sampler._log_cells)
         for i in range(n + 1):
-            assert [sampler.table.value(i, j) for j in range(2 * m + 1)] == \
-                list(full.row(i))
+            assert [sampler._log_cell(i, j) for j in range(2 * m + 1)] == \
+                [cell_log(full, i, j) for j in range(2 * m + 1)]
+
+    @pytest.mark.parametrize("slack", [0, 1])
+    @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
+    def test_band_rows_equal_the_full_rows_on_a_narrow_band(self, monkeypatch,
+                                                            ds, slack):
+        # the row source computes each row only on the closure of the
+        # band; with no sigmas and no slack some spans are empty
+        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
+        monkeypatch.setattr(sampling, "_BAND_SLACK", slack)
+        n, m = 24, 20
+        spans = sampling._band(n, 2 * m, 1.5)
+        full = build_table(ds, n, 2 * m)
+        rows = list(band_rows(ds, 2 * m, spans))
+        assert len(rows) == n + 1
+        for i, ((lo, hi), row) in enumerate(zip(spans, rows)):
+            assert row == full.rows[i][lo:hi + 1], i
 
     @pytest.mark.parametrize("degrees, n, m", SCREENED,
                              ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED])
@@ -340,30 +374,28 @@ class TestTableBand:
                              [("even", 500, 250, 0.50), ("2,3", 300, 375, 0.15)])
     def test_band_keeps_a_fraction_of_the_cells(self, degrees, n, m, share):
         sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
-        kept = sum(len(row) for row in sampler.table.rows)
+        kept = sum(len(row) for row in sampler._log_cells)
         assert kept < share * (n + 1) * (2 * m + 1)
 
 
-def check_memo(sampler):
-    """The memo has one slot per kept cell of the table, cell (i, k) in
-    slot k - lo of row i; a filled slot holds its cell's log.
+def cell_log(table, i, k):
+    """L(i, k) = ln T[i][k] - ln k! from a full table, -inf for a zero cell."""
+    w = table.value(i, k)
+    return math.log(w) - math.log(math.factorial(k)) if w else -math.inf
 
-    Returns the number of filled slots.
-    """
-    table = sampler.table
-    assert len(sampler._log_cells) == len(table.rows)
-    filled = 0
-    for i, ((lo, hi), row, memo) in enumerate(
-            zip(table.spans, table.rows, sampler._log_cells)):
-        assert len(memo) == len(row) == max(hi - lo + 1, 0)
-        for k, v in enumerate(memo, lo):
-            if math.isnan(v):
-                continue
-            w = table.value(i, k)
-            assert v == (math.log(w) - math.log(math.factorial(k)) if w
-                         else -math.inf)
-            filled += 1
-    return filled
+
+def check_memo(sampler):
+    """The memo has one slot per band cell, cell (i, k) in slot k - lo of
+    row i, and every slot holds its cell's log."""
+    n, m = sampler.n, sampler.m
+    table = build_table(sampler.degree_set, n, 2 * m)
+    spans = sampler._spans
+    assert len(sampler._log_cells) == len(spans) == n + 1
+    for i, ((lo, hi), memo) in enumerate(zip(spans, sampler._log_cells)):
+        assert 0 <= lo and hi <= 2 * m
+        assert len(memo) == max(hi - lo + 1, 0)
+        assert list(memo) == [cell_log(table, i, k)
+                              for k in range(lo, hi + 1)], i
 
 
 class TestLogMemo:
@@ -381,11 +413,14 @@ class TestLogMemo:
     @pytest.mark.parametrize("degrees, n, m", SCREENED,
                              ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED])
     def test_filled_slots_hold_the_cell_logs(self, degrees, n, m):
+        # every slot is filled when the sampler is built, and draws write
+        # none
         sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
-        assert check_memo(sampler) == 0
+        check_memo(sampler)
+        before = [memo.tobytes() for memo in sampler._log_cells]
         for seed in range(20):
             sampler.sample_degrees(make_rng(seed))
-        assert check_memo(sampler) > 0
+        assert [memo.tobytes() for memo in sampler._log_cells] == before
 
     @pytest.mark.parametrize("degrees, n, m", NARROW,
                              ids=[f"{d}-{n}-{m}" for d, n, m in NARROW])
@@ -403,6 +438,20 @@ class TestLogMemo:
                 for s in range(10)] == first
         assert calls["off band"] == 2 * off_band
         check_memo(sampler)
+
+
+    def test_build_keeps_floats_not_integers(self):
+        # the rows are streamed and only their logs kept: building even
+        # (1000, 500) peaked at 3.6 MiB under tracemalloc, where keeping
+        # the band's integers as well peaked at 89.8 MiB
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            DegreeSequenceSampler(DegreeSet.even(), 1000, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestDegreeSequences:
@@ -432,25 +481,22 @@ class TestDegreeSequences:
     def test_infeasible_builds_no_table(self, monkeypatch, members, n, m):
         def no_table(*args):
             raise AssertionError("built a table for an empty instance")
-        monkeypatch.setattr("degcount.sampling.build_table", no_table)
+        monkeypatch.setattr("degcount.sampling.band_rows", no_table)
         with pytest.raises(InfeasibleRegimeError):
             DegreeSequenceSampler(DegreeSet.finite(members), n, m)
 
-    def test_table_comes_from_build_table(self, monkeypatch):
-        # the one table constructor, called as (D, n, 2m) with a band
+    def test_memo_comes_from_band_rows(self, monkeypatch):
+        # the one row source, called once as (D, 2m, the band's spans)
         ds, n, m = DegreeSet.even(), 12, 9
         calls = []
 
-        def recorded(*args, **kwargs):
-            calls.append((args, sorted(kwargs)))
-            return build_table(*args, **kwargs)
-        monkeypatch.setattr("degcount.sampling.build_table", recorded)
+        def recorded(*args):
+            calls.append(args)
+            return band_rows(*args)
+        monkeypatch.setattr("degcount.sampling.band_rows", recorded)
         sampler = DegreeSequenceSampler(ds, n, m)
-        assert calls == [((ds, n, 2 * m), ["band"])]
-        full = build_table(ds, n, 2 * m)
-        for i in range(n + 1):
-            assert [sampler.table.value(i, j) for j in range(2 * m + 1)] == \
-                list(full.row(i))
+        assert calls == [(ds, 2 * m, sampler._spans)]
+        check_memo(sampler)
 
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_sum_and_membership_invariants(self, ds):
@@ -735,6 +781,27 @@ class TestSimpleSampling:
         assert type(exc) is SamplerExhausted
         assert str(exc) == "no luck"
         assert exc.report == report
+        capped = pickle.loads(pickle.dumps(
+            SamplerExhausted("too many", report, 8.5)))
+        assert capped.log10_predicted_attempts == 8.5
+
+    def test_automatic_budget_refuses_before_drawing(self):
+        # K_10 predicts 4.9e8 attempts, past _AUTO_ATTEMPT_CAP
+        sampler = DegreeSequenceSampler(DegreeSet.finite([9]), 10, 45)
+
+        class NoRng:
+            bit_generator = None
+        with pytest.raises(SamplerExhausted) as err:
+            sampler.sample_simple(NoRng())
+        assert err.value.report.attempts == 0
+        assert 10 ** err.value.log10_predicted_attempts > \
+            sampling._AUTO_ATTEMPT_CAP
+
+    def test_automatic_budget_below_the_cap(self):
+        # 1,2,8 at (30, 83) predicts 3.8e5 attempts: slow, but it draws
+        sampler = DegreeSequenceSampler(parse_degree_set("1,2,8"), 30, 83)
+        budget = sampler.default_max_attempts()
+        assert 3.5e6 < budget < 4e6
 
     def test_pickles_as_its_instance(self):
         # a spawned pool worker rebuilds the table instead of receiving it

@@ -5,7 +5,7 @@ import pytest
 
 from degcount import (INFINITE, DegreeSet, build_table, infeasibility_reason,
                       multigraph_weight, power_coefficient)
-from degcount.tables import mixed_table_coefficient
+from degcount.tables import band_rows, mixed_table_coefficient
 
 from conftest import FAMILY, FAMILY_IDS
 
@@ -59,21 +59,22 @@ class TestTable:
         for i in range(41):
             assert list(t.row(i)) == ref[i], i
 
-    def test_band_of_the_wrong_length_raises(self):
-        with pytest.raises(ValueError, match="band"):
-            build_table(DegreeSet.even(), 3, 6, band=[(0, 6)] * 3)
+    @pytest.mark.parametrize("span", [(-1, 3), (2, 15)])
+    def test_span_leaving_the_row_raises(self, span):
+        with pytest.raises(ValueError, match="span"):
+            list(band_rows(DegreeSet.even(), 14, [(0, 14), span]))
 
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_banded_rows_equal_the_full_rows(self, ds):
-        # spans inside, across and past the row, and one empty span
-        band = [(0, 14), (-3, 2), (4, 9), (10, 30), (7, 6), (20, 25),
-                (14, 14), (-1, 100)]
-        t = build_table(ds, 7, 14, band=band)
+        # spans at either end, inside and across the row, two empty
+        # spans, and a last row that needs the low cells of those below
+        spans = [(0, 14), (0, 2), (4, 9), (10, 14), (7, 6), (1, 0),
+                 (14, 14), (0, 3)]
+        rows = list(band_rows(ds, 14, spans))
         full = build_table(ds, 7, 14)
-        assert t.spans[1] == (0, 2) and t.rows[4] == []
-        assert all(None not in row for row in t.rows)
-        for i in range(8):
-            assert t.row(i) == full.row(i)
+        assert rows[4] == rows[5] == []
+        for i, (lo, hi) in enumerate(spans):
+            assert rows[i] == full.rows[i][lo:hi + 1], i
 
     def test_unconstrained_powers(self):
         t = build_table(DegreeSet.min_degree(0), 6, 10)
@@ -333,11 +334,12 @@ def crossover(delta, n):
                 if not _peel_is_cheaper(delta, n, w))
 
 
-def row_n_table(delta, n, w_max):
-    """The table of min=delta keeping row n only, up to excess w_max."""
+def row_n(delta, n, w_max):
+    """Row n of min=delta by excess, T[n][delta*n + w] for w <= w_max."""
     low = delta * n
-    return build_table(DegreeSet.min_degree(delta), n, low + w_max,
-                       band=[(1, 0)] * n + [(low, low + w_max)])
+    rows = band_rows(DegreeSet.min_degree(delta), low + w_max,
+                     [(1, 0)] * n + [(low, low + w_max)])
+    return list(rows)[n]
 
 
 class TestMinDeltaRoutes:
@@ -364,11 +366,11 @@ class TestMinDeltaRoutes:
         from degcount.tables import _min_halves, _min_peel
         c = crossover(delta, n)
         excesses = sorted({0, 1, c - 1, c, c + 1, n, n + n // 2})
-        t = row_n_table(delta, n, excesses[-1])
+        row = row_n(delta, n, excesses[-1])
         ds = DegreeSet.min_degree(delta)
         for w in excesses:
             j = delta * n + w
-            expected = t.value(n, j)
+            expected = row[w]
             assert _min_peel(delta, n, w) == expected, w
             assert _min_halves(delta, n, w) == expected, w
             assert power_coefficient(ds, n, j) == expected, w
@@ -377,12 +379,12 @@ class TestMinDeltaRoutes:
     @pytest.mark.parametrize("delta", [2, 3])
     def test_half_sweep_at_excess_past_n(self, delta, n):
         from degcount.tables import _min_halves
-        t = row_n_table(delta, n, n + 40)
+        row = row_n(delta, n, n + 40)
         ds = DegreeSet.min_degree(delta)
         for w in range(n, n + 41):
             j = delta * n + w
-            assert _min_halves(delta, n, w) == t.value(n, j), w
-            assert power_coefficient(ds, n, j) == t.value(n, j), w
+            assert _min_halves(delta, n, w) == row[w], w
+            assert power_coefficient(ds, n, j) == row[w], w
 
     @pytest.mark.parametrize("delta, n, w", [(2, 20_000, 40), (3, 10_000, 20)])
     def test_lower_end_at_large_n(self, delta, n, w):
@@ -412,11 +414,3 @@ class TestMixedTableCoefficient:
                     expected = sum(math.comb(j, k) * ref_a[a][k] * ref_b[b][j - k]
                                    for k in range(j + 1))
                     assert mixed_table_coefficient(ta, tb, a, b, j) == expected
-
-    @pytest.mark.parametrize("j", [6, 7, 8])
-    def test_banded_rows_raise(self, j):
-        # cells 2..8 of each row are kept, so cells 0 and 1 cannot be read
-        # (a full table gives 544 at j = 6)
-        t = build_table(DegreeSet.even(), 4, 8, band=[(2, 8)] * 5)
-        with pytest.raises(ValueError):
-            mixed_table_coefficient(t, t, 2, 2, j)
