@@ -15,7 +15,8 @@ both read it there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import FrozenRecord
 
 #: Marker for unbounded quantities (max of an infinite set, periodicity of a
 #: singleton).  Compares correctly against any finite integer.
@@ -32,8 +33,7 @@ def _logsumexp(logs):
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-@dataclass(frozen=True)
-class DegreeSet:
+class DegreeSet(FrozenRecord):
     """An immutable set of allowed vertex degrees, in its normal form.
 
     Either the ascending tuple `members` (step 0) or, with no members, the
@@ -42,13 +42,19 @@ class DegreeSet:
     max_degree -INFINITE (the min and max of nothing).
 
     Use the constructors :meth:`finite`, :meth:`min_degree`, :meth:`even`,
-    :meth:`odd` or :func:`parse_degree_set` rather than calling the dataclass
-    directly.
+    :meth:`odd` or :func:`parse_degree_set`: `DegreeSet(members, start,
+    step)` takes its fields as given and does not check the normal form.
     """
 
-    members: tuple[int, ...] = ()
-    start: int = 0
-    step: int = 0
+    __slots__ = ("members", "start", "step")
+
+    def __init__(self, members: tuple[int, ...] = (), start: int = 0,
+                 step: int = 0):
+        # the slots' own setters, a little faster than _fill: the saddle
+        # solver makes about 60 shifted sets per query
+        _set_members(self, members)
+        _set_start(self, start)
+        _set_step(self, step)
 
     # -- constructors ------------------------------------------------------
 
@@ -198,6 +204,11 @@ class DegreeSet:
         if self.step == 1:
             return f"min={self.start}"
         return ("even", "odd")[self.start]
+
+
+_set_members = DegreeSet.members.__set__
+_set_start = DegreeSet.start.__set__
+_set_step = DegreeSet.step.__set__
 
 
 def parse_degree_set(text: str) -> DegreeSet:

@@ -19,9 +19,9 @@ no special case: no loop or double edge can occur, and L = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .degree_sets import INFINITE, DegreeSet
+from .records import FrozenRecord
 from .tables import infeasibility_reason
 
 _LN2 = math.log(2.0)
@@ -146,15 +146,14 @@ def loop_intensity(degree_set: DegreeSet, n: int, m: int, x: float) -> float:
     return _loop(n, m, x, math.exp(degree_set.shift(2).egf_log(x) - log0))
 
 
-@dataclass(frozen=True)
-class SaddlePoint:
+class SaddlePoint(FrozenRecord):
     """Saddle-point bundle for one (degree set, n, m) instance."""
 
-    x: float
-    mean_degree: float
-    slope: float
-    loop_intensity: float
-    log_egf: float
+    __slots__ = ("x", "mean_degree", "slope", "loop_intensity", "log_egf")
+
+    def __init__(self, x: float, mean_degree: float, slope: float,
+                 loop_intensity: float, log_egf: float):
+        self._fill(x, mean_degree, slope, loop_intensity, log_egf)
 
 
 def saddle_point(degree_set: DegreeSet, n: int, m: int) -> SaddlePoint:
@@ -167,19 +166,21 @@ def saddle_point(degree_set: DegreeSet, n: int, m: int) -> SaddlePoint:
                        loop_intensity=_loop(n, m, x, ratio), log_egf=log_egf)
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(FrozenRecord):
     """One of: infeasible (`reason`), forced to `degree`, interior (`saddle`).
 
     `loop_intensity` is L, the limiting expected number of loops, and
     `simple_reason` why a feasible instance has no simple graph, if so.
     """
 
-    reason: str | None = None
-    degree: int | None = None
-    saddle: SaddlePoint | None = None
-    loop_intensity: float = 0.0
-    simple_reason: str | None = None
+    __slots__ = ("reason", "degree", "saddle", "loop_intensity",
+                 "simple_reason")
+
+    def __init__(self, reason: str | None = None, degree: int | None = None,
+                 saddle: SaddlePoint | None = None,
+                 loop_intensity: float = 0.0,
+                 simple_reason: str | None = None):
+        self._fill(reason, degree, saddle, loop_intensity, simple_reason)
 
     @property
     def acceptance(self) -> float:
@@ -220,17 +221,15 @@ def resolve(degree_set: DegreeSet, n: int, m: int) -> Regime:
                   simple_reason=simple)
 
 
-@dataclass(frozen=True)
-class AsymptoticCount:
+class AsymptoticCount(FrozenRecord):
     """A count estimate in natural-log space, with the saddle point it used
     (None unless interior) or the reason it is infeasible."""
 
-    log_value: float
-    n: int
-    m: int
-    feasible: bool
-    saddle: SaddlePoint | None = None
-    reason: str | None = None
+    __slots__ = ("log_value", "n", "m", "feasible", "saddle", "reason")
+
+    def __init__(self, log_value: float, n: int, m: int, feasible: bool,
+                 saddle: SaddlePoint | None = None, reason: str | None = None):
+        self._fill(log_value, n, m, feasible, saddle, reason)
 
     @property
     def log10_value(self) -> float:

@@ -18,11 +18,12 @@ with exact fallback of Denise and Zimmermann (Theoret. Comput. Sci. 218,
 1999).  The sampler keeps no integers: it streams the rows of T over a band
 of each row, the part the draw can plausibly reach, a few standard
 deviations around the remaining total's mean (_BAND_SIGMAS), and keeps
-only L of each band cell.  The exact comparison, and the screen off the
-band, compute their cells exactly with `power_coefficient` when read; so
-the draws read the same integers as from the full table, and memory is
-one float per band cell.  The Boltzmann one draws degrees i.i.d. with
-P(d) proportional to x^d/d!, giving a random edge count.
+only L of each band cell.  The exact comparison computes its cells from
+one `column_coefficients` pass per vertex, and the screen off the band
+with `power_coefficient`; so the draws read the same integers as from the
+full table, and memory is one float per band cell.  The Boltzmann one
+draws degrees i.i.d. with P(d) proportional to x^d/d!, giving a random
+edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
 by its compensation factor; rejecting until simple therefore yields the
@@ -50,14 +51,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .degree_sets import INFINITE, DegreeSet
 from .multigraph import Multigraph
+from .records import Record
 from .saddlepoint import InfeasibleRegimeError, resolve, solve_mean_degree
-from .tables import band_rows, power_coefficient
+from .tables import band_rows, column_coefficients, power_coefficient
 
+# typing.TYPE_CHECKING without loading typing; the annotations are strings
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -160,14 +162,20 @@ class SamplerExhausted(RuntimeError):
                             self.log10_predicted_attempts)
 
 
-@dataclass
-class SampleReport:
-    """Counters for one sampling run; merge by adding fields."""
+class SampleReport(Record):
+    """Counters for one sampling run; merge by adding fields.  Mutable, so
+    unhashable."""
 
-    samples_requested: int = 0
-    samples_produced: int = 0
-    rejections: int = 0
-    odd_sum_retries: int = 0
+    __slots__ = ("samples_requested", "samples_produced", "rejections",
+                 "odd_sum_retries")
+    __hash__ = None
+
+    def __init__(self, samples_requested: int = 0, samples_produced: int = 0,
+                 rejections: int = 0, odd_sum_retries: int = 0):
+        self.samples_requested = samples_requested
+        self.samples_produced = samples_produced
+        self.rejections = rejections
+        self.odd_sum_retries = odd_sum_retries
 
     @property
     def attempts(self) -> int:
@@ -332,16 +340,17 @@ class DegreeSequenceSampler:
     kept.  Nothing is written after that, so one sampler can serve many
     concurrent generators as long as each worker owns its own rng stream.
 
-    Every integer a draw reads is computed on demand by
-    :func:`~degcount.tables.power_coefficient`: the cells of the exact
-    comparison `_draw_degree`, which the float screen reaches with
-    probability about 2 * _SCREEN_MARGIN per prefix ratio, and the cells
-    the screen reads off the band, logged on every read and never stored.
-    An instance outside _SCREEN_LIMIT is not screened, so it reads every
-    cell from power_coefficient; such instances (2m above about 10^5) are
-    beyond the reach of the build anyway.  It pickles as (degree_set, n,
-    m), never as its memo: a forked process-pool worker shares the
-    parent's sampler, and any other worker rebuilds the memo.
+    Every integer a draw reads is computed on demand: the cells of the
+    exact comparison `_draw_degree`, which the float screen reaches with
+    probability about 2 * _SCREEN_MARGIN per prefix ratio, from one
+    :func:`~degcount.tables.column_coefficients` pass, and the cells the
+    screen reads off the band from
+    :func:`~degcount.tables.power_coefficient`, logged on every read and
+    never stored.  An instance outside _SCREEN_LIMIT is not screened, so
+    every vertex takes the exact draw; such instances (2m above about
+    10^5) are beyond the reach of the build anyway.  It pickles as
+    (degree_set, n, m), never as its memo: a forked process-pool worker
+    shares the parent's sampler, and any other worker rebuilds the memo.
     """
 
     def __init__(self, degree_set: DegreeSet, n: int, m: int):
@@ -380,40 +389,44 @@ class DegreeSequenceSampler:
 
     # -- degree sequences ---------------------------------------------------
 
-    def _draw_degree(self, i: int, j: int, word: int, one) -> int:
-        """Degree of vertex i when vertices 1..i carry j half-edges.
+    def _draw_degree(self, i: int, j: int, word: int, one, total: int | None,
+                     held: dict) -> tuple[int, int]:
+        """(degree of vertex i, T[i-1][j-degree]) when vertices 1..i carry
+        j half-edges.
 
         The one exact decision of the degree draw; `sample_degrees` hands
-        it every vertex its float screen cannot decide.  The degree is the d
-        with c_{d-1} <= u*T[i][j] < c_d, where c_d are the prefix sums of
-        comb(j, d)*T[i-1][j-d] over the members d.  `word` holds the leading
-        bits of u, so u*T lies in [lo, hi] after flooring; the scan returns
-        at the first c_d above that interval and skips every c_d at or below
-        it.  A c_d inside it appends the word `one()` to u.
+        it every vertex its float screen cannot decide, with the row total
+        T[i][j] when the previous exact draw returned it (else None).  The
+        degree is the d with c_{d-1} <= u*T[i][j] < c_d, where c_d are the
+        prefix sums of comb(j, d)*T[i-1][j-d] over the members d, read from
+        one :func:`~degcount.tables.column_coefficients` pass that starts
+        from the powers the earlier draws of the same run of exact draws
+        left in `held`.  `word` holds the leading bits of u, so u*T lies in
+        [lo, hi] after flooring; the scan returns at the first c_d above
+        that interval and skips every c_d at or below it.  A c_d inside it
+        appends the word `one()` to u.
         """
-        cell = functools.partial(power_coefficient, self.degree_set)
-        total = cell(i, j)
+        if total is None:
+            total = power_coefficient(self.degree_set, i, j)
         comb = math.comb
         bits = _WORD_BITS
         scaled = word * total
         lo, hi = scaled >> bits, (scaled + total - 1) >> bits
+        members = [d for d in self._members if d <= j]
+        cells = column_coefficients(self.degree_set, i - 1,
+                                    [j - d for d in members], held)
         acc = 0
-        for d in self._members:
-            if d > j:
-                break
-            w = cell(i - 1, j - d)
-            if not w:
+        for d, cell in zip(members, cells):
+            if not cell:
                 continue
-            if d:
-                w *= comb(j, d)
-            acc += w
+            acc += comb(j, d) * cell if d else cell
             while lo < acc <= hi:
                 word = (word << _WORD_BITS) | one()
                 bits += _WORD_BITS
                 scaled = word * total
                 lo, hi = scaled >> bits, (scaled + total - 1) >> bits
             if acc > hi:
-                return d
+                return d, cell
         raise AssertionError("prefix weights did not reach the row total")
 
     def _log_cell(self, i: int, k: int) -> float:
@@ -449,7 +462,9 @@ class DegreeSequenceSampler:
         screen reads no word, and it decides only where the exact draw
         would return the same degree without one, so the words read and
         the sequence are those of the exact draw alone.  A zero cell adds
-        exp(-inf) = 0 to the prefix.
+        exp(-inf) = 0 to the prefix.  An exact draw returns its chosen
+        cell, which is the next vertex's row total T[i][j] if that vertex
+        is exact too.
         """
         n = self.n
         if n == 0:
@@ -461,11 +476,14 @@ class DegreeSequenceSampler:
         log_cell = self._log_cell
         log_fact = self._log_fact
         members = self._members
-        exp, nan = math.exp, math.nan
+        exp, log, nan = math.exp, math.log, math.nan
         margin = _SCREEN_MARGIN if self._screened else 1.0
         degrees = [0] * n
         j = 2 * self.m
         top = log_cell(n, j)
+        # T[i][j] when the exact draw of vertex i+1 gave it, and the powers
+        # the exact draws since the last screened vertex computed
+        total = held = None
         for i in range(n, 1, -1):
             word = words[n - i]
             u = word * _WORD_SCALE
@@ -487,8 +505,12 @@ class DegreeSequenceSampler:
                         chosen = d
                     break
             if chosen < 0:
-                chosen = self._draw_degree(i, j, word, one)
-                v = log_cell(i - 1, j - chosen)
+                if total is None:   # a run of exact draws starts here
+                    held = {}
+                chosen, total = self._draw_degree(i, j, word, one, total, held)
+                v = log(total) - log_fact[j - chosen]
+            else:
+                total = None
             degrees[i - 1] = chosen
             j -= chosen
             top = v

@@ -49,6 +49,11 @@ never sweeps the n x (j+1) grid.  Each family takes its cheapest exact route:
   The route with fewer cells runs, each cell weighted by the half-edges its
   entry counts: the peel below about w = 0.83n, the half sweep from there up.
 
+:func:`column_coefficients` gives the cells T[n][k] of a descending list of
+k, as the exact sampler's degree draw reads them, from one pass of the same
+routes: one run of Miller's recurrence, or one set of base powers divided
+down from cell to cell.
+
 The generic convolution T[i][j] = sum_d C(j,d) T[i-1][j-d] remains the ground
 truth; the test suite pins every fast path against it.
 """
@@ -268,20 +273,27 @@ def _powers(limit: int, j: int):
         yield w
 
 
-def _parity_coefficient(odd: bool, n: int, j: int) -> int:
+def _parity_bases(n: int) -> range:
+    # the bases of _parity_sum: the odd numbers up to an odd n, and for even
+    # n the halves y of its even bases 2y, y = 0..n/2
+    return range(1, n + 1, 2) if n % 2 else range(n // 2 + 1)
+
+
+def _parity_powers(n: int, j: int):
+    """b**j for the bases b of :func:`_parity_bases`, in order."""
+    if n % 2:
+        return islice(_powers(n, j), 1, None, 2)
+    return _powers(n // 2, j)
+
+
+def _parity_sum(odd: bool, n: int, j: int, powers) -> int:
     # cosh^n, sinh^n = 2^-n sum_k (+-1)^k C(n,k) e^((n-2k)x).  On the support
     # (j = n*odd mod 2, and j >= n for odd) terms k and n-k are equal, so
     # half the sum is taken twice.  The bases n - 2k share n's parity: for
     # odd n they are the odd numbers up to n, and for even n they are 2y
     # with y = n/2 - k, whose common factor 2^j is shifted in once at the end.
-    low = n if odd else 0
-    if j < low or (j - low) % 2:
-        return 0
+    # `powers` holds the powers of _parity_bases(n), b**j.
     half = n // 2
-    if n % 2:
-        powers, shift = islice(_powers(n, j), 1, None, 2), 0
-    else:
-        powers, shift = _powers(half, j), j
     c = math.comb(n, half)
     total = 0
     for k, w in zip(range(half, -1, -1), powers):
@@ -290,19 +302,24 @@ def _parity_coefficient(odd: bool, n: int, j: int) -> int:
             term *= 2
         total += -term if odd and k % 2 else term
         c = c * k // (n - k + 1)        # C(n, k - 1), exactly
-    return _exact_div(total << shift, 1 << n)
+    return _exact_div(total << (0 if n % 2 else j), 1 << n)
 
 
-def _surjections(n: int, j: int) -> int:
-    # (e^x - 1)^n = sum_y (-1)^(n-y) C(n,y) e^(yx).  The bases y and n - y
-    # share C(n, y), so each base y above n/2 is summed with n - y, whose
-    # power is among the first n/2 + 1 that _powers yields, and their pair
-    # takes one product: C(n,y) (-1)^y (y^j + (n-y)^j) for even n,
-    # C(n,y) (-1)^y ((n-y)^j - y^j) for odd n; even n leaves y = n/2 alone.
-    if j < n:
+def _parity_coefficient(odd: bool, n: int, j: int) -> int:
+    low = n if odd else 0
+    if j < low or (j - low) % 2:
         return 0
+    return _parity_sum(odd, n, j, _parity_powers(n, j))
+
+
+def _surjection_sum(n: int, powers) -> int:
+    # (e^x - 1)^n = sum_y (-1)^(n-y) C(n,y) e^(yx), from an iterator of y^j
+    # for y = 0..n.  The bases y and n - y share C(n, y), so each base y
+    # above n/2 is summed with n - y, whose power is among the first n/2 + 1
+    # read, and their pair takes one product: C(n,y) (-1)^y (y^j + (n-y)^j)
+    # for even n, C(n,y) (-1)^y ((n-y)^j - y^j) for odd n; even n leaves
+    # y = n/2 alone.
     half, odd = divmod(n, 2)
-    powers = _powers(n, j)
     low = list(islice(powers, half + 1))    # y^j for y <= n/2
     c = math.comb(n, half)
     total = 0
@@ -315,31 +332,40 @@ def _surjections(n: int, j: int) -> int:
     return total
 
 
-def _miller_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
-    # With r = min D, p = periodicity and T_K = K! [x^K] Set^n, comparing
-    # x^(K+r-1) in Set * (Set^n)' = n Set' * Set^n gives
-    #   (K - nr) C(K+r, r) T_K = sum_{d > r} ((n+1)d - K - r) C(K+r, d) T_(K+r-d),
-    # where only K = nr + p*e can be nonzero.
+def _surjections(n: int, j: int) -> int:
+    return _surjection_sum(n, _powers(n, j)) if j >= n else 0
+
+
+def _miller_values(degree_set: DegreeSet, n: int, top: int):
+    """(K, T[n][K]) for every K <= top that can hold a nonzero cell of a
+    finite set, ascending, by J.C.P. Miller's power recurrence.
+
+    With r = min D, p = periodicity and T_K = K! [x^K] Set^n, comparing
+    x^(K+r-1) in Set * (Set^n)' = n Set' * Set^n gives
+      (K - nr) C(K+r, r) T_K = sum_{d > r} ((n+1)d - K - r) C(K+r, d) T_(K+r-d),
+    where only K = nr + p*e can be nonzero, up to n*max D.
+    """
     members = degree_set.members
     if not members:             # the empty set: Set^n is 0, or 1 for n = 0
-        return int(n == j == 0)
+        if n == 0 <= top:
+            yield 0, 1
+        return
     r = members[0]
     base = n * r
-    if j < base or j > n * members[-1]:
-        return 0
+    top = min(top, n * members[-1])
+    if top < base:
+        return
     fact = math.factorial
     t0 = _exact_div(fact(base), fact(r) ** n)
+    yield base, t0
     p = degree_set.periodicity
-    if p is INFINITE:           # one member: the range test forced j = n*r
-        return t0
-    steps, rem = divmod(j - base, p)
-    if rem:
-        return 0
+    if p is INFINITE:           # one member: only K = n*r
+        return
     backs = [((d - r) // p, d) for d in members[1:]]
     window = deque([t0], maxlen=backs[-1][0])  # T at e-1, e-2, ... from the right
     comb = math.comb
     n1 = n + 1
-    for e in range(1, steps + 1):
+    for e in range(1, (top - base) // p + 1):
         k = base + p * e
         s = 0
         for back, d in backs:
@@ -347,7 +373,14 @@ def _miller_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
                 break
             s += (n1 * d - k - r) * comb(k + r, d) * window[-back]
         window.append(_exact_div(s, p * e * comb(k + r, r)))
-    return window[-1]
+        yield k, window[-1]
+
+
+def _miller_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
+    last = (None, 0)            # stays when no K <= j can be nonzero
+    for last in _miller_values(degree_set, n, j):
+        pass
+    return last[1] if last[0] == j else 0
 
 
 def _product(values: list) -> int:
@@ -494,6 +527,80 @@ def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     if _peel_is_cheaper(start, n, w):
         return _min_peel(start, n, w)
     return _min_halves(start, n, w)
+
+
+def column_coefficients(degree_set: DegreeSet, n: int, ks, held: dict):
+    """T[n][k] for each k of the descending list ks, in that order, from
+    one shared pass: the cells a degree draw compares, T[n][j - d] for
+    the members d up to j.
+
+    Lazy, so a caller that stops reading pays for the cells it read, and
+    each cell is the integer :func:`power_coefficient` gives.  min=0, min=1,
+    even and odd take the powers b^k of their bases once, at the first k
+    that can be nonzero, and bring them down to each later k by exact
+    division by b^gap, instead of one pass of :func:`_powers` per cell; a
+    finite list runs Miller's recurrence once, up to the largest k
+    (:func:`_miller_values`); min=delta >= 2 calls power_coefficient per
+    cell.
+
+    `held` is a dict the caller keeps across the columns of one degree
+    sequence ({} for a lone column).  It holds the last powers each column
+    computed: the bases of a column at n are a prefix of those at n + 1
+    (min=1) or n + 2 (even, odd), so the next such column divides those
+    powers down instead of computing its own.
+    """
+    start, step = degree_set.start, degree_set.step
+    if step == 0:
+        found = dict.fromkeys(ks, 0)
+        if found:
+            for k, value in _miller_values(degree_set, n, max(found)):
+                if k in found:
+                    found[k] = value
+        return (found[k] for k in ks)
+    if step == 2:
+        odd = start == 1
+        return _power_sum_column(
+            ks, n if odd else 0, 2, _parity_bases(n),
+            lambda k: _parity_powers(n, k),
+            lambda k, powers: _parity_sum(odd, n, k, powers), held, n % 2)
+    if start == 0:
+        return _power_sum_column(ks, 0, 1, (n,), lambda k: (n ** k,),
+                                 lambda k, powers: powers[0], {}, None)
+    if start == 1:
+        return _power_sum_column(
+            ks, n, 1, range(n + 1), lambda k: _powers(n, k),
+            lambda k, powers: _surjection_sum(n, iter(powers)), held, "min=1")
+    return (power_coefficient(degree_set, n, k) for k in ks)
+
+
+def _lower(powers, bases, gap: int, k: int) -> list:
+    # b^(k + gap) to b^k for each base b, by exact division; 0^k is 0 or 1
+    return [w // b ** gap if b else int(k == 0) for w, b in zip(powers, bases)]
+
+
+def _power_sum_column(ks, low: int, period: int, bases, first, total,
+                      held: dict, key):
+    # The cells of column_coefficients for a sum over the powers b^k of
+    # `bases`: zero below `low` and off its lattice of `period`, else
+    # total(k, powers).  The powers at the first such k are first(k), or
+    # the powers held[key] = (k', powers at k') of an earlier column,
+    # brought down, when k' >= k and they cover the bases.
+    powers = None
+    for k in ks:
+        if k < low or (k - low) % period:
+            yield 0
+            continue
+        if powers is not None:
+            powers = _lower(powers, bases, last - k, k)
+        elif (key in held and held[key][0] >= k
+              and len(held[key][1]) >= len(bases)):
+            last, powers = held[key]
+            powers = _lower(powers, bases, last - k, k)
+        else:
+            powers = list(first(k))
+        last = k
+        held[key] = (k, powers)
+        yield total(k, powers)
 
 
 def _short_sum(steps, n: int, e: int) -> bool:

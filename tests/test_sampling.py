@@ -117,16 +117,21 @@ class TestLazyDraw:
                     w = math.comb(j, d) * table.value(i - 1, j - d)
                     if w:
                         cums.append((d, (cums[-1][1] if cums else 0) + w))
+                def draw(word, one):
+                    degree, cell = sampler._draw_degree(i, j, word, one,
+                                                        None, {})
+                    assert cell == table.value(i - 1, j - degree)
+                    return degree
+
                 for (d, c), (after, _) in zip(cums, cums[1:]):
                     a, rem = divmod(c * WORD, total)
-                    draw = sampler._draw_degree
-                    assert draw(i, j, a - 1, no_refine) == d
+                    assert draw(a - 1, no_refine) == d
                     if rem == 0:
-                        assert draw(i, j, a, no_refine) == after
+                        assert draw(a, no_refine) == after
                     else:
-                        assert draw(i, j, a, lambda: 0) == d
-                        assert draw(i, j, a, lambda: WORD - 1) == after
-                        assert draw(i, j, a + 1, no_refine) == after
+                        assert draw(a, lambda: 0) == d
+                        assert draw(a, lambda: WORD - 1) == after
+                        assert draw(a + 1, no_refine) == after
 
     def test_rng_stream_is_one_word_per_drawn_vertex(self):
         # n - 1 words from the bit generator and nothing else
@@ -221,20 +226,28 @@ class TestFloatScreen:
 
     @pytest.mark.parametrize("degrees, n, m", NARROW[:2],
                              ids=[f"{d}-{n}-{m}" for d, n, m in NARROW[:2]])
-    def test_every_cell_from_power_coefficient(self, monkeypatch,
-                                               degrees, n, m):
-        # with every vertex exact, _draw_degree reads each cell it needs
-        # from power_coefficient, and the draws are the screened ones
+    def test_every_cell_computed_exactly(self, monkeypatch, degrees, n, m):
+        # with every vertex exact, _draw_degree computes each cell it needs,
+        # and the draws are the screened ones: the first row total from
+        # power_coefficient, the terms of each draw from one column pass,
+        # and every later row total is the cell the draw before chose
         sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
         for seed in range(10):
             screened = sampler.sample_degrees(make_rng(seed))
             monkeypatch.setattr(sampling, "_SCREEN_MARGIN", 1.0)
             draws = count_exact_draws(monkeypatch)
             cells = count_off_band_cells(monkeypatch)
+            columns = Counter()
+            column = sampling.column_coefficients
+
+            def counted(*args):
+                columns["passes"] += 1
+                return column(*args)
+
+            monkeypatch.setattr(sampling, "column_coefficients", counted)
             assert sampler.sample_degrees(make_rng(seed)) == screened
-            assert draws["exact"] == n - 1
-            # each exact draw reads its row total and at least one term
-            assert cells["off band"] >= 2 * (n - 1)
+            assert draws["exact"] == columns["passes"] == n - 1
+            assert cells["off band"] == 1
             monkeypatch.undo()
 
     def test_screen_term_matches_the_exact_ratio(self):

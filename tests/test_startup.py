@@ -1,4 +1,5 @@
-"""Start-up budget: only the sampling paths load numpy and the process pool.
+"""Start-up budget: only the sampling paths load numpy and the process pool,
+and no import loads the dataclasses or typing machinery.
 
 Each check runs a fresh interpreter, since the test process itself has long
 imported numpy.
@@ -18,6 +19,10 @@ SRC = str(Path(degcount.__file__).resolve().parents[1])
 
 HEAVY = ("numpy", "concurrent.futures", "multiprocessing")
 
+# what `dataclasses` and `typing` pull in; site preloads typing on some
+# installs, so that check runs under python -S
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
 # one run of every command that counts or estimates; none of them samples
 COUNTING = [
     ["count-exact", "--degrees", "1,3", "--n", "20", "--m", "20"],
@@ -31,16 +36,24 @@ COUNTING = [
 ]
 
 
-def python(code: str) -> subprocess.CompletedProcess:
+def python(code: str, *flags: str) -> subprocess.CompletedProcess:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
 def test_imports_leave_numpy_and_the_pool_unloaded():
     proc = python("import sys, degcount, degcount.cli\n"
                   f"print(*[m for m in {HEAVY!r} if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_imports_leave_dataclasses_and_typing_unloaded():
+    proc = python("import sys, degcount, degcount.cli\n"
+                  f"print(*[m for m in {INTROSPECTION!r} "
+                  "if m in sys.modules])", "-S")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
 

@@ -5,7 +5,8 @@ import pytest
 
 from degcount import (INFINITE, DegreeSet, build_table, infeasibility_reason,
                       multigraph_weight, power_coefficient)
-from degcount.tables import band_rows, mixed_table_coefficient
+from degcount.tables import (band_rows, column_coefficients,
+                             mixed_table_coefficient)
 
 from conftest import FAMILY, FAMILY_IDS
 
@@ -284,6 +285,42 @@ class TestPowerCoefficientRoutes:
                     assert power_coefficient(ds, n, j) == 0, (n, j)
         assert power_coefficient(ds, 0, 0) == 1
         assert all(power_coefficient(ds, 0, j) == 0 for j in range(1, 25))
+
+    @pytest.mark.parametrize("ds", ALL_ROUTES + [DegreeSet.finite([4])],
+                             ids=ALL_ROUTE_IDS + ["4"])
+    def test_columns_match_the_grid(self, ds):
+        # a degree draw's column, T[n][j - d] over the members d <= j, and
+        # columns with gaps, zero cells and k = 0
+        ref = reference_table(ds, 8, 24)
+        for n in range(9):
+            for j in range(25):
+                ks = [j - d for d in ds.members_up_to(j)]
+                assert list(column_coefficients(ds, n, ks, {})) == \
+                    [ref[n][k] for k in ks], (n, j)
+            for ks in ([24, 23, 17, 16, 3, 0], [5], [], [20, 12, 11, 10, 2]):
+                assert list(column_coefficients(ds, n, ks, {})) == \
+                    [ref[n][k] for k in ks], (n, ks)
+
+    @pytest.mark.parametrize("ds", ALL_ROUTES, ids=ALL_ROUTE_IDS)
+    def test_columns_of_one_sequence_share_their_powers(self, ds):
+        # the columns an exact degree draw reads, vertex by vertex, passing
+        # on the held powers; each stops at its (1 + i % 3)-th nonzero cell
+        # or at its last one, and the next vertex takes the cell read last
+        n = 12
+        ref = reference_table(ds, n, 72)
+        j = next(j for j in (72, 30, 24) if ref[n][j])
+        held = {}
+        for i in range(n, 1, -1):
+            ks = [j - d for d in ds.members_up_to(j)]
+            read = []
+            for k, cell in zip(ks, column_coefficients(ds, i - 1, ks, held)):
+                assert cell == ref[i - 1][k], (i, k)
+                if cell:
+                    read.append(k)
+                    if len(read) > i % 3:
+                        break
+            j = read[-1]
+        assert bool(held) == (ds.step == 2 or ds.start == 1 and ds.step == 1)
 
     @pytest.mark.parametrize("n", [40, 61])
     @pytest.mark.parametrize("ds", ALL_ROUTES, ids=ALL_ROUTE_IDS)
