@@ -163,8 +163,8 @@ def _collect_samples(args, sampler) -> tuple[list[str], SampleReport]:
         # imported here so that commands which never sample do not load it
         from concurrent.futures import ProcessPoolExecutor
 
-        # a forked worker inherits this sampler, table and all; any other
-        # unpickles it, which rebuilds the table from (D, n, m)
+        # a forked worker inherits this sampler, float logs and all; any
+        # other unpickles it, which rebuilds the logs from (D, n, m)
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
                 initargs=(sampler,)) as pool:
@@ -350,20 +350,22 @@ def main(argv=None) -> int:
         sys.stderr.write(f"degcount: {problem}\n")
         return EXIT_USAGE
     try:
-        return args.func(args)
-    except InfeasibleRegimeError as exc:
-        _emit_json(args, _infeasible_payload(args, str(exc)))
-        return EXIT_INFEASIBLE
-    except SamplerExhausted as exc:
-        payload = {**_instance(args), "feasible": True,
-                   "error": "sampler attempts exhausted",
-                   "report": exc.report.as_dict()}
-        if exc.log10_predicted_attempts is not None:
-            payload["error"] = "predicted attempts exceed the automatic budget"
-            payload["log10_predicted_attempts"] = exc.log10_predicted_attempts
-        _emit_json(args, payload)
-        return EXIT_EXHAUSTED
-    except (ValueError, ArithmeticError) as exc:
+        try:
+            return args.func(args)
+        except InfeasibleRegimeError as exc:
+            _emit_json(args, _infeasible_payload(args, str(exc)))
+            return EXIT_INFEASIBLE
+        except SamplerExhausted as exc:
+            payload = {**_instance(args), "feasible": True,
+                       "error": "sampler attempts exhausted",
+                       "report": exc.report.as_dict()}
+            if exc.log10_predicted_attempts is not None:
+                payload["error"] = "predicted attempts exceed the automatic budget"
+                payload["log10_predicted_attempts"] = exc.log10_predicted_attempts
+            _emit_json(args, payload)
+            return EXIT_EXHAUSTED
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # OSError: an --output that cannot be written, whatever the payload
         sys.stderr.write(f"degcount: {exc}\n")
         return EXIT_USAGE
 

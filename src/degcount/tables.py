@@ -24,35 +24,11 @@ periodicity lattice):
 * even sets use (cosh^i)'' = i^2 cosh^i - i(i-1) cosh^(i-2),
 * odd sets use (sinh^i)'' = i^2 sinh^i + i(i-1) sinh^(i-2).
 
-A single entry (:func:`power_coefficient`, behind :func:`multigraph_weight`)
-never sweeps the n x (j+1) grid.  Each family takes its cheapest exact route:
-
-* min=0 is n^j,
-* min=1 is the surjection sum sum_i (-1)^i C(n,i) (n-i)^j,
-* even and odd expand cosh^n and sinh^n into exponentials,
-  2^-n sum_k (+-1)^k C(n,k) (n-2k)^j, over the n/2 + 1 bases of n's parity;
-  both sums take their powers x^j from :func:`_powers`, which spends a full
-  pow only on odd primes and one shift or one product on every other base,
-* finite lists run J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2,
-  4.7) from Set * (Set^n)' = n Set' * Set^n, with O(|D|) operations for
-  each of the (j - n*min D)/periodicity steps; the step count does not
-  depend on n,
-* min=delta >= 2 runs the row recurrence in excess coordinates, on the cells
-  whose excess over the row's least total is at most the target's,
-  w = j - delta*n, along one of two routes:
-  the peel splits off the vertices of degree exactly delta,
-  Set_(>=delta) = x^delta/delta! + Set_(>=delta+1), and reads one cell per
-  row of min=delta+1 from the triangle i + e <= w, about w^2/2 cells
-  whatever n is, summed by a Horner scheme; the half sweep fills the band
-  e <= w up to row ceil(n/2), ceil(n/2)(w + 1) cells, and joins rows
-  floor(n/2) and ceil(n/2) by one binomial convolution of w + 1 products.
-  The route with fewer cells runs, each cell weighted by the half-edges its
-  entry counts: the peel below about w = 0.83n, the half sweep from there up.
-
 :func:`column_coefficients` gives the cells T[n][k] of a descending list of
-k, as the exact sampler's degree draw reads them, from one pass of the same
-routes: one run of Miller's recurrence, or one set of base powers divided
-down from cell to cell.
+k without a table, as the exact sampler's degree draw reads them, and is
+the one place that picks a family's exact route; :func:`power_coefficient`,
+behind :func:`multigraph_weight`, reads one cell of it and lists the
+routes with their costs.
 
 The generic convolution T[i][j] = sum_d C(j,d) T[i-1][j-d] remains the ground
 truth; the test suite pins every fast path against it.
@@ -305,13 +281,6 @@ def _parity_sum(odd: bool, n: int, j: int, powers) -> int:
     return _exact_div(total << (0 if n % 2 else j), 1 << n)
 
 
-def _parity_coefficient(odd: bool, n: int, j: int) -> int:
-    low = n if odd else 0
-    if j < low or (j - low) % 2:
-        return 0
-    return _parity_sum(odd, n, j, _parity_powers(n, j))
-
-
 def _surjection_sum(n: int, powers) -> int:
     # (e^x - 1)^n = sum_y (-1)^(n-y) C(n,y) e^(yx), from an iterator of y^j
     # for y = 0..n.  The bases y and n - y share C(n, y), so each base y
@@ -330,10 +299,6 @@ def _surjection_sum(n: int, powers) -> int:
         term = c * (low[n - y] - w if odd else low[n - y] + w)
         total += -term if y % 2 else term
     return total
-
-
-def _surjections(n: int, j: int) -> int:
-    return _surjection_sum(n, _powers(n, j)) if j >= n else 0
 
 
 def _miller_values(degree_set: DegreeSet, n: int, top: int):
@@ -374,13 +339,6 @@ def _miller_values(degree_set: DegreeSet, n: int, top: int):
             s += (n1 * d - k - r) * comb(k + r, d) * window[-back]
         window.append(_exact_div(s, p * e * comb(k + r, r)))
         yield k, window[-1]
-
-
-def _miller_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
-    last = (None, 0)            # stays when no K <= j can be nonzero
-    for last in _miller_values(degree_set, n, j):
-        pass
-    return last[1] if last[0] == j else 0
 
 
 def _product(values: list) -> int:
@@ -481,26 +439,47 @@ def _peel_is_cheaper(delta: int, n: int, w: int) -> bool:
     return peel < halves
 
 
+def _min_delta_cell(delta: int, n: int, j: int) -> int:
+    # T[n][j] of min=delta >= 2 at excess w = j - delta*n, by the route
+    # _peel_is_cheaper picks
+    w = j - delta * n
+    if w < 0:
+        return 0
+    if _peel_is_cheaper(delta, n, w):
+        return _min_peel(delta, n, w)
+    return _min_halves(delta, n, w)
+
+
 def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     """T[n][j] = j! [x^j] Set(x)^n alone, by the cheapest exact route.
 
-    Costs, counted in big-integer operations on numbers of about j log n bits:
+    The one cell of a :func:`column_coefficients` read that shares nothing,
+    so its powers stream.  The routes, with their costs counted in
+    big-integer operations on numbers of about j log n bits:
 
     * min=0: n^j, one power;
-    * min=1: the surjection sum, n/2 + 1 products with a binomial (the
-      bases y and n - y share one), on powers that cost one pow per odd
-      prime up to n and one shift or product per other base;
-    * even, odd: the exponential expansion of cosh^n or sinh^n, n/2 + 1
-      products on the powers of the odd bases up to n (odd n) or of the
-      bases up to n/2 (even n), and one division by 2^n;
-    * finite D: Miller's recurrence, |D| operations for each of the
+    * min=1: the surjection sum sum_i (-1)^i C(n,i) (n-i)^j, n/2 + 1
+      products with a binomial (the bases y and n - y share one), on
+      powers that cost one pow per odd prime up to n and one shift or
+      product per other base (:func:`_powers`);
+    * even, odd: cosh^n and sinh^n expanded into exponentials,
+      2^-n sum_k (+-1)^k C(n,k) (n-2k)^j, n/2 + 1 products on the powers
+      of the odd bases up to n (odd n) or of the bases up to n/2 (even n),
+      and one division by 2^n;
+    * finite D: J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7)
+      from Set * (Set^n)' = n Set' * Set^n, |D| operations for each of the
       (j - n*min D)/periodicity steps, whatever n is;
-    * min=delta >= 2, at excess w = j - delta*n: below about w = 0.83n the
-      peel, about w^2/2 cells of the min=delta+1 recurrence (exactly
+    * min=delta >= 2, at excess w = j - delta*n: the row recurrence in
+      excess coordinates, on the cells whose excess over the row's least
+      total is at most w.  Below about w = 0.83n the peel splits off the
+      vertices of degree exactly delta, Set_(>=delta) = x^delta/delta! +
+      Set_(>=delta+1), and reads one cell per row of min=delta+1 from the
+      triangle i + e <= w: about w^2/2 cells whatever n is (exactly
       sum_(i <= min(n, w)) (w - i + 1)), min(n, w) Horner steps and one
-      product of n - min(n, w) binomials C(., delta); from there up the
-      half sweep, ceil(n/2)(w + 1) cells and one convolution of w + 1
-      products joining the two halves of Set^n.  :func:`_peel_is_cheaper`
+      product of n - min(n, w) binomials C(., delta).  From there up the
+      half sweep fills the band e <= w up to row ceil(n/2),
+      ceil(n/2)(w + 1) cells, and joins rows floor(n/2) and ceil(n/2) by
+      one convolution of w + 1 products.  :func:`_peel_is_cheaper`
       compares these cells weighted by entry size and is the only routing
       rule.
 
@@ -512,42 +491,30 @@ def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     """
     if n < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    start, step = degree_set.start, degree_set.step
-    if step == 0:
-        return _miller_coefficient(degree_set, n, j)
-    if step == 2:
-        return _parity_coefficient(start == 1, n, j)
-    if start == 0:              # step 1: min=start
-        return n ** j
-    if start == 1:
-        return _surjections(n, j)
-    w = j - start * n
-    if w < 0:
-        return 0
-    if _peel_is_cheaper(start, n, w):
-        return _min_peel(start, n, w)
-    return _min_halves(start, n, w)
+    return next(column_coefficients(degree_set, n, [j], None))
 
 
-def column_coefficients(degree_set: DegreeSet, n: int, ks, held: dict):
-    """T[n][k] for each k of the descending list ks, in that order, from
-    one shared pass: the cells a degree draw compares, T[n][j - d] for
-    the members d up to j.
+def column_coefficients(degree_set: DegreeSet, n: int, ks,
+                        held: dict | None):
+    """T[n][k] for each k of the descending list ks, in that order: the
+    cells a degree draw compares, T[n][j - d] for the members d up to j.
 
-    Lazy, so a caller that stops reading pays for the cells it read, and
-    each cell is the integer :func:`power_coefficient` gives.  min=0, min=1,
-    even and odd take the powers b^k of their bases once, at the first k
-    that can be nonzero, and bring them down to each later k by exact
-    division by b^gap, instead of one pass of :func:`_powers` per cell; a
-    finite list runs Miller's recurrence once, up to the largest k
-    (:func:`_miller_values`); min=delta >= 2 calls power_coefficient per
-    cell.
+    The only code that picks a family's exact route; the routes and their
+    costs are listed under :func:`power_coefficient`.  Lazy, so a caller
+    that stops reading pays for the cells it read.  The cells share one
+    pass: min=0, min=1, even and odd take the powers b^k of their bases
+    once, at the first k that can be nonzero, and bring them down to each
+    later k by exact division by b^gap; a finite list runs Miller's
+    recurrence once, up to the largest k (:func:`_miller_values`);
+    min=delta >= 2 computes each cell on its own.
 
     `held` is a dict the caller keeps across the columns of one degree
-    sequence ({} for a lone column).  It holds the last powers each column
-    computed: the bases of a column at n are a prefix of those at n + 1
-    (min=1) or n + 2 (even, odd), so the next such column divides those
-    powers down instead of computing its own.
+    sequence ({} for a lone column), or None to share nothing, not even
+    between cells: each cell then streams its powers, so only the lower
+    half of them is alive at once.  The dict holds the last powers each
+    column computed: the bases of a column at n are a prefix of those at
+    n + 1 (min=1) or n + 2 (even, odd), so the next such column divides
+    those powers down instead of computing its own.
     """
     start, step = degree_set.start, degree_set.step
     if step == 0:
@@ -564,13 +531,14 @@ def column_coefficients(degree_set: DegreeSet, n: int, ks, held: dict):
             lambda k: _parity_powers(n, k),
             lambda k, powers: _parity_sum(odd, n, k, powers), held, n % 2)
     if start == 0:
+        # the one base n differs from column to column, so nothing is held
         return _power_sum_column(ks, 0, 1, (n,), lambda k: (n ** k,),
                                  lambda k, powers: powers[0], {}, None)
     if start == 1:
         return _power_sum_column(
             ks, n, 1, range(n + 1), lambda k: _powers(n, k),
             lambda k, powers: _surjection_sum(n, iter(powers)), held, "min=1")
-    return (power_coefficient(degree_set, n, k) for k in ks)
+    return (_min_delta_cell(start, n, k) for k in ks)
 
 
 def _lower(powers, bases, gap: int, k: int) -> list:
@@ -579,16 +547,20 @@ def _lower(powers, bases, gap: int, k: int) -> list:
 
 
 def _power_sum_column(ks, low: int, period: int, bases, first, total,
-                      held: dict, key):
+                      held: dict | None, key):
     # The cells of column_coefficients for a sum over the powers b^k of
     # `bases`: zero below `low` and off its lattice of `period`, else
     # total(k, powers).  The powers at the first such k are first(k), or
     # the powers held[key] = (k', powers at k') of an earlier column,
-    # brought down, when k' >= k and they cover the bases.
+    # brought down, when k' >= k and they cover the bases.  With held
+    # None every cell is total(k, first(k)), its powers streamed.
     powers = None
     for k in ks:
         if k < low or (k - low) % period:
             yield 0
+            continue
+        if held is None:
+            yield total(k, first(k))
             continue
         if powers is not None:
             powers = _lower(powers, bases, last - k, k)

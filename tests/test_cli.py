@@ -540,6 +540,23 @@ class TestUsageErrors:
         assert code == 0
         assert json.loads(target.read_text())["weight"] == "5/1"
 
+    @pytest.mark.parametrize("degrees, n, m", [("even", 4, 2), ("1,3", 3, 2)],
+                             ids=["feasible", "infeasible"])
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_output_exits_one(self, capsys, tmp_path, degrees, n,
+                                         m, where):
+        # the infeasible payload is written while main handles an exception
+        target = tmp_path / "missing" / "out.json" if where == "missing-dir" \
+            else tmp_path
+        code = main(["count-exact", "--degrees", degrees, "--n", str(n),
+                     "--m", str(m), "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("degcount: ")
+        assert str(target) in lines[0]
+
 
 class TestProcessPool:
     """`--jobs k` hands the one sampler to at most min(k, samples, CPUs)

@@ -290,16 +290,45 @@ class TestPowerCoefficientRoutes:
                              ids=ALL_ROUTE_IDS + ["4"])
     def test_columns_match_the_grid(self, ds):
         # a degree draw's column, T[n][j - d] over the members d <= j, and
-        # columns with gaps, zero cells and k = 0
+        # columns with gaps, zero cells and k = 0; a fresh held {} shares
+        # the powers between cells, None computes each cell on its own
         ref = reference_table(ds, 8, 24)
-        for n in range(9):
-            for j in range(25):
-                ks = [j - d for d in ds.members_up_to(j)]
-                assert list(column_coefficients(ds, n, ks, {})) == \
-                    [ref[n][k] for k in ks], (n, j)
-            for ks in ([24, 23, 17, 16, 3, 0], [5], [], [20, 12, 11, 10, 2]):
-                assert list(column_coefficients(ds, n, ks, {})) == \
-                    [ref[n][k] for k in ks], (n, ks)
+        for fresh in (dict, lambda: None):
+            for n in range(9):
+                for j in range(25):
+                    ks = [j - d for d in ds.members_up_to(j)]
+                    assert list(column_coefficients(ds, n, ks, fresh())) == \
+                        [ref[n][k] for k in ks], (n, j)
+                for ks in ([24, 23, 17, 16, 3, 0], [5], [],
+                           [20, 12, 11, 10, 2]):
+                    assert list(column_coefficients(ds, n, ks, fresh())) == \
+                        [ref[n][k] for k in ks], (n, ks)
+
+    def test_one_dispatch(self, monkeypatch):
+        # power_coefficient reads one cell of a column, and a min=delta
+        # column computes its cells without calling power_coefficient
+        from degcount import tables
+        column, power = tables.column_coefficients, tables.power_coefficient
+        calls = {"column": 0, "power": 0}
+
+        def counted(name, routine):
+            def call(*args):
+                calls[name] += 1
+                return routine(*args)
+            return call
+
+        monkeypatch.setattr(tables, "column_coefficients",
+                            counted("column", column))
+        monkeypatch.setattr(tables, "power_coefficient",
+                            counted("power", power))
+        for ds in ALL_ROUTES:
+            assert power(ds, 6, 14) == reference_table(ds, 6, 14)[6][14]
+        assert calls == {"column": len(ALL_ROUTES), "power": 0}
+        ds = DegreeSet.min_degree(2)
+        ks = [30, 29, 28, 20, 16, 15]
+        ref = reference_table(ds, 8, 30)
+        assert list(column(ds, 8, ks, {})) == [ref[8][k] for k in ks]
+        assert calls["power"] == 0
 
     @pytest.mark.parametrize("ds", ALL_ROUTES, ids=ALL_ROUTE_IDS)
     def test_columns_of_one_sequence_share_their_powers(self, ds):
@@ -425,12 +454,12 @@ class TestMinDeltaRoutes:
 
     @pytest.mark.parametrize("delta, n, w", [(2, 20_000, 40), (3, 10_000, 20)])
     def test_lower_end_at_large_n(self, delta, n, w):
-        # T[n][delta*n + w] reads only the degrees up to delta + w
-        from degcount.tables import _miller_coefficient
+        # T[n][delta*n + w] reads only the degrees up to delta + w, and on
+        # that finite set power_coefficient takes Miller's recurrence
         j = delta * n + w
         value = power_coefficient(DegreeSet.min_degree(delta), n, j)
         finite = DegreeSet.finite(range(delta, delta + w + 1))
-        assert value == _miller_coefficient(finite, n, j)
+        assert value == power_coefficient(finite, n, j)
 
 
 class TestMixedTableCoefficient:
