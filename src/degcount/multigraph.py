@@ -1,6 +1,6 @@
 """Labelled multigraphs: loops and edge multiplicities.
 
-Vertices are labelled 1..n.  Edges form a multiset of unordered pairs held
+Vertices are labelled 1..n.  Edges form a multiset of unordered pairs kept
 as one sorted tuple of edge codes u*(n+1) + v, u <= v, once per occurrence.
 Sorting the codes sorts the pairs, so equal multisets have equal tuples and
 every output (edge_items, to_text, repr) reads the edges in order without a

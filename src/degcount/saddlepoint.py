@@ -268,10 +268,15 @@ def multigraph_count_asymptotic(degree_set: DegreeSet, n: int, m: int) -> Asympt
     """Saddle-point estimate of the total multigraph weight.
 
     (2m)!/(2^m m!) * p / sqrt(2 pi n x slope) * Set(x)^n / x^(2m), with x the
-    saddle point, accurate to a relative O(1/n).  A forced instance (every
-    degree equal to d, see :func:`resolve`) returns its exact closed form
-    (2m)!/(2^m m! d!^n) instead.  Infeasible (n, m) come back with
-    feasible=False, log_value = -inf and the reason.
+    saddle point and p the periodicity of D.  Its relative error is
+    O(1/min(n, e/p)), where e is the half-edge excess from the nearer end of
+    D's range, 2m - n*min(D) or n*max(D) - 2m: while e << n it is about
+    +p/(12e), whatever n is, the Stirling error of (e/p)!, because the e/p
+    extra units follow a law closer to Poisson than Gaussian.  Near-periodic
+    finite sets such as 0,5,7 can err by tens of percent at practical n.
+    A forced instance (every degree equal to d, see :func:`resolve`) returns
+    its exact closed form (2m)!/(2^m m! d!^n) instead.  Infeasible (n, m)
+    come back with feasible=False, log_value = -inf and the reason.
     """
     return _estimate(degree_set, n, m, simple=False)
 
@@ -281,7 +286,10 @@ def simple_graph_count_asymptotic(degree_set: DegreeSet, n: int, m: int) -> Asym
 
     The multigraph estimate times exp(-L^2 - L) where L is the loop
     intensity: at the saddle point, or n d (d-1) / (4m) for an instance
-    forced to degree d.  An instance with multigraphs but no simple graph
+    forced to degree d.  So it carries the multigraph estimate's error,
+    about +p/(12e) near an end of D's range (see
+    :func:`multigraph_count_asymptotic`), on top of the error of that
+    limiting acceptance.  An instance with multigraphs but no simple graph
     (`Regime.simple_reason`) comes back infeasible with that reason.
     """
     return _estimate(degree_set, n, m, simple=True)

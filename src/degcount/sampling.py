@@ -19,11 +19,11 @@ with exact fallback of Denise and Zimmermann (Theoret. Comput. Sci. 218,
 of each row, the part the draw can plausibly reach, a few standard
 deviations around the remaining total's mean (_BAND_SIGMAS), and keeps
 only L of each band cell.  The exact comparison computes its cells from
-one `column_coefficients` pass per vertex, and the screen off the band
-with `power_coefficient`; so the draws read the same integers as from the
-full table, and memory is one float per band cell.  The Boltzmann one
-draws degrees i.i.d. with P(d) proportional to x^d/d!, giving a random
-edge count.
+one `column_coefficients` pass per vertex, which keeps nothing for the
+next, and the screen off the band with `power_coefficient`; so the draws
+read the same integers as from the full table, and memory is one float
+per band cell.  The Boltzmann one draws degrees i.i.d. with P(d)
+proportional to x^d/d!, giving a random edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
 by its compensation factor; rejecting until simple therefore yields the
@@ -328,7 +328,7 @@ class DegreeSequenceSampler:
 
     Raises InfeasibleRegimeError, before computing any row, when
     :func:`~degcount.tables.infeasibility_reason` finds no degree sequence.
-    The constructor sets everything the sampler keeps: the band `_band`,
+    The constructor sets everything the sampler keeps: the band `_spans`,
     one clipped span (lo, hi) per row i <= n holding the cells a draw can
     plausibly reach (_BAND_SIGMAS); the log memo, one array('d') per row
     with L(i, k) = ln T[i][k] - ln k! (-inf for a zero cell) in slot k - lo;
@@ -389,8 +389,8 @@ class DegreeSequenceSampler:
 
     # -- degree sequences ---------------------------------------------------
 
-    def _draw_degree(self, i: int, j: int, word: int, one, total: int | None,
-                     held: dict) -> tuple[int, int]:
+    def _draw_degree(self, i: int, j: int, word: int, one,
+                     total: int | None) -> tuple[int, int]:
         """(degree of vertex i, T[i-1][j-degree]) when vertices 1..i carry
         j half-edges.
 
@@ -399,12 +399,11 @@ class DegreeSequenceSampler:
         T[i][j] when the previous exact draw returned it (else None).  The
         degree is the d with c_{d-1} <= u*T[i][j] < c_d, where c_d are the
         prefix sums of comb(j, d)*T[i-1][j-d] over the members d, read from
-        one :func:`~degcount.tables.column_coefficients` pass that starts
-        from the powers the earlier draws of the same run of exact draws
-        left in `held`.  `word` holds the leading bits of u, so u*T lies in
-        [lo, hi] after flooring; the scan returns at the first c_d above
-        that interval and skips every c_d at or below it.  A c_d inside it
-        appends the word `one()` to u.
+        one :func:`~degcount.tables.column_coefficients` pass of its own.
+        `word` holds the leading bits of u, so u*T lies in [lo, hi] after
+        flooring; the scan returns at the first c_d above that interval and
+        skips every c_d at or below it.  A c_d inside it appends the word
+        `one()` to u.
         """
         if total is None:
             total = power_coefficient(self.degree_set, i, j)
@@ -414,7 +413,7 @@ class DegreeSequenceSampler:
         lo, hi = scaled >> bits, (scaled + total - 1) >> bits
         members = [d for d in self._members if d <= j]
         cells = column_coefficients(self.degree_set, i - 1,
-                                    [j - d for d in members], held)
+                                    [j - d for d in members])
         acc = 0
         for d, cell in zip(members, cells):
             if not cell:
@@ -464,7 +463,7 @@ class DegreeSequenceSampler:
         the sequence are those of the exact draw alone.  A zero cell adds
         exp(-inf) = 0 to the prefix.  An exact draw returns its chosen
         cell, which is the next vertex's row total T[i][j] if that vertex
-        is exact too.
+        is exact too; nothing else passes from one vertex to the next.
         """
         n = self.n
         if n == 0:
@@ -476,14 +475,12 @@ class DegreeSequenceSampler:
         log_cell = self._log_cell
         log_fact = self._log_fact
         members = self._members
-        exp, log, nan = math.exp, math.log, math.nan
+        exp, log = math.exp, math.log
         margin = _SCREEN_MARGIN if self._screened else 1.0
         degrees = [0] * n
         j = 2 * self.m
         top = log_cell(n, j)
-        # T[i][j] when the exact draw of vertex i+1 gave it, and the powers
-        # the exact draws since the last screened vertex computed
-        total = held = None
+        total = None    # T[i][j] when the exact draw of vertex i+1 gave it
         for i in range(n, 1, -1):
             word = words[n - i]
             u = word * _WORD_SCALE
@@ -496,8 +493,9 @@ class DegreeSequenceSampler:
                 if d > j:
                     break
                 k = j - d
-                v = row[k - lo] if lo <= k <= hi else nan
-                if v != v:          # off the band
+                if lo <= k <= hi:
+                    v = row[k - lo]
+                else:
                     v = log_cell(i - 1, k)
                 acc += exp(v - top - log_fact[d])
                 if acc > below:
@@ -505,9 +503,7 @@ class DegreeSequenceSampler:
                         chosen = d
                     break
             if chosen < 0:
-                if total is None:   # a run of exact draws starts here
-                    held = {}
-                chosen, total = self._draw_degree(i, j, word, one, total, held)
+                chosen, total = self._draw_degree(i, j, word, one, total)
                 v = log(total) - log_fact[j - chosen]
             else:
                 total = None

@@ -453,8 +453,8 @@ def _min_delta_cell(delta: int, n: int, j: int) -> int:
 def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     """T[n][j] = j! [x^j] Set(x)^n alone, by the cheapest exact route.
 
-    The one cell of a :func:`column_coefficients` read that shares nothing,
-    so its powers stream.  The routes, with their costs counted in
+    The one cell of a :func:`column_coefficients` read; a lone cell
+    streams its powers.  The routes, with their costs counted in
     big-integer operations on numbers of about j log n bits:
 
     * min=0: n^j, one power;
@@ -491,30 +491,23 @@ def power_coefficient(degree_set: DegreeSet, n: int, j: int) -> int:
     """
     if n < 0 or j < 0:
         raise ValueError("indices must be nonnegative")
-    return next(column_coefficients(degree_set, n, [j], None))
+    return next(column_coefficients(degree_set, n, [j]))
 
 
-def column_coefficients(degree_set: DegreeSet, n: int, ks,
-                        held: dict | None):
+def column_coefficients(degree_set: DegreeSet, n: int, ks):
     """T[n][k] for each k of the descending list ks, in that order: the
     cells a degree draw compares, T[n][j - d] for the members d up to j.
 
     The only code that picks a family's exact route; the routes and their
     costs are listed under :func:`power_coefficient`.  Lazy, so a caller
-    that stops reading pays for the cells it read.  The cells share one
-    pass: min=0, min=1, even and odd take the powers b^k of their bases
-    once, at the first k that can be nonzero, and bring them down to each
-    later k by exact division by b^gap; a finite list runs Miller's
-    recurrence once, up to the largest k (:func:`_miller_values`);
-    min=delta >= 2 computes each cell on its own.
-
-    `held` is a dict the caller keeps across the columns of one degree
-    sequence ({} for a lone column), or None to share nothing, not even
-    between cells: each cell then streams its powers, so only the lower
-    half of them is alive at once.  The dict holds the last powers each
-    column computed: the bases of a column at n are a prefix of those at
-    n + 1 (min=1) or n + 2 (even, odd), so the next such column divides
-    those powers down instead of computing its own.
+    that stops reading pays for the cells it read, and it keeps nothing
+    between calls.  A finite list runs Miller's recurrence once, up to the
+    largest k (:func:`_miller_values`); min=0 and min=delta >= 2 compute
+    each cell on its own.  Min=1, even and odd share their powers b^k
+    between the cells of a column: they take them once, at the first k
+    that can be nonzero, and bring them down to each later k by exact
+    division by b^gap.  A column of one cell streams its powers instead,
+    so only the lower half of them is alive at once.
     """
     start, step = degree_set.start, degree_set.step
     if step == 0:
@@ -529,15 +522,13 @@ def column_coefficients(degree_set: DegreeSet, n: int, ks,
         return _power_sum_column(
             ks, n if odd else 0, 2, _parity_bases(n),
             lambda k: _parity_powers(n, k),
-            lambda k, powers: _parity_sum(odd, n, k, powers), held, n % 2)
+            lambda k, powers: _parity_sum(odd, n, k, powers))
     if start == 0:
-        # the one base n differs from column to column, so nothing is held
-        return _power_sum_column(ks, 0, 1, (n,), lambda k: (n ** k,),
-                                 lambda k, powers: powers[0], {}, None)
+        return (n ** k for k in ks)
     if start == 1:
         return _power_sum_column(
             ks, n, 1, range(n + 1), lambda k: _powers(n, k),
-            lambda k, powers: _surjection_sum(n, iter(powers)), held, "min=1")
+            lambda k, powers: _surjection_sum(n, iter(powers)))
     return (_min_delta_cell(start, n, k) for k in ks)
 
 
@@ -546,33 +537,23 @@ def _lower(powers, bases, gap: int, k: int) -> list:
     return [w // b ** gap if b else int(k == 0) for w, b in zip(powers, bases)]
 
 
-def _power_sum_column(ks, low: int, period: int, bases, first, total,
-                      held: dict | None, key):
+def _power_sum_column(ks, low: int, period: int, bases, first, total):
     # The cells of column_coefficients for a sum over the powers b^k of
     # `bases`: zero below `low` and off its lattice of `period`, else
-    # total(k, powers).  The powers at the first such k are first(k), or
-    # the powers held[key] = (k', powers at k') of an earlier column,
-    # brought down, when k' >= k and they cover the bases.  With held
-    # None every cell is total(k, first(k)), its powers streamed.
+    # total(k, powers).  A lone cell streams its powers first(k); a longer
+    # column lists them at its first such k and brings them down after.
+    stream = len(ks) == 1
     powers = None
     for k in ks:
         if k < low or (k - low) % period:
             yield 0
-            continue
-        if held is None:
+        elif stream:
             yield total(k, first(k))
-            continue
-        if powers is not None:
-            powers = _lower(powers, bases, last - k, k)
-        elif (key in held and held[key][0] >= k
-              and len(held[key][1]) >= len(bases)):
-            last, powers = held[key]
-            powers = _lower(powers, bases, last - k, k)
         else:
-            powers = list(first(k))
-        last = k
-        held[key] = (k, powers)
-        yield total(k, powers)
+            powers = (list(first(k)) if powers is None
+                      else _lower(powers, bases, last - k, k))
+            last = k
+            yield total(k, powers)
 
 
 def _short_sum(steps, n: int, e: int) -> bool:

@@ -34,8 +34,7 @@ def test_routes_match_the_table(ds, n, j, data):
     ks = sorted(data.draw(st.sets(st.integers(0, j), max_size=8)),
                 reverse=True)
     column = [table.value(n, k) for k in ks]
-    assert list(column_coefficients(ds, n, ks, {})) == column
-    assert list(column_coefficients(ds, n, ks, None)) == column
+    assert list(column_coefficients(ds, n, ks)) == column
 
 
 @fixed

@@ -5,8 +5,9 @@ import pytest
 from degcount import (INFINITE, DegreeSet, InfeasibleRegimeError,
                       acceptance_probability, loop_intensity, mean_degree,
                       mean_degree_slope, multigraph_count_asymptotic,
-                      multigraph_weight, resolve, saddle_point,
-                      simple_graph_count_asymptotic, solve_mean_degree)
+                      multigraph_weight, parse_degree_set, resolve,
+                      saddle_point, simple_graph_count_asymptotic,
+                      solve_mean_degree)
 
 from conftest import SADDLE_FAMILY, SADDLE_FAMILY_IDS
 from oracle import count_simple_graphs
@@ -241,6 +242,26 @@ class TestAsymptoticCounts:
             res = multigraph_count_asymptotic(ds, n, m)
             errs.append(abs(math.exp(res.log_value - log_fraction(exact)) - 1))
         assert errs[1] < errs[0]
+
+    # (degree set, end of its range, periodicity p)
+    NEAR_ENDS = [("min=1", "low", 1), ("min=2", "low", 1), ("2,3", "low", 1),
+                 ("2,3", "top", 1), ("0,1,2", "top", 1), ("even", "low", 2),
+                 ("1,3", "top", 2)]
+
+    @pytest.mark.parametrize("degrees, end, p", NEAR_ENDS,
+                             ids=[f"{d}-{e}" for d, e, _ in NEAR_ENDS])
+    def test_error_near_an_end_is_p_over_12e(self, degrees, end, p):
+        # e half-edges from the nearer end of D's range, the first-order
+        # estimate is high by about p/(12e) whatever n is
+        ds = parse_degree_set(degrees)
+        for n in (400, 1600):
+            for e in (2, 4, 10, 40):
+                total = (n * ds.valuation + e if end == "low"
+                         else n * ds.max_degree - e)
+                exact = multigraph_weight(ds, n, total // 2)
+                res = multigraph_count_asymptotic(ds, n, total // 2)
+                err = math.exp(res.log_value - log_fraction(exact)) - 1
+                assert 0 < err and abs(err * 12 * e / p - 1) < 0.1, (n, e, err)
 
 
 class TestAcceptanceProbability:

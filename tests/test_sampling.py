@@ -119,7 +119,7 @@ class TestLazyDraw:
                         cums.append((d, (cums[-1][1] if cums else 0) + w))
                 def draw(word, one):
                     degree, cell = sampler._draw_degree(i, j, word, one,
-                                                        None, {})
+                                                        None)
                     assert cell == table.value(i - 1, j - degree)
                     return degree
 

@@ -290,19 +290,16 @@ class TestPowerCoefficientRoutes:
                              ids=ALL_ROUTE_IDS + ["4"])
     def test_columns_match_the_grid(self, ds):
         # a degree draw's column, T[n][j - d] over the members d <= j, and
-        # columns with gaps, zero cells and k = 0; a fresh held {} shares
-        # the powers between cells, None computes each cell on its own
+        # columns with gaps, zero cells and k = 0
         ref = reference_table(ds, 8, 24)
-        for fresh in (dict, lambda: None):
-            for n in range(9):
-                for j in range(25):
-                    ks = [j - d for d in ds.members_up_to(j)]
-                    assert list(column_coefficients(ds, n, ks, fresh())) == \
-                        [ref[n][k] for k in ks], (n, j)
-                for ks in ([24, 23, 17, 16, 3, 0], [5], [],
-                           [20, 12, 11, 10, 2]):
-                    assert list(column_coefficients(ds, n, ks, fresh())) == \
-                        [ref[n][k] for k in ks], (n, ks)
+        for n in range(9):
+            for j in range(25):
+                ks = [j - d for d in ds.members_up_to(j)]
+                assert list(column_coefficients(ds, n, ks)) == \
+                    [ref[n][k] for k in ks], (n, j)
+            for ks in ([24, 23, 17, 16, 3, 0], [5], [], [20, 12, 11, 10, 2]):
+                assert list(column_coefficients(ds, n, ks)) == \
+                    [ref[n][k] for k in ks], (n, ks)
 
     def test_one_dispatch(self, monkeypatch):
         # power_coefficient reads one cell of a column, and a min=delta
@@ -327,29 +324,44 @@ class TestPowerCoefficientRoutes:
         ds = DegreeSet.min_degree(2)
         ks = [30, 29, 28, 20, 16, 15]
         ref = reference_table(ds, 8, 30)
-        assert list(column(ds, 8, ks, {})) == [ref[8][k] for k in ks]
+        assert list(column(ds, 8, ks)) == [ref[8][k] for k in ks]
         assert calls["power"] == 0
 
     @pytest.mark.parametrize("ds", ALL_ROUTES, ids=ALL_ROUTE_IDS)
     def test_columns_of_one_sequence_share_their_powers(self, ds):
-        # the columns an exact degree draw reads, vertex by vertex, passing
-        # on the held powers; each stops at its (1 + i % 3)-th nonzero cell
-        # or at its last one, and the next vertex takes the cell read last
+        # the columns an exact degree draw reads, vertex by vertex, each
+        # sharing its powers between its own cells; each stops at its
+        # (1 + i % 3)-th nonzero cell or at its last one, and the next
+        # vertex takes the cell read last
         n = 12
         ref = reference_table(ds, n, 72)
         j = next(j for j in (72, 30, 24) if ref[n][j])
-        held = {}
         for i in range(n, 1, -1):
             ks = [j - d for d in ds.members_up_to(j)]
             read = []
-            for k, cell in zip(ks, column_coefficients(ds, i - 1, ks, held)):
+            for k, cell in zip(ks, column_coefficients(ds, i - 1, ks)):
                 assert cell == ref[i - 1][k], (i, k)
                 if cell:
                     read.append(k)
                     if len(read) > i % 3:
                         break
             j = read[-1]
-        assert bool(held) == (ds.step == 2 or ds.start == 1 and ds.step == 1)
+
+    @pytest.mark.parametrize("ds, n, j, mib", [
+        (DegreeSet.min_degree(1), 1024, 3072, 3.0),
+        (DegreeSet.even(), 1024, 2048, 1.2)], ids=["min=1", "even"])
+    def test_lone_cell_streams_its_powers(self, ds, n, j, mib):
+        # a one-cell column keeps only the lower half of its powers alive:
+        # these peaked at 1.58 and 0.47 MiB under tracemalloc, where a
+        # column that holds all its powers peaked at 6.93 and 2.06 MiB
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            power_coefficient(ds, n, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2 ** 20
 
     @pytest.mark.parametrize("n", [40, 61])
     @pytest.mark.parametrize("ds", ALL_ROUTES, ids=ALL_ROUTE_IDS)
