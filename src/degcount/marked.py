@@ -12,8 +12,10 @@ The value is one sum over the number a of marked vertices,
 
 with M_a = (2m-2a)! [x^(2m-2a)] Set_(D-2)(x)^a Set_D(x)^(n-a) and
 H_a = a! [z^a] e^(vz + uz^2), so H_0 = 1, H_1 = v and
-H_(a+1) = v H_a + 2a u H_(a-1).  An independent series form, kept in the
-test suite's oracle module, agrees with it exactly.
+H_(a+1) = v H_a + 2a u H_(a-1).  M_a reads rows a of D-2 and n-a of D on
+[0, 2m-2a] only, from :func:`band_rows`: the memory is the D-2 triangle,
+rows a <= min(n, m), plus three streamed D rows.  An independent series
+form, kept in the test suite's oracle module, agrees with it exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .degree_sets import DegreeSet
-from .tables import (build_table, infeasibility_reason, mixed_table_coefficient,
+from .tables import (band_rows, infeasibility_reason,
                      multigraph_weight_and_reason)
 
 
@@ -43,9 +45,9 @@ def marked_multigraph_weight(degree_set: DegreeSet, n: int, m: int,
 
     At (0, 0) this is exactly the total multigraph weight, and so it is at
     every (u, v) when D-2 is empty (a subset of {0, 1}): nothing can be
-    marked, and no table is built.  Every marked multigraph has all its
+    marked, and no row is computed.  Every marked multigraph has all its
     degrees in the set, so when :func:`infeasibility_reason` gives a reason
-    the value is 0 and no table is built either.
+    the value is 0 and no row is computed either.
     """
     return marked_weight_and_reason(degree_set, n, m, u, v)[0]
 
@@ -64,10 +66,15 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
     reason = infeasibility_reason(degree_set, n, m)
     if reason is not None:
         return Fraction(0), reason
-    # at most min(n, m) disjoint structures fit; rows 0..cap of D-2 are read
+    # at most min(n, m) disjoint structures fit; D rows below n-cap are unread
     cap = min(n, m)
-    base_table = build_table(degree_set, n, 2 * m)
-    shifted_table = build_table(degree_set.shift(2), cap, 2 * m)
+    heads = [(0, 2 * m - 2 * a) for a in range(cap + 1)]
+    shifted = list(band_rows(degree_set.shift(2), 2 * m, heads))
+    rows = band_rows(degree_set, 2 * m, [(1, 0)] * (n - cap) + heads[::-1])
+    mixed = [0] * (cap + 1)
+    for a, row in zip(range(n, -1, -1), rows):
+        if a <= cap:
+            mixed[a] = _binomial_convolution(shifted[a], row, 2 * m - 2 * a)
     (p, q), (r, s) = u.as_integer_ratio(), v.as_integer_ratio()
     scale = q ** (cap // 2) * s ** cap
     before, g = 0, scale            # G_(a-1), G_a
@@ -77,7 +84,20 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
         if a:
             before, g = g, r * (g // s) + 2 * (a - 1) * p * (before // q)
             c = c * (n - a + 1) * (m - a + 1) // a
-        mixed = mixed_table_coefficient(shifted_table, base_table,
-                                        a, n - a, 2 * m - 2 * a)
-        total += c * g * mixed
+        total += c * g * mixed[a]
     return Fraction(total, scale * (1 << m) * math.factorial(m)), None
+
+
+def _binomial_convolution(row_a, row_b, j: int) -> int:
+    """The binomial convolution sum_k C(j, k) row_a[k] row_b[j-k], C(j, k)
+    stepped by C(j, k+1) = C(j, k)(j-k)/(k+1), which divides exactly."""
+    c = 1                           # C(j, k)
+    total = 0
+    for k in range(j + 1):
+        wa = row_a[k]
+        if wa:
+            wb = row_b[j - k]
+            if wb:
+                total += c * wa * wb
+        c = c * (j - k) // (k + 1)
+    return total

@@ -12,9 +12,9 @@ Rows come from one source, :func:`band_rows`, which streams row i as
 the span T[i][lo..hi] its caller asks for and computes each row only on
 the closure of those spans under the recurrence's reads, holding two or
 three rows at a time.  The exact sampler asks for a band of each row and
-keeps only float logs of it; :func:`build_table` asks for whole rows and
-keeps them as the one table class, :class:`CoefficientTable`, which the
-marked sums read.  The recurrences fill a row in O(1) big-integer
+keeps only float logs of it, and the marked sum the head of each row it
+convolves.  :func:`build_table` keeps whole rows as :class:`CoefficientTable`,
+which no package code builds.  The recurrences fill a row in O(1) big-integer
 operations per cell instead of the generic O(|D|) convolution, and skip
 the cells they know are zero (outside [i*min D, i*max D] or off the
 periodicity lattice):
@@ -187,8 +187,9 @@ def band_rows(degree_set: DegreeSet, j_max: int, spans):
 
 
 class CoefficientTable:
-    """Rows T[0..n_max][0..j_max] of one degree set, made by
-    :func:`build_table`: rows[i] is the list [T[i][0], ..., T[i][j_max]]."""
+    """Rows T[0..n_max][0..j_max] of one degree set, all held at once, made by
+    :func:`build_table` for callers outside the package's exact paths (which
+    stream theirs from :func:`band_rows`): rows[i] is the list T[i][0..j_max]."""
 
     def __init__(self, degree_set: DegreeSet, j_max: int, rows):
         self.degree_set = degree_set
@@ -671,25 +672,3 @@ def multigraph_weight_and_reason(degree_set: DegreeSet, n: int,
         return Fraction(0), reason
     t = power_coefficient(degree_set, n, 2 * m)
     return Fraction(t, (1 << m) * math.factorial(m)), None
-
-
-def mixed_table_coefficient(shifted_table: CoefficientTable,
-                            base_table: CoefficientTable,
-                            a: int, b: int, j: int) -> int:
-    """j! * [x^j] ( Shifted(x)^a * Set(x)^b ) from rows a and b of two tables.
-
-    The binomial convolution of the two rows, read in place, with C(j, k)
-    stepped by C(j, k+1) = C(j, k)(j-k)/(k+1), which divides exactly.
-    """
-    row_a = shifted_table.rows[a]
-    row_b = base_table.rows[b]
-    c = 1                           # C(j, k)
-    total = 0
-    for k in range(j + 1):
-        wa = row_a[k]
-        if wa:
-            wb = row_b[j - k]
-            if wb:
-                total += c * wa * wb
-        c = c * (j - k) // (k + 1)
-    return total

@@ -16,6 +16,15 @@ FAMILY = [
 
 FAMILY_IDS = [str(d) for d in FAMILY]
 
+# Sets beyond FAMILY whose single-coefficient routes differ: deeper minimum
+# degrees run the half band sweep joined by one convolution, 0,4,7 runs
+# Miller's recurrence with a nonzero constant term, and 3,6,9 steps it by
+# periodicity 3.
+WIDER = [DegreeSet.min_degree(3), DegreeSet.min_degree(5),
+         DegreeSet.finite([0, 4, 7]), DegreeSet.finite([3, 6, 9])]
+ALL_ROUTES = FAMILY + WIDER
+ALL_ROUTE_IDS = FAMILY_IDS + [str(d) for d in WIDER]
+
 # Subfamily where the saddle-point machinery applies (at least two members).
 SADDLE_FAMILY = [d for d in FAMILY if d.size != 1]
 SADDLE_FAMILY_IDS = [str(d) for d in SADDLE_FAMILY]

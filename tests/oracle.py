@@ -5,8 +5,9 @@ rest of the package obtains through generating functions: simple-graph
 counts, total compensated multigraph weights, ordering counts and
 marked-multigraph sums.  Clarity beats speed throughout; hard guards refuse
 instances whose enumeration would blow past roughly 1e8 primitive steps.
-The marked sums also get a second exact route, the falling-factorial series
-form, which the tests hold equal to the constructive one.  This module is
+The marked sums also get two exact routes that read whole coefficient
+tables, the sum over marked vertices and the falling-factorial series form,
+which the tests hold equal to the package's streamed sum.  This module is
 part of the test suite, not of the installed package.
 """
 
@@ -19,8 +20,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 
-from degcount import DegreeSet, Multigraph, build_table, infeasibility_reason
-from degcount.tables import mixed_table_coefficient
+from degcount import (DegreeSet, Multigraph, build_table, infeasibility_reason,
+                      multigraph_weight)
 
 
 @dataclass(frozen=True)
@@ -288,6 +289,46 @@ def disjointness_factor(n: int, m: int, j: int) -> Fraction:
     return Fraction(num, den)
 
 
+def table_mixed_coefficient(shifted_table, base_table, a: int, b: int,
+                            j: int) -> int:
+    """j! [x^j] Set_{D-2}^a Set_D^b: the binomial convolution of row a of
+    the D-2 table with row b of the D table."""
+    return sum(math.comb(j, k) * shifted_table.value(a, k)
+               * base_table.value(b, j - k) for k in range(j + 1))
+
+
+def marked_weight_tables(degree_set: DegreeSet, n: int, m: int,
+                         u, v) -> Fraction:
+    """The marked-multigraph weight by the sum over the number a of marked
+    vertices, read from two whole tables: the full T_D up to row n and
+    T_(D-2) up to row min(n, m), each to column 2m.
+
+    The sum is 2^m m! W = sum_a C(n, a) m!/(m-a)! H_a M_a, with
+    H_a = a! [z^a] e^(vz + uz^2) and M_a the mixed coefficient
+    (2m-2a)! [x^(2m-2a)] Set_(D-2)^a Set_D^(n-a).  Zero, with no table
+    built, on an instance with no degree sequence; the total weight when
+    D-2 is empty.
+    """
+    u = Fraction(u)
+    v = Fraction(v)
+    if degree_set.max_degree < 2:
+        return multigraph_weight(degree_set, n, m)
+    if infeasibility_reason(degree_set, n, m) is not None:
+        return Fraction(0)
+    cap = min(n, m)
+    base_table = build_table(degree_set, n, 2 * m)
+    shifted_table = build_table(degree_set.shift(2), cap, 2 * m)
+    hermite = [Fraction(1), v]          # H_a, by H_(a+1) = v H_a + 2a u H_(a-1)
+    for a in range(1, cap):
+        hermite.append(v * hermite[a] + 2 * a * u * hermite[a - 1])
+    total = Fraction(0)
+    for a in range(cap + 1):
+        mixed = table_mixed_coefficient(shifted_table, base_table, a, n - a,
+                                        2 * m - 2 * a)
+        total += math.comb(n, a) * math.perm(m, a) * hermite[a] * mixed
+    return total / ((1 << m) * math.factorial(m))
+
+
 def marked_multigraph_weight_series(degree_set: DegreeSet, n: int, m: int,
                                     u, v) -> Fraction:
     """The marked-multigraph weight via the falling-factorial series form.
@@ -317,7 +358,8 @@ def marked_multigraph_weight_series(degree_set: DegreeSet, n: int, m: int,
             if a == 0:
                 continue
             deg = 2 * m - 2 * j
-            mixed = mixed_table_coefficient(shifted_table, base_table, j, n - j, deg)
+            mixed = table_mixed_coefficient(shifted_table, base_table, j,
+                                            n - j, deg)
             if not mixed:
                 continue
             w_factor = Fraction(n, 4 * m) ** j if j else Fraction(1)

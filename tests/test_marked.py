@@ -1,12 +1,14 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from degcount import DegreeSet, marked_multigraph_weight, multigraph_weight
+from degcount import (DegreeSet, infeasibility_reason, marked_multigraph_weight,
+                      multigraph_weight, parse_degree_set)
 
-from conftest import FAMILY, FAMILY_IDS
+from conftest import ALL_ROUTE_IDS, ALL_ROUTES, FAMILY, FAMILY_IDS
 from oracle import (disjointness_factor, marked_multigraph_weight_series,
-                    marked_weight_brute)
+                    marked_weight_brute, marked_weight_tables)
 
 UV_POINTS = [(0, 0), (1, 1), (-1, -1), (2, -1)]
 
@@ -102,6 +104,55 @@ class TestMarkedWeight:
         assert value == marked_multigraph_weight_series(ds, n, m, u, v)
 
 
+class TestTableRoute:
+    """The streamed sum against the same sum read from two whole tables."""
+
+    @pytest.mark.parametrize("ds", ALL_ROUTES, ids=ALL_ROUTE_IDS)
+    def test_streamed_equals_tables(self, ds):
+        half = Fraction(1, 2)
+        points = [(u, v) for u in (-1, 0, half) for v in (-1, 0, half)]
+        infeasible = 0
+        for n in (0, 1, 2, 3, 5, 8, 13, 21, 34, 64):
+            # m = 0 is infeasible for a set without 0 and 3n/2 + 1 for one
+            # whose largest member is at most 3; 3n is feasible for min=5
+            for m in sorted({0, n // 2, n, 3 * n // 2 + 1, 3 * n}):
+                infeasible += infeasibility_reason(ds, n, m) is not None
+                for u, v in points:
+                    assert (marked_multigraph_weight(ds, n, m, u, v)
+                            == marked_weight_tables(ds, n, m, u, v))
+        assert infeasible
+
+
+def _traced_peak(call):
+    """call() and the tracemalloc peak it adds above what is already held."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """The streamed rows take well under the two whole tables' memory."""
+
+    @pytest.mark.parametrize("degrees, n, m", [
+        ("min=2", 100, 150), ("even", 100, 100), ("2,3", 100, 125)])
+    def test_peak_below_the_tables(self, degrees, n, m):
+        ds = parse_degree_set(degrees)
+        streamed, low = _traced_peak(
+            lambda: marked_multigraph_weight(ds, n, m, -1, -1))
+        tables, high = _traced_peak(
+            lambda: marked_weight_tables(ds, n, m, -1, -1))
+        assert streamed == tables
+        assert low <= 0.4 * high
+
+
 class TestMixedCoefficientReads:
     """Every (k, l) with the same 2k + l reads one mixed coefficient."""
 
@@ -113,15 +164,17 @@ class TestMixedCoefficientReads:
 
         reads = []
 
-        def counted(shifted, base, a, b, j):
-            reads.append(a)
-            return mixed(shifted, base, a, b, j)
-        mixed = marked.mixed_table_coefficient
-        monkeypatch.setattr(marked, "mixed_table_coefficient", counted)
+        def counted(row_a, row_b, j):
+            reads.append(j)
+            return convolution(row_a, row_b, j)
+        convolution = marked._binomial_convolution
+        monkeypatch.setattr(marked, "_binomial_convolution", counted)
         ds = parse_degree_set(degrees)
         value = marked_multigraph_weight(ds, n, m, Fraction(3, 2),
                                          Fraction(-1, 2))
-        assert reads == list(range(min(n, m) + 1))
+        # M_a is read at j = 2m - 2a, once for each a <= min(n, m)
+        assert sorted(reads) == [2 * m - 2 * a
+                                 for a in range(min(n, m), -1, -1)]
         assert value == marked_multigraph_weight_series(
             ds, n, m, Fraction(3, 2), Fraction(-1, 2))
 
@@ -136,7 +189,10 @@ class TestInfeasible:
         def no_table(*args):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr(marked, "build_table", no_table)
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(marked, "band_rows", no_rows)
         monkeypatch.setattr(oracle, "build_table", no_table)
         # 2m = 1200 exceeds n*max(D) = 300: no degree sequence exists
         assert route(DegreeSet.finite([1, 3]), 100, 600, -1, -1) == 0
@@ -164,10 +220,10 @@ class TestEmptyShift:
     def test_total_weight_without_tables(self, members, monkeypatch):
         from degcount import marked
 
-        def no_table(*args):
-            raise AssertionError("a table was built")
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(marked, "build_table", no_table)
+        monkeypatch.setattr(marked, "band_rows", no_rows)
         ds = DegreeSet.finite(members)
         # (5, 1) has no sequence for {0} or {1}, (4, 3) none for any of them
         for n, m in [(0, 0), (5, 1), (4, 3), (6, 3), (2000, 500)]:

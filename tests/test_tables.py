@@ -5,10 +5,10 @@ import pytest
 
 from degcount import (INFINITE, DegreeSet, build_table, infeasibility_reason,
                       multigraph_weight, power_coefficient)
-from degcount.tables import (band_rows, column_coefficients,
-                             mixed_table_coefficient)
+from degcount.marked import _binomial_convolution
+from degcount.tables import band_rows, column_coefficients
 
-from conftest import FAMILY, FAMILY_IDS
+from conftest import ALL_ROUTE_IDS, ALL_ROUTES, FAMILY, FAMILY_IDS
 
 
 def reference_table(ds, n_max, j_max):
@@ -225,9 +225,9 @@ class TestMultigraphWeight:
 
 
 def mixed_coefficient(ds, a, b, j):
-    """j! [x^j] Set_{D-2}^a Set_D^b from freshly built tables."""
-    return mixed_table_coefficient(build_table(ds.shift(2), a, j),
-                                   build_table(ds, b, j), a, b, j)
+    """j! [x^j] Set_{D-2}^a Set_D^b from rows of freshly built tables."""
+    return _binomial_convolution(build_table(ds.shift(2), a, j).rows[a],
+                                 build_table(ds, b, j).rows[b], j)
 
 
 class TestMixedCoefficient:
@@ -250,15 +250,6 @@ class TestMixedCoefficient:
     def test_min_two_shift_is_exp(self):
         assert mixed_coefficient(DegreeSet.min_degree(2), 1, 0, 1) == 1
 
-
-# Sets beyond FAMILY whose single-coefficient routes differ: deeper minimum
-# degrees run the half band sweep joined by one convolution, 0,4,7 runs
-# Miller's recurrence with a nonzero constant term, and 3,6,9 steps it by
-# periodicity 3.
-WIDER = [DegreeSet.min_degree(3), DegreeSet.min_degree(5),
-         DegreeSet.finite([0, 4, 7]), DegreeSet.finite([3, 6, 9])]
-ALL_ROUTES = FAMILY + WIDER
-ALL_ROUTE_IDS = FAMILY_IDS + [str(d) for d in WIDER]
 
 
 def zero_cell(ds, n, j):
@@ -475,20 +466,18 @@ class TestMinDeltaRoutes:
 
 
 class TestMixedTableCoefficient:
-    def test_marked_sums_share_the_tables_routine(self):
-        from degcount import marked, tables
-        assert marked.mixed_table_coefficient is tables.mixed_table_coefficient
-
     @pytest.mark.parametrize("ds", [d for d in ALL_ROUTES if str(d) != "2"],
                              ids=str)
     def test_matches_reference_convolution(self, ds):
-        shifted = ds.shift(2)
-        ref_a = reference_table(shifted, 4, 12)
+        # the marked sum's convolution, on rows of the reference tables and
+        # on heads of rows as the marked sum passes them
+        ref_a = reference_table(ds.shift(2), 4, 12)
         ref_b = reference_table(ds, 4, 12)
-        ta, tb = build_table(shifted, 4, 12), build_table(ds, 4, 12)
         for a in range(5):
             for b in range(5):
                 for j in range(13):
                     expected = sum(math.comb(j, k) * ref_a[a][k] * ref_b[b][j - k]
                                    for k in range(j + 1))
-                    assert mixed_table_coefficient(ta, tb, a, b, j) == expected
+                    assert _binomial_convolution(ref_a[a], ref_b[b], j) == expected
+                    assert _binomial_convolution(ref_a[a][:j + 1],
+                                                 ref_b[b][:j + 1], j) == expected
