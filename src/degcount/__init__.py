@@ -10,8 +10,8 @@ from .saddlepoint import (AsymptoticCount, InfeasibleRegimeError, Regime,
                           multigraph_count_asymptotic, resolve, saddle_point,
                           simple_graph_count_asymptotic, solve_mean_degree)
 from .sampling import (DegreeSequenceSampler, SampleReport, SamplerExhausted,
-                       boltzmann_degree_law, boltzmann_sample, boltzmann_tune,
-                       make_rng, pair_half_edges)
+                       attempt_budget, boltzmann_degree_law, boltzmann_sample,
+                       boltzmann_tune, make_rng, pair_half_edges)
 from .tables import (CoefficientTable, build_table, infeasibility_reason,
                      multigraph_weight, power_coefficient)
 
@@ -30,6 +30,7 @@ __all__ = [
     "SampleReport",
     "SamplerExhausted",
     "acceptance_probability",
+    "attempt_budget",
     "boltzmann_degree_law",
     "boltzmann_sample",
     "boltzmann_tune",

@@ -21,9 +21,10 @@ from functools import reduce
 from .degree_sets import parse_degree_set
 from .marked import marked_weight_and_reason
 from .sampling import (DegreeSequenceSampler, SampleReport, SamplerExhausted,
-                       boltzmann_sample, boltzmann_tune, make_rng, spawn_seeds)
+                       attempt_budget, boltzmann_sample, boltzmann_tune,
+                       make_rng, spawn_seeds)
 from .saddlepoint import (InfeasibleRegimeError, multigraph_count_asymptotic,
-                          simple_graph_count_asymptotic)
+                          resolve, simple_graph_count_asymptotic)
 from .tables import multigraph_weight, multigraph_weight_and_reason
 
 EXIT_OK = 0
@@ -150,12 +151,8 @@ def _run_one_sample(task, sampler=None):
     return graph.to_text(), report
 
 
-def _collect_samples(args, sampler) -> tuple[list[str], SampleReport]:
+def _collect_samples(args, sampler, max_attempts) -> tuple[list[str], SampleReport]:
     seeds = spawn_seeds(args.seed, args.samples)
-    # the automatic budget refuses here, before any pool starts, when the
-    # predicted attempts pass its cap; multigraphs need no budget
-    max_attempts = args.max_attempts or (
-        None if args.allow_multi else sampler.default_max_attempts())
     tasks = [(seed, args.allow_multi, max_attempts) for seed in seeds]
     # a pool starts all its workers up front, so start none that would idle
     workers = min(args.jobs, args.samples, os.cpu_count() or 1)
@@ -195,12 +192,12 @@ def _render_samples(args, blocks: list[str], report: SampleReport,
 
 
 def _cmd_sample(args) -> int:
-    sampler = DegreeSequenceSampler(parse_degree_set(args.degrees),
-                                    args.n, args.m)
-    # raised here, as sample_simple would, so that no pool starts for it
-    if sampler.simple_reason is not None and not args.allow_multi:
-        raise InfeasibleRegimeError(sampler.simple_reason)
-    blocks, report = _collect_samples(args, sampler)
+    degree_set = parse_degree_set(args.degrees)
+    # decided from the regime alone, before any row; multigraphs need none
+    max_attempts = None if args.allow_multi else attempt_budget(
+        resolve(degree_set, args.n, args.m), args.max_attempts or None)
+    sampler = DegreeSequenceSampler(degree_set, args.n, args.m)
+    blocks, report = _collect_samples(args, sampler, max_attempts)
     _emit(args, _render_samples(args, blocks, report))
     return EXIT_OK
 

@@ -34,8 +34,8 @@ accepted graph is built from it without a second check or sort.
 An instance that admits no degree sequence raises the package's one
 infeasibility exception, :class:`InfeasibleRegimeError`: the exact sampler
 before it computes any row, the Boltzmann one when n is odd and every degree
-its law can draw is odd.  The exact sampler's `sample_simple` raises it too,
-before drawing, when multigraphs exist but no simple graph does because no
+its law can draw is odd.  `attempt_budget` raises it too, from the instance's
+`Regime` alone, when multigraphs exist but no simple graph does because no
 degree sequence below n sums to 2m (`Regime.simple_reason`, which the
 simple-graph estimate reads too).
 
@@ -55,7 +55,7 @@ import math
 from .degree_sets import INFINITE, DegreeSet
 from .multigraph import Multigraph
 from .records import Record
-from .saddlepoint import InfeasibleRegimeError, resolve, solve_mean_degree
+from .saddlepoint import InfeasibleRegimeError, Regime, resolve, solve_mean_degree
 from .tables import band_rows, column_coefficients, power_coefficient
 
 # typing.TYPE_CHECKING without loading typing; the annotations are strings
@@ -122,16 +122,17 @@ power_coefficient, so a band too narrow costs time but never exactness.
 _BAND_SLACK = 8
 
 _AUTO_ATTEMPT_CAP = 10 ** 6
-"""Most predicted attempts per simple graph the automatic budget takes on.
+"""Most predicted attempts per graph the automatic budget takes on.
 
-The predicted attempts are 1/acceptance = e^(L^2 + L).  Without an explicit
-max_attempts, `sample_simple` (and the CLI's `sample` without
---max-attempts) raises SamplerExhausted before drawing when they pass this
-cap, instead of running for hours or for ever: K_33 (min=2, n = 33,
-m = 528) predicts 1.3e118 attempts and K_10 (9, n = 10, m = 45) 4.9e8.
-At about 1 ms an attempt the cap allows some twenty minutes; 1,2,8 at
-(30, 83), which predicts 3.8e5, still draws.  An explicit max_attempts is
-never capped.
+A simple graph predicts 1/acceptance = e^(L^2 + L) attempts.  Without an
+explicit max_attempts, `attempt_budget` (for `sample_simple` and the CLI's
+`sample`) raises SamplerExhausted from the instance's Regime, before any
+row, when they pass this cap, instead of running for hours or for ever:
+K_33 (min=2, n = 33, m = 528) predicts 1.3e118 attempts and K_10 (9,
+n = 10, m = 45) 4.9e8.  At about 1 ms an attempt the cap allows some
+twenty minutes; 1,2,8 at (30, 83), which predicts 3.8e5, still draws.  An
+explicit max_attempts is never capped.  `boltzmann_sample`, which has no
+max_attempts, refuses the same way when its parity redraws pass the cap.
 """
 
 # Past x the Boltzmann degree law stops at a weight below _TAIL times its mass.
@@ -146,7 +147,8 @@ class SamplerExhausted(RuntimeError):
     """Rejection sampling hit its attempt budget; carries the report.
 
     `log10_predicted_attempts` is set when the automatic budget refused to
-    start because the predicted attempts passed _AUTO_ATTEMPT_CAP.
+    start because the predicted attempts passed _AUTO_ATTEMPT_CAP: those
+    of `attempt_budget`, or the parity redraws of `boltzmann_sample`.
     """
 
     def __init__(self, message: str, report: "SampleReport",
@@ -201,6 +203,36 @@ class SampleReport(Record):
             "odd_sum_retries": self.odd_sum_retries,
             "empirical_acceptance": self.empirical_acceptance,
         }
+
+
+def _refuse_past_cap(log_attempts: float, per: str, advice: str = "") -> None:
+    """The automatic refusal: SamplerExhausted, with the predicted attempts,
+    when e^log_attempts attempts per `per` pass _AUTO_ATTEMPT_CAP."""
+    if log_attempts > math.log(_AUTO_ATTEMPT_CAP):
+        log10 = log_attempts / math.log(10)
+        raise SamplerExhausted(
+            f"about 10^{log10:.1f} attempts predicted per {per}, above the "
+            f"automatic budget's cap of {_AUTO_ATTEMPT_CAP}{advice}",
+            SampleReport(samples_requested=1), log10)
+
+
+def attempt_budget(regime: Regime, max_attempts: int | None = None) -> int:
+    """Pairing attempts per simple graph at `regime`, decided before any row:
+    an explicit max_attempts, never capped (ValueError below 1), else ten
+    times the predicted attempts 1/acceptance = e^(L^2 + L), or
+    SamplerExhausted when those pass _AUTO_ATTEMPT_CAP.  Raises
+    InfeasibleRegimeError for `regime.reason or regime.simple_reason`."""
+    reason = regime.reason or regime.simple_reason
+    if reason is not None:
+        raise InfeasibleRegimeError(reason)
+    if max_attempts is not None:
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+        return max_attempts
+    lam = regime.loop_intensity
+    _refuse_past_cap(lam * lam + lam, "simple graph",
+                     "; give max_attempts to draw anyway")
+    return 10 * math.ceil(1.0 / regime.acceptance)
 
 
 @functools.cache
@@ -332,8 +364,8 @@ class DegreeSequenceSampler:
     one clipped span (lo, hi) per row i <= n holding the cells a draw can
     plausibly reach (_BAND_SIGMAS); the log memo, one array('d') per row
     with L(i, k) = ln T[i][k] - ln k! (-inf for a zero cell) in slot k - lo;
-    the tuple of members up to 2m the draws scan; ln k! for k <= 2m; the
-    predicted attempts and `simple_reason` (`Regime.simple_reason`).  The
+    the tuple of members up to 2m the draws scan; ln k! for k <= 2m; and
+    the `regime` that `attempt_budget` reads for `sample_simple`.  The
     memo comes from :func:`~degcount.tables.band_rows`, which streams the
     rows of T on the closure of the band, so no more than the two or three
     rows its recurrence holds are ever alive as integers, and no integer is
@@ -354,7 +386,7 @@ class DegreeSequenceSampler:
     """
 
     def __init__(self, degree_set: DegreeSet, n: int, m: int):
-        regime = resolve(degree_set, n, m)
+        self.regime = regime = resolve(degree_set, n, m)
         if regime.reason is not None:
             raise InfeasibleRegimeError(regime.reason)
         self.degree_set = degree_set
@@ -378,10 +410,6 @@ class DegreeSequenceSampler:
                         for k, w in enumerate(row, lo)])
             for (lo, _), row in zip(self._spans,
                                     band_rows(degree_set, 2 * m, self._spans))]
-        lam = regime.loop_intensity
-        self._predicted_log = lam * lam + lam       # ln (1/acceptance)
-        self._acceptance = regime.acceptance
-        self.simple_reason = regime.simple_reason
 
     def __reduce__(self):
         # the memo is a pure function of the instance and far larger than it
@@ -522,37 +550,13 @@ class DegreeSequenceSampler:
         """One multigraph, weighted by its compensation factor."""
         return pair_half_edges(self.sample_degrees(rng), rng)
 
-    def default_max_attempts(self) -> int:
-        """Ten times the predicted attempts per simple graph.
-
-        Raises SamplerExhausted, with the predicted attempts, when those
-        pass _AUTO_ATTEMPT_CAP.
-        """
-        if self._predicted_log > math.log(_AUTO_ATTEMPT_CAP):
-            log10 = self._predicted_log / math.log(10)
-            raise SamplerExhausted(
-                f"about 10^{log10:.1f} attempts predicted per simple graph, "
-                f"above the automatic budget's cap of {_AUTO_ATTEMPT_CAP}; "
-                f"give max_attempts to draw anyway",
-                SampleReport(samples_requested=1), log10)
-        return 10 * math.ceil(1.0 / self._acceptance)
-
     def sample_simple(self, rng: np.random.Generator,
                       max_attempts: int | None = None) -> tuple[Multigraph, SampleReport]:
         """Redraw multigraphs until one is simple; uniform over simple graphs.
 
-        Raises InfeasibleRegimeError, before drawing, when no simple graph
-        fits: with no degree above n - 1, no sequence sums to 2m.  Without
-        max_attempts the budget is :meth:`default_max_attempts`, which
-        raises SamplerExhausted before drawing when the predicted attempts
-        pass _AUTO_ATTEMPT_CAP.
+        Takes its budget, or its refusal, from :func:`attempt_budget`.
         """
-        if self.simple_reason is not None:
-            raise InfeasibleRegimeError(self.simple_reason)
-        if max_attempts is None:
-            max_attempts = self.default_max_attempts()
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        max_attempts = attempt_budget(self.regime, max_attempts)
         report = SampleReport(samples_requested=1)
         for _ in range(max_attempts):
             # the same draws as sample_multigraph, but only an accepted
@@ -612,13 +616,25 @@ def boltzmann_sample(degree_set: DegreeSet, n: int, x: float,
     counts those retries.  The edge count of the output is random with mean
     n * mean_degree(x) / 2.  When every degree the law can draw is odd and n
     is odd, no sequence has an even total, and InfeasibleRegimeError is
-    raised instead of redrawing forever.
+    raised instead of redrawing forever.  A total is even with probability
+    P = (1 + (e - o)^n) / 2 for the law's even and odd masses e and o, and
+    SamplerExhausted refuses before the first draw when the predicted draws
+    1/P pass _AUTO_ATTEMPT_CAP.  P < 1/2 only for odd n and e < o, where it
+    is (1 - (1 - 2e/(e + o))^n) / 2, computed so that a tiny e keeps its
+    digits (0,5,7 at x = 10^6 has e = 5e-39, and P = 1.5e-38, not 0).
     """
     support, probs = boltzmann_degree_law(degree_set, x)
-    if n % 2 and (support[probs > 0] % 2).all():
-        raise InfeasibleRegimeError(
-            f"every degree the law on {degree_set} can draw is odd, so {n} "
-            f"vertices cannot have an even degree sum")
+    if n % 2:
+        if (support[probs > 0] % 2).all():
+            raise InfeasibleRegimeError(
+                f"every degree the law on {degree_set} can draw is odd, so "
+                f"{n} vertices cannot have an even degree sum")
+        odd = support % 2 == 1
+        even_mass = float(probs[~odd].sum())
+        share = 2 * even_mass / (even_mass + float(probs[odd].sum()))
+        if share < 1:
+            p_even = -math.expm1(n * math.log1p(-share)) / 2
+            _refuse_past_cap(-math.log(p_even), "sequence with an even sum")
     report = SampleReport(samples_requested=1)
     while True:
         degrees = rng.choice(support, size=n, p=probs)

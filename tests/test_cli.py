@@ -4,15 +4,20 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import degcount
 from degcount import DegreeSequenceSampler, DegreeSet, multigraph_weight
 from degcount.cli import main
+
+SRC = str(Path(degcount.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +289,32 @@ class TestSampling:
             log10, abs=0.01)
         assert payload["report"]["rejections"] == 0
 
+    # min=0 and min=1 at (1000, 5000) predict 10^13 attempts; the refusal
+    # comes from the regime alone, so no row of the sampler is computed
+    @pytest.mark.parametrize("degrees, log10", [
+        ("min=0", 13.028834457097554), ("min=1", 13.027749555186212)])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_automatic_refusal_computes_no_row(self, capsys, monkeypatch,
+                                               schema, degrees, log10, jobs):
+        from degcount import sampling
+        rows = []
+        monkeypatch.setattr(sampling, "band_rows",
+                            lambda *args: rows.append(args) or iter(()))
+        start = time.perf_counter()
+        code, out = run(capsys, "sample", "--degrees", degrees, "--n", "1000",
+                        "--m", "5000", "--jobs", jobs)
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert rows == []
+        assert validate_json_lines(schema, out) == [{
+            "command": "sample", "degrees": degrees, "n": 1000, "m": 5000,
+            "feasible": True,
+            "error": "predicted attempts exceed the automatic budget",
+            "log10_predicted_attempts": log10,
+            "report": {"samples_requested": 1, "samples_produced": 0,
+                       "rejections": 0, "odd_sum_retries": 0,
+                       "empirical_acceptance": 0.0}}]
+
     def test_explicit_budget_overrides_the_cap(self, capsys, schema):
         code, out = run(capsys, "sample", *self.CAPPED[0][0],
                         "--max-attempts", "3")
@@ -390,6 +421,35 @@ class TestSampling:
             "feasible": False,
             "reason": ("every degree the law on 1,3 can draw is odd, so 5 "
                        "vertices cannot have an even degree sum")}
+
+    # n is odd and the law's even mass e is tiny, so a sequence has an even
+    # total with probability about n*e: e = x/(2 + x) for 1,2 at x = 1e-12,
+    # about 5040/x^7 for 0,5,7 at 1e6 and x/6 for min=5 at 1e-300; for the
+    # last two, (1 + (e - o)^n)/2 rounds to 0 in floats.  Each used to
+    # redraw for ever.
+    PARITY_HANGS = [(["--degrees", "1,2", "--n", "3", "--x", "1e-12"], 11.824),
+                    (["--degrees", "0,5,7", "--n", "3", "--x", "1e6"], 37.820),
+                    (["--degrees", "min=5", "--n", "5", "--x", "1e-300"],
+                     300.079)]
+
+    @pytest.mark.parametrize("instance, log10", PARITY_HANGS,
+                             ids=["1,2", "0,5,7", "min=5"])
+    def test_boltzmann_parity_redraws_are_capped(self, schema, instance,
+                                                 log10):
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path
+                                                 if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "degcount.cli", "boltzmann", *instance],
+            env=env, capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 3, proc.stderr
+        payload = validate_json_lines(schema, proc.stdout)[0]
+        assert payload["command"] == "boltzmann"
+        assert payload["error"] == \
+            "predicted attempts exceed the automatic budget"
+        assert payload["log10_predicted_attempts"] == pytest.approx(
+            log10, abs=1e-3)
+        assert payload["report"]["odd_sum_retries"] == 0
 
     @pytest.mark.parametrize("flag,value", [("--x", "nan"), ("--x", "inf"),
                                             ("--x", "-inf"),

@@ -10,9 +10,10 @@ import pytest
 
 from degcount import (DegreeSet, DegreeSequenceSampler,
                       InfeasibleRegimeError, Multigraph, SampleReport,
-                      SamplerExhausted, boltzmann_degree_law, boltzmann_sample,
-                      boltzmann_tune, build_table, make_rng, mean_degree,
-                      pair_half_edges, parse_degree_set, power_coefficient)
+                      SamplerExhausted, attempt_budget, boltzmann_degree_law,
+                      boltzmann_sample, boltzmann_tune, build_table, make_rng,
+                      mean_degree, pair_half_edges, parse_degree_set,
+                      power_coefficient, resolve)
 from degcount import sampling
 from degcount.tables import band_rows
 from degcount.sampling import (_WORD_BITS, _edge_codes, _is_simple_pairing,
@@ -813,8 +814,16 @@ class TestSimpleSampling:
     def test_automatic_budget_below_the_cap(self):
         # 1,2,8 at (30, 83) predicts 3.8e5 attempts: slow, but it draws
         sampler = DegreeSequenceSampler(parse_degree_set("1,2,8"), 30, 83)
-        budget = sampler.default_max_attempts()
+        budget = attempt_budget(sampler.regime)
         assert 3.5e6 < budget < 4e6
+
+    def test_attempt_budget_raises_the_regime_reason(self):
+        # no multigraph: no two of 0, 5, 7 sum to 2; an explicit budget
+        # does not get round it
+        regime = resolve(DegreeSet.finite([0, 5, 7]), 2, 1)
+        with pytest.raises(InfeasibleRegimeError) as err:
+            attempt_budget(regime, 5)
+        assert str(err.value) == regime.reason
 
     def test_pickles_as_its_instance(self):
         # a spawned pool worker rebuilds the table instead of receiving it
@@ -825,7 +834,8 @@ class TestSimpleSampling:
         copy = pickle.loads(data)
         assert (copy.degree_set, copy.n, copy.m) == (
             sampler.degree_set, sampler.n, sampler.m)
-        assert copy.default_max_attempts() == sampler.default_max_attempts()
+        assert copy.regime == sampler.regime
+        assert attempt_budget(copy.regime) == attempt_budget(sampler.regime)
         assert (copy.sample_degrees(make_rng(8))
                 == sampler.sample_degrees(make_rng(8)))
 
@@ -846,24 +856,24 @@ class TestSimpleSampling:
 
     def test_default_attempt_budget(self):
         sampler = DegreeSequenceSampler(DegreeSet.even(), 20, 10)
-        assert sampler.default_max_attempts() >= 10
+        assert attempt_budget(sampler.regime) >= 10
 
     def test_boundary_budget_is_the_forced_one(self):
         # 2m/n = min(D) forces every degree to 3: L = 1, ceil(e^2) = 8
         boundary = DegreeSequenceSampler(DegreeSet.min_degree(3), 10, 15)
         forced = DegreeSequenceSampler(DegreeSet.finite([3]), 10, 15)
-        assert boundary.default_max_attempts() == 80
-        assert forced.default_max_attempts() == 80
+        assert attempt_budget(boundary.regime) == 80
+        assert attempt_budget(forced.regime) == 80
 
     def test_empty_shift_budget(self):
         # D-2 empty: every multigraph is simple, acceptance 1
         sampler = DegreeSequenceSampler(DegreeSet.finite([0, 1]), 10, 3)
-        assert sampler.default_max_attempts() == 10
+        assert attempt_budget(sampler.regime) == 10
 
     def test_empty_instance_constructs(self):
         sampler = DegreeSequenceSampler(DegreeSet.even(), 0, 0)
         assert sampler.sample_degrees(make_rng(0)) == []
-        assert sampler.default_max_attempts() == 10
+        assert attempt_budget(sampler.regime) == 10
 
     def test_drawing_leaves_sampler_state_unchanged(self):
         sampler = DegreeSequenceSampler(DegreeSet.finite([2, 3]), 12, 15)
