@@ -18,11 +18,13 @@ with exact fallback of Denise and Zimmermann (Theoret. Comput. Sci. 218,
 1999).  The sampler keeps no integers: it streams the rows of T over a band
 of each row, the part the draw can plausibly reach, a few standard
 deviations around the remaining total's mean (_BAND_SIGMAS), and keeps
-only L of each band cell.  The exact comparison computes its cells from
-one `column_coefficients` pass per vertex, which keeps nothing for the
-next, and the screen off the band with `power_coefficient`; so the draws
-read the same integers as from the full table, and memory is one float
-per band cell.  The Boltzmann one draws degrees i.i.d. with P(d)
+only L of each band cell, plus two prefix slots per band cell that the
+draws fill with the screen's own running sums, so that a warm cell decides
+most vertices without an exp.  The exact comparison computes its cells
+from one `column_coefficients` pass per vertex, which keeps nothing for
+the next, and the screen off the band with `power_coefficient`; so the
+draws read the same integers as from the full table, and memory is three
+floats per band cell.  The Boltzmann one draws degrees i.i.d. with P(d)
 proportional to x^d/d!, giving a random edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
@@ -92,7 +94,9 @@ under 6.5 * 2^-32 (1 + 2^-19) = 1.52e-9, and each exp term is off by that
 much relative; the terms sum to at most 1, and adding up to 2^20 of them
 costs 2^-33 = 1.2e-10 more.  So |p_d - c_d/T| < 1.7e-9, and the margin
 2^-27 = 7.45e-9 leaves more than four times that.  A draw falls back with
-probability about 2 * margin per prefix ratio it scans.
+probability about 2 * margin per prefix ratio it scans.  The prefix slots
+hold p_d of the first two members as the scan computes them, so the bound
+covers them as is.
 """
 
 _SCREEN_LIMIT = 2 ** 20
@@ -107,7 +111,7 @@ or above 2^20 / ln n once n passes about 2m/e: 91,076 at n = 10^5) every
 vertex goes to `_draw_degree`.
 """
 
-_BAND_SIGMAS = 10
+_BAND_SIGMAS = 6
 """Half-width of the sampler's band, in standard deviations.
 
 At vertex i the draw's remaining total j is the sum of i Boltzmann degrees
@@ -117,6 +121,9 @@ saddle point (0 for a forced instance).  The sampler keeps the logs of row
 i within _BAND_SIGMAS such deviations plus _BAND_SLACK cells of that
 centre.  A draw that reads a cell off the band gets it from
 power_coefficient, so a band too narrow costs time but never exactness.
+Over 4,000 draws the walk strayed at most 5.08 deviations (even (500, 250))
+and 4.65 (2,3 (300, 375)); at 6, eight instances read no cell off the band
+in 2,000 draws each (`BENCH_sample.json`, `prefix_memo`).
 """
 
 _BAND_SLACK = 8
@@ -251,15 +258,16 @@ def _raw_word_sources() -> frozenset:
 
 
 def _word_source(rng: np.random.Generator):
-    """Readers of uniform 64-bit words: (batch(size) -> list, one() -> int)."""
+    """Readers of uniform 64-bit words: (batch(size) -> uint64 array,
+    one() -> int)."""
     bits = rng.bit_generator
     if type(bits) in _raw_word_sources():
         raw = bits.random_raw
-        return (lambda size: raw(size).tolist()), raw
+        return raw, raw
     import numpy as np
 
     high = 1 << _WORD_BITS
-    return ((lambda size: rng.integers(high, size=size, dtype=np.uint64).tolist()),
+    return ((lambda size: rng.integers(high, size=size, dtype=np.uint64)),
             (lambda: int(rng.integers(high, dtype=np.uint64))))
 
 
@@ -364,13 +372,16 @@ class DegreeSequenceSampler:
     one clipped span (lo, hi) per row i <= n holding the cells a draw can
     plausibly reach (_BAND_SIGMAS); the log memo, one array('d') per row
     with L(i, k) = ln T[i][k] - ln k! (-inf for a zero cell) in slot k - lo;
-    the tuple of members up to 2m the draws scan; ln k! for k <= 2m; and
-    the `regime` that `attempt_budget` reads for `sample_simple`.  The
-    memo comes from :func:`~degcount.tables.band_rows`, which streams the
-    rows of T on the closure of the band, so no more than the two or three
-    rows its recurrence holds are ever alive as integers, and no integer is
-    kept.  Nothing is written after that, so one sampler can serve many
-    concurrent generators as long as each worker owns its own rng stream.
+    the tuple of members up to 2m the draws scan; ln k! for k <= 2m; the
+    `regime` that `attempt_budget` reads for `sample_simple`; and, for a
+    screened instance, the prefix slots, two per band cell, NaN until a
+    draw fills them.  The memo comes from
+    :func:`~degcount.tables.band_rows`, which streams the rows of T on the
+    closure of the band, so no more than the two or three rows its
+    recurrence holds are ever alive as integers, and no integer is kept.
+    Draws write only prefix slots, each with the one float every draw
+    computes for that cell, so one sampler can serve many concurrent
+    generators as long as each worker owns its own rng stream.
 
     Every integer a draw reads is computed on demand: the cells of the
     exact comparison `_draw_degree`, which the float screen reaches with
@@ -410,6 +421,11 @@ class DegreeSequenceSampler:
                         for k, w in enumerate(row, lo)])
             for (lo, _), row in zip(self._spans,
                                     band_rows(degree_set, 2 * m, self._spans))]
+        # two prefix slots per band cell, cell (i, k) in slots 2(k - lo) and
+        # 2(k - lo) + 1, NaN until a draw scans the cell; none unscreened
+        unset = array("d", [math.nan])
+        self._prefixes = ([unset * (2 * len(row)) for row in self._log_cells]
+                          if self._screened else [])
 
     def __reduce__(self):
         # the memo is a pure function of the instance and far larger than it
@@ -483,7 +499,11 @@ class DegreeSequenceSampler:
         the prefix ratios c_d / T[i][j], whose terms are
         exp(L(i-1, j-d) - L(i, j) - ln d!) with L(i, k) = ln T[i][k] - ln k!
         read from the memo, or from `_log_cell` off the band; L(i, j) is
-        the chosen cell's, so it carries over.  When u lies within
+        the chosen cell's, so it carries over.  The first scan of a band
+        cell whose terms are all on the band stores its sums after the
+        first and second members in the cell's prefix slots; later visits
+        test u against those and scan on from the third member only when
+        u lies past both.  When u lies within
         _SCREEN_MARGIN of a ratio, or the instance lies outside the proven
         range (_SCREEN_LIMIT), `_draw_degree` decides in integers.  The
         screen reads no word, and it decides only where the exact draw
@@ -498,46 +518,90 @@ class DegreeSequenceSampler:
             return []
         batch, one = _word_source(rng)
         words = batch(n - 1)
+        margin = _SCREEN_MARGIN if self._screened else 1.0
+        # u -+ margin for u = word * 2^-64, in numpy with the roundings of
+        # Python floats: the word to the nearest double, then one per sum
+        u = words * _WORD_SCALE
+        bounds = zip(range(n, 1, -1), (u - margin).tolist(),
+                     (u + margin).tolist())
         memo = self._log_cells
+        prefixes = self._prefixes
         spans = self._spans
         log_cell = self._log_cell
         log_fact = self._log_fact
         members = self._members
+        # the members the two prefix slots cover, and those a scan goes on to
+        first, second = members[0], members[1] if len(members) > 1 else -1
+        rest = members[2:]
         exp, log = math.exp, math.log
-        margin = _SCREEN_MARGIN if self._screened else 1.0
         degrees = [0] * n
         j = 2 * self.m
         top = log_cell(n, j)
         total = None    # T[i][j] when the exact draw of vertex i+1 gave it
-        for i in range(n, 1, -1):
-            word = words[n - i]
-            u = word * _WORD_SCALE
-            below, above = u - margin, u + margin
-            lo, hi = spans[i - 1]
-            row = memo[i - 1]
-            acc = 0.0
-            chosen = -1
-            for d in members:
-                if d > j:
-                    break
-                k = j - d
-                if lo <= k <= hi:
-                    v = row[k - lo]
+        for i, below, above in bounds:
+            lo, hi = spans[i]
+            if prefixes and lo <= j <= hi:
+                # the sums after the first two members, once a scan has
+                # stored them; NaN fails both tests and goes to the scan
+                slots = prefixes[i]
+                slot = 2 * (j - lo)
+                p = slots[slot]
+                if p > below:
+                    chosen = first if p >= above else -1
+                elif p <= below and (p := slots[slot + 1]) > below:
+                    chosen = second if p >= above else -1
                 else:
-                    v = log_cell(i - 1, k)
-                acc += exp(v - top - log_fact[d])
-                if acc > below:
-                    if acc >= above:
-                        chosen = d
-                    break
+                    chosen = None
+            else:
+                chosen, slot = None, -1
+            if chosen is None:
+                if slot < 0:
+                    acc, fill, scan = 0.0, -1, members
+                else:
+                    # a decision from the slots lands on a band cell, so
+                    # the carried top is stale only where the memo holds it
+                    top = memo[i][j - lo]
+                    if p <= below:
+                        acc, fill, scan = p, -1, rest
+                    else:
+                        acc, fill, scan = 0.0, slot, members
+                lo, hi = spans[i - 1]
+                row = memo[i - 1]
+                chosen = -1
+                for d in scan:
+                    if d > j:
+                        break
+                    k = j - d
+                    if lo <= k <= hi:
+                        v = row[k - lo]
+                    else:
+                        v = log_cell(i - 1, k)
+                        fill = -1
+                    acc += exp(v - top - log_fact[d])
+                    if fill >= 0:
+                        # the scan's own sum after the first or second member
+                        slots[fill] = acc
+                        fill = fill + 1 if fill == slot else -1
+                    if acc > below:
+                        if acc >= above:
+                            chosen = d
+                        break
+                if fill == slot + 1 and 0 <= second <= j:
+                    # decided at the first member: store the second's sum too
+                    k = j - second
+                    if lo <= k <= hi:
+                        slots[fill] = acc + exp(row[k - lo] - top
+                                                - log_fact[second])
+                if chosen >= 0:
+                    top = v
             if chosen < 0:
-                chosen, total = self._draw_degree(i, j, word, one, total)
-                v = log(total) - log_fact[j - chosen]
+                chosen, total = self._draw_degree(i, j, int(words[n - i]),
+                                                  one, total)
+                top = log(total) - log_fact[j - chosen]
             else:
                 total = None
             degrees[i - 1] = chosen
             j -= chosen
-            top = v
         # every draw kept T[i-1][j] > 0, and T[1][j] > 0 means j is allowed
         if j not in self.degree_set:
             raise AssertionError("the remaining total is not an allowed degree")

@@ -427,8 +427,8 @@ class TestLogMemo:
     @pytest.mark.parametrize("degrees, n, m", SCREENED,
                              ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED])
     def test_filled_slots_hold_the_cell_logs(self, degrees, n, m):
-        # every slot is filled when the sampler is built, and draws write
-        # none
+        # every log slot is filled when the sampler is built, and draws
+        # write none of them (they write only prefix slots)
         sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
         check_memo(sampler)
         before = [memo.tobytes() for memo in sampler._log_cells]
@@ -466,6 +466,135 @@ class TestLogMemo:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+def stored_prefixes(sampler):
+    """(i, j, c, value) of every prefix slot a draw has filled: the screen's
+    running sum for cell (i, j) after its first (c = 0) or second (c = 1)
+    member."""
+    for i, ((lo, _), slots) in enumerate(zip(sampler._spans,
+                                             sampler._prefixes)):
+        for slot, value in enumerate(slots):
+            if not math.isnan(value):
+                yield i, lo + slot // 2, slot % 2, value
+
+
+class ScanSpy(tuple):
+    """The sampler's members, counting each scan that iterates them or a
+    slice of them (the exact draw's filter counts too)."""
+
+    def __new__(cls, members, calls):
+        spy = super().__new__(cls, members)
+        spy.calls = calls
+        return spy
+
+    def __iter__(self):
+        self.calls["scan"] += 1
+        return super().__iter__()
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        return ScanSpy(item, self.calls) if isinstance(key, slice) else item
+
+
+PREFIXED = SCREENED + [("min=2", 200, 300)]
+
+
+class TestPrefixMemo:
+    @pytest.mark.parametrize("degrees, n, m", PREFIXED,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in PREFIXED])
+    def test_stored_prefixes_are_the_scans_floats(self, degrees, n, m):
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        for seed in range(100):
+            sampler.sample_degrees(make_rng(seed))
+        members = sampler._members
+        stored = 0
+        for i, j, c, value in stored_prefixes(sampler):
+            # the scan's sum, term by term in its order, from math.exp
+            top = sampler._log_cell(i, j)
+            acc = 0.0
+            for d in members[:c + 1]:
+                acc += math.exp(sampler._log_cell(i - 1, j - d) - top
+                                - sampler._log_fact[d])
+            assert value == acc, (i, j, c)
+            stored += 1
+        assert stored > 1000
+
+    @pytest.mark.parametrize("degrees, n, m", SCREENED[:2],
+                             ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED[:2]])
+    def test_warm_draws_rarely_scan(self, degrees, n, m):
+        # the two samplers of the benchmark's sample workload: after 500
+        # draws nearly every vertex is decided from its cell's two slots
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        for seed in range(1000, 1500):
+            sampler.sample_degrees(make_rng(seed))
+        calls = Counter()
+        sampler._members = ScanSpy(sampler._members, calls)
+        for seed in range(20):
+            sampler.sample_degrees(make_rng(seed))
+        assert calls["scan"] < 0.1 * 20 * (n - 1)
+
+    @pytest.mark.parametrize("degrees, n, m", NARROW,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in NARROW])
+    def test_no_slot_is_filled_from_off_the_band(self, monkeypatch,
+                                                 degrees, n, m):
+        # on a band of three cells per row most reads fall off it; a slot
+        # is filled only when its cell and every cell its sum read are on it
+        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
+        monkeypatch.setattr(sampling, "_BAND_SLACK", 1)
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        calls = count_off_band_cells(monkeypatch)
+        first = [sampler.sample_degrees(make_rng(s)) for s in range(20)]
+        assert calls["off band"] > 5 * n
+        members = sampler._members
+        spans = sampler._spans
+        stored = 0
+        for i, j, c, _ in stored_prefixes(sampler):
+            assert spans[i][0] <= j <= spans[i][1]
+            for d in members[:c + 1]:
+                assert spans[i - 1][0] <= j - d <= spans[i - 1][1], (i, j, d)
+            stored += 1
+        assert stored > 0
+        assert [sampler.sample_degrees(make_rng(s))
+                for s in range(20)] == first
+
+    def test_threads_sharing_a_sampler_draw_as_alone(self):
+        # concurrent draws fill the same slots, each with the same float,
+        # so every thread draws what a lone sampler draws
+        import sys
+        import threading
+
+        ds, n, m = parse_degree_set("2,3"), 60, 75
+        alone = DegreeSequenceSampler(ds, n, m)
+        expected = [alone.sample_degrees(make_rng(s)) for s in range(120)]
+        shared = DegreeSequenceSampler(ds, n, m)
+        got = {}
+
+        def draw(first):
+            for s in range(first, 120, 4):
+                got[s] = shared.sample_degrees(make_rng(s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [got[s] for s in range(120)] == expected
+        assert [slots.tobytes() for slots in shared._prefixes] == \
+            [slots.tobytes() for slots in alone._prefixes]
+
+    def test_unscreened_sampler_keeps_no_slots(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_SCREEN_LIMIT", 1)
+        sampler = DegreeSequenceSampler(DegreeSet.even(), 60, 30)
+        sampler.sample_degrees(make_rng(0))
+        assert sampler._prefixes == []
 
 
 class TestDegreeSequences:

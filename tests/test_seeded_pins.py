@@ -69,6 +69,41 @@ def test_simple_graph_texts():
         "ffa835aecb231e4e0b1c0bc9a9265b4c84972db17bd915689102e07f05968193")
 
 
+# sha256 of json.dumps([[to_text(), attempts] of sample_simple for seeds
+# 0..9]), recorded before the degree screen kept prefix sums per cell; a
+# sampler warmed by 500 other draws must give the same graphs
+SIMPLE_PINS = [
+    ("even", 500, 250,
+     "6d290ebe3b72bbabcaf54c9b823e5852d1a2d15a12779608c1ff35dabbb064f9"),
+    ("2,3", 300, 375,
+     "101fb20dc8c2e7dde79ce6492fd13a60f7dd97ba3488add4f545862311f2ae61"),
+]
+
+
+@pytest.mark.parametrize("warm", [0, 500], ids=["cold", "warm"])
+@pytest.mark.parametrize("degrees, n, m, digest", SIMPLE_PINS,
+                         ids=[f"{d}-{n}-{m}" for d, n, m, _ in SIMPLE_PINS])
+def test_simple_graphs_at_scale(degrees, n, m, digest, warm):
+    sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+    for seed in range(1000, 1000 + warm):
+        sampler.sample_degrees(make_rng(seed))
+    graphs = []
+    for seed in range(10):
+        graph, report = sampler.sample_simple(make_rng(seed))
+        graphs.append([graph.to_text(), report.attempts])
+    assert sha256(json.dumps(graphs)) == digest
+
+
+def test_multigraph_texts():
+    # sha256 of json.dumps of the to_text() of sample_multigraph for seeds
+    # 0..4
+    sampler = DegreeSequenceSampler(DegreeSet.even(), 300, 150)
+    texts = [sampler.sample_multigraph(make_rng(seed)).to_text()
+             for seed in range(5)]
+    assert sha256(json.dumps(texts)) == (
+        "2f6c68b3269835efb53f3f4559989b4be6f33b4006cff02fa328ed32e25a9d51")
+
+
 @pytest.mark.parametrize("seed, digest", [
     (0, "f0b39c801632a1413196b22f6d9910cff6d0990ac868ec3d0072281cbeec56df"),
     (1, "f6a5e14464bd5645a3bd89815fcf6fbb9c56c93c172ee362dee2a8bae4eb9489"),
