@@ -18,14 +18,14 @@ with exact fallback of Denise and Zimmermann (Theoret. Comput. Sci. 218,
 1999).  The sampler keeps no integers: it streams the rows of T over a band
 of each row, the part the draw can plausibly reach, a few standard
 deviations around the remaining total's mean (_BAND_SIGMAS), and keeps
-only L of each band cell, plus two prefix slots per band cell that the
-draws fill with the screen's own running sums, so that a warm cell decides
-most vertices without an exp.  The exact comparison computes its cells
-from one `column_coefficients` pass per vertex, which keeps nothing for
-the next, and the screen off the band with `power_coefficient`; so the
-draws read the same integers as from the full table, and memory is three
-floats per band cell.  The Boltzmann one draws degrees i.i.d. with P(d)
-proportional to x^d/d!, giving a random edge count.
+only L of each band cell, plus two prefix slots per band cell that any
+scan of the cell fills with the screen's own running sums, so that a warm
+cell decides most vertices without an exp.  The exact comparison computes
+its cells from one `column_coefficients` pass per vertex, which keeps
+nothing for the next, and the screen off the band with `power_coefficient`;
+so the draws read the same integers as from the full table, and memory is
+three floats per band cell.  The Boltzmann one draws degrees i.i.d. with
+P(d) proportional to x^d/d!, giving a random edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
 by its compensation factor; rejecting until simple therefore yields the
@@ -389,7 +389,8 @@ class DegreeSequenceSampler:
     :func:`~degcount.tables.column_coefficients` pass, and the cells the
     screen reads off the band from
     :func:`~degcount.tables.power_coefficient`, logged on every read and
-    never stored.  An instance outside _SCREEN_LIMIT is not screened, so
+    never kept in the memo, though a prefix slot may hold a sum that read
+    them.  An instance outside _SCREEN_LIMIT is not screened, so
     every vertex takes the exact draw; such instances (2m above about
     10^5) are beyond the reach of the build anyway.  It pickles as
     (degree_set, n, m), never as its memo: a forked process-pool worker
@@ -498,12 +499,13 @@ class DegreeSequenceSampler:
         Each vertex is first screened in floats: u = word * 2^-64 against
         the prefix ratios c_d / T[i][j], whose terms are
         exp(L(i-1, j-d) - L(i, j) - ln d!) with L(i, k) = ln T[i][k] - ln k!
-        read from the memo, or from `_log_cell` off the band; L(i, j) is
-        the chosen cell's, so it carries over.  The first scan of a band
-        cell whose terms are all on the band stores its sums after the
-        first and second members in the cell's prefix slots; later visits
+        read from the memo, or from `_log_cell` off the band, as each
+        vertex that scans reads L(i, j).  A full scan of a band cell stores
+        its sums after the first and second members in the cell's prefix
+        slots as it passes them, wherever its terms were read; later visits
         test u against those and scan on from the third member only when
-        u lies past both.  When u lies within
+        u lies past both, and a scan that stops at the first member leaves
+        the second slot to a later one.  When u lies within
         _SCREEN_MARGIN of a ratio, or the instance lies outside the proven
         range (_SCREEN_LIMIT), `_draw_degree` decides in integers.  The
         screen reads no word, and it decides only where the exact draw
@@ -533,10 +535,9 @@ class DegreeSequenceSampler:
         # the members the two prefix slots cover, and those a scan goes on to
         first, second = members[0], members[1] if len(members) > 1 else -1
         rest = members[2:]
-        exp, log = math.exp, math.log
+        exp = math.exp
         degrees = [0] * n
         j = 2 * self.m
-        top = log_cell(n, j)
         total = None    # T[i][j] when the exact draw of vertex i+1 gave it
         for i, below, above in bounds:
             lo, hi = spans[i]
@@ -555,11 +556,11 @@ class DegreeSequenceSampler:
             else:
                 chosen, slot = None, -1
             if chosen is None:
+                # L(i, j), the row total's log, read where this vertex is
                 if slot < 0:
+                    top = log_cell(i, j)
                     acc, fill, scan = 0.0, -1, members
                 else:
-                    # a decision from the slots lands on a band cell, so
-                    # the carried top is stale only where the memo holds it
                     top = memo[i][j - lo]
                     if p <= below:
                         acc, fill, scan = p, -1, rest
@@ -572,11 +573,7 @@ class DegreeSequenceSampler:
                     if d > j:
                         break
                     k = j - d
-                    if lo <= k <= hi:
-                        v = row[k - lo]
-                    else:
-                        v = log_cell(i - 1, k)
-                        fill = -1
+                    v = row[k - lo] if lo <= k <= hi else log_cell(i - 1, k)
                     acc += exp(v - top - log_fact[d])
                     if fill >= 0:
                         # the scan's own sum after the first or second member
@@ -586,18 +583,9 @@ class DegreeSequenceSampler:
                         if acc >= above:
                             chosen = d
                         break
-                if fill == slot + 1 and 0 <= second <= j:
-                    # decided at the first member: store the second's sum too
-                    k = j - second
-                    if lo <= k <= hi:
-                        slots[fill] = acc + exp(row[k - lo] - top
-                                                - log_fact[second])
-                if chosen >= 0:
-                    top = v
             if chosen < 0:
                 chosen, total = self._draw_degree(i, j, int(words[n - i]),
                                                   one, total)
-                top = log(total) - log_fact[j - chosen]
             else:
                 total = None
             degrees[i - 1] = chosen

@@ -20,11 +20,18 @@ from degcount.cli import main
 SRC = str(Path(degcount.__file__).resolve().parents[1])
 
 
-@pytest.fixture(scope="module")
-def schema():
+def load_schema():
+    """The CLI's output schema, checked once against its metaschema."""
     text = (resources.files("degcount") / "schemas" / "cli_output.schema.json"
             ).read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    return schema
+
+
+@pytest.fixture(scope="module")
+def schema():
+    return load_schema()
 
 
 def run(capsys, *argv):
@@ -34,12 +41,14 @@ def run(capsys, *argv):
 
 
 def validate_json_lines(schema, out):
+    # jsonschema.validate would check the schema itself again on every call
+    validator = jsonschema.validators.validator_for(schema)(schema)
     payloads = []
     for line in out.splitlines():
         line = line.strip()
         if line.startswith("{"):
             payload = json.loads(line)
-            jsonschema.validate(payload, schema)
+            validator.validate(payload)
             payloads.append(payload)
     return payloads
 
