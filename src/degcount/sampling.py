@@ -20,12 +20,14 @@ of each row, the part the draw can plausibly reach, a few standard
 deviations around the remaining total's mean (_BAND_SIGMAS), and keeps
 only L of each band cell, plus two prefix slots per band cell that any
 scan of the cell fills with the screen's own running sums, so that a warm
-cell decides most vertices without an exp.  The exact comparison computes
-its cells from one `column_coefficients` pass per vertex, which keeps
-nothing for the next, and the screen off the band with `power_coefficient`;
-so the draws read the same integers as from the full table, and memory is
-three floats per band cell.  The Boltzmann one draws degrees i.i.d. with
-P(d) proportional to x^d/d!, giving a random edge count.
+cell decides most vertices without an exp.  The screen reads only that
+memo: a vertex whose row total, or any term its scan reaches, lies off the
+band goes to the exact comparison.  That one computes its cells from one
+`column_coefficients` pass per vertex, which keeps nothing for the next,
+and its row total with `power_coefficient` unless the exact draw before
+handed it on; so the draws read the same integers as from the full table,
+and memory is three floats per band cell.  The Boltzmann one draws degrees
+i.i.d. with P(d) proportional to x^d/d!, giving a random edge count.
 
 Both finish by pairing half-edges uniformly, which weights every multigraph
 by its compensation factor; rejecting until simple therefore yields the
@@ -104,8 +106,8 @@ _SCREEN_LIMIT = 2 ** 20
 
 The constructor screens an instance only when 2m ln n and ln (2m)! are both
 below it.  T[i][j] counts maps of j labelled half-edges to i vertices with
-allowed fibre sizes, so every cell the draw reads, on the band or off it, is
-at most i^j <= n^(2m), and every factorial it reads is at most (2m)!; then
+allowed fibre sizes, so every cell the memo holds is at most
+i^j <= n^(2m), and every factorial it reads is at most (2m)!; then
 no row has 2^20 members either.  Outside it (2m above 99,763 whatever n is,
 or above 2^20 / ln n once n passes about 2m/e: 91,076 at n = 10^5) every
 vertex goes to `_draw_degree`.
@@ -119,11 +121,12 @@ conditioned on the n of them summing to 2m, so it lies near 2m*i/n with
 standard deviation sigma*sqrt(i(n-i)/n), where sigma^2 = x*slope at the
 saddle point (0 for a forced instance).  The sampler keeps the logs of row
 i within _BAND_SIGMAS such deviations plus _BAND_SLACK cells of that
-centre.  A draw that reads a cell off the band gets it from
-power_coefficient, so a band too narrow costs time but never exactness.
-Over 4,000 draws the walk strayed at most 5.08 deviations (even (500, 250))
-and 4.65 (2,3 (300, 375)); at 6, eight instances read no cell off the band
-in 2,000 draws each (`BENCH_sample.json`, `prefix_memo`).
+centre.  The float screen reads nothing else: a vertex that meets a cell
+off the band goes to the exact draw, so a band too narrow costs time but
+never exactness.  Over 4,000 draws the walk strayed at most 5.08
+deviations (even (500, 250)) and 4.65 (2,3 (300, 375)); at 6, eight
+instances read no cell off the band in 2,000 draws each
+(`BENCH_sample.json`, `prefix_memo`).
 """
 
 _BAND_SLACK = 8
@@ -139,7 +142,11 @@ K_33 (min=2, n = 33, m = 528) predicts 1.3e118 attempts and K_10 (9,
 n = 10, m = 45) 4.9e8.  At about 1 ms an attempt the cap allows some
 twenty minutes; 1,2,8 at (30, 83), which predicts 3.8e5, still draws.  An
 explicit max_attempts is never capped.  `boltzmann_sample`, which has no
-max_attempts, refuses the same way when its parity redraws pass the cap.
+max_attempts, refuses the same way when its predicted parity redraws pass
+the cap.  The cap counts attempts and redraws, not their cost: each parity
+redraw draws all n degrees, so a run below the cap can still take minutes.
+`boltzmann --degrees 1,2 --n 2001 --x 2e-9` predicts 5.0e5 redraws, under
+the cap; with --seed 1 it drew 128,426 of them in 5.3 s on a 2-core VM.
 """
 
 # Past x the Boltzmann degree law stops at a weight below _TAIL times its mass.
@@ -383,14 +390,14 @@ class DegreeSequenceSampler:
     computes for that cell, so one sampler can serve many concurrent
     generators as long as each worker owns its own rng stream.
 
-    Every integer a draw reads is computed on demand: the cells of the
-    exact comparison `_draw_degree`, which the float screen reaches with
-    probability about 2 * _SCREEN_MARGIN per prefix ratio, from one
-    :func:`~degcount.tables.column_coefficients` pass, and the cells the
-    screen reads off the band from
-    :func:`~degcount.tables.power_coefficient`, logged on every read and
-    never kept in the memo, though a prefix slot may hold a sum that read
-    them.  An instance outside _SCREEN_LIMIT is not screened, so
+    The float screen reads only the memo.  Every integer a draw reads is
+    computed on demand by the exact comparison `_draw_degree`: its terms
+    from one :func:`~degcount.tables.column_coefficients` pass, its row
+    total from :func:`~degcount.tables.power_coefficient` unless the exact
+    draw before handed it on.  The screen hands it a vertex with
+    probability about 2 * _SCREEN_MARGIN per prefix ratio it scans, and
+    every vertex whose row total, or any term its scan reaches, lies off
+    the band.  An instance outside _SCREEN_LIMIT is not screened, so
     every vertex takes the exact draw; such instances (2m above about
     10^5) are beyond the reach of the build anyway.  It pickles as
     (degree_set, n, m), never as its memo: a forked process-pool worker
@@ -473,19 +480,6 @@ class DegreeSequenceSampler:
                 return d, cell
         raise AssertionError("prefix weights did not reach the row total")
 
-    def _log_cell(self, i: int, k: int) -> float:
-        """L(i, k) = ln T[i][k] - ln k!, or -inf for a zero cell.
-
-        A cell on the band is read from its memo slot; a cell off it is
-        computed exactly by power_coefficient and logged on every read, and
-        never stored.
-        """
-        lo, hi = self._spans[i]
-        if lo <= k <= hi:
-            return self._log_cells[i][k - lo]
-        w = power_coefficient(self.degree_set, i, k)
-        return math.log(w) - self._log_fact[k] if w else -math.inf
-
     def sample_degrees(self, rng: np.random.Generator) -> list[int]:
         """One sequence (d_1..d_n), every d_i allowed, summing to 2m.
 
@@ -499,15 +493,17 @@ class DegreeSequenceSampler:
         Each vertex is first screened in floats: u = word * 2^-64 against
         the prefix ratios c_d / T[i][j], whose terms are
         exp(L(i-1, j-d) - L(i, j) - ln d!) with L(i, k) = ln T[i][k] - ln k!
-        read from the memo, or from `_log_cell` off the band, as each
-        vertex that scans reads L(i, j).  A full scan of a band cell stores
-        its sums after the first and second members in the cell's prefix
-        slots as it passes them, wherever its terms were read; later visits
+        read from the memo, as each vertex that scans reads L(i, j).  A
+        full scan of a band cell stores its sums after the first and second
+        members in the cell's prefix slots as it passes them; later visits
         test u against those and scan on from the third member only when
         u lies past both, and a scan that stops at the first member leaves
-        the second slot to a later one.  When u lies within
-        _SCREEN_MARGIN of a ratio, or the instance lies outside the proven
-        range (_SCREEN_LIMIT), `_draw_degree` decides in integers.  The
+        the second slot to a later one.  `_draw_degree` decides in integers
+        when u lies within _SCREEN_MARGIN of a ratio, when the row total
+        L(i, j) lies off row i's band, when a term the scan reaches lies
+        off row i-1's band (a slot the scan filled before it keeps its
+        sum), or when the instance lies outside the proven range
+        (_SCREEN_LIMIT), where the sampler keeps no slots.  The
         screen reads no word, and it decides only where the exact draw
         would return the same degree without one, so the words read and
         the sequence are those of the exact draw alone.  A zero cell adds
@@ -520,16 +516,14 @@ class DegreeSequenceSampler:
             return []
         batch, one = _word_source(rng)
         words = batch(n - 1)
-        margin = _SCREEN_MARGIN if self._screened else 1.0
         # u -+ margin for u = word * 2^-64, in numpy with the roundings of
         # Python floats: the word to the nearest double, then one per sum
         u = words * _WORD_SCALE
-        bounds = zip(range(n, 1, -1), (u - margin).tolist(),
-                     (u + margin).tolist())
+        bounds = zip(range(n, 1, -1), (u - _SCREEN_MARGIN).tolist(),
+                     (u + _SCREEN_MARGIN).tolist())
         memo = self._log_cells
         prefixes = self._prefixes
         spans = self._spans
-        log_cell = self._log_cell
         log_fact = self._log_fact
         members = self._members
         # the members the two prefix slots cover, and those a scan goes on to
@@ -541,6 +535,9 @@ class DegreeSequenceSampler:
         total = None    # T[i][j] when the exact draw of vertex i+1 gave it
         for i, below, above in bounds:
             lo, hi = spans[i]
+            chosen = -1
+            # an unscreened sampler keeps no slots; a row total off the
+            # band has none either, and goes to the exact draw unscanned
             if prefixes and lo <= j <= hi:
                 # the sums after the first two members, once a scan has
                 # stored them; NaN fails both tests and goes to the scan
@@ -552,37 +549,28 @@ class DegreeSequenceSampler:
                 elif p <= below and (p := slots[slot + 1]) > below:
                     chosen = second if p >= above else -1
                 else:
-                    chosen = None
-            else:
-                chosen, slot = None, -1
-            if chosen is None:
-                # L(i, j), the row total's log, read where this vertex is
-                if slot < 0:
-                    top = log_cell(i, j)
-                    acc, fill, scan = 0.0, -1, members
-                else:
                     top = memo[i][j - lo]
                     if p <= below:
                         acc, fill, scan = p, -1, rest
                     else:
                         acc, fill, scan = 0.0, slot, members
-                lo, hi = spans[i - 1]
-                row = memo[i - 1]
-                chosen = -1
-                for d in scan:
-                    if d > j:
-                        break
-                    k = j - d
-                    v = row[k - lo] if lo <= k <= hi else log_cell(i - 1, k)
-                    acc += exp(v - top - log_fact[d])
-                    if fill >= 0:
-                        # the scan's own sum after the first or second member
-                        slots[fill] = acc
-                        fill = fill + 1 if fill == slot else -1
-                    if acc > below:
-                        if acc >= above:
-                            chosen = d
-                        break
+                    lo, hi = spans[i - 1]
+                    row = memo[i - 1]
+                    for d in scan:
+                        # a term off row i-1's band (or d > j, where
+                        # k < 0 <= lo) stops the scan undecided
+                        k = j - d
+                        if not lo <= k <= hi:
+                            break
+                        acc += exp(row[k - lo] - top - log_fact[d])
+                        if fill >= 0:
+                            # its own sum after the first or second member
+                            slots[fill] = acc
+                            fill = fill + 1 if fill == slot else -1
+                        if acc > below:
+                            if acc >= above:
+                                chosen = d
+                            break
             if chosen < 0:
                 chosen, total = self._draw_degree(i, j, int(words[n - i]),
                                                   one, total)
@@ -673,7 +661,9 @@ def boltzmann_sample(degree_set: DegreeSet, n: int, x: float,
     SamplerExhausted refuses before the first draw when the predicted draws
     1/P pass _AUTO_ATTEMPT_CAP.  P < 1/2 only for odd n and e < o, where it
     is (1 - (1 - 2e/(e + o))^n) / 2, computed so that a tiny e keeps its
-    digits (0,5,7 at x = 10^6 has e = 5e-39, and P = 1.5e-38, not 0).
+    digits (0,5,7 at x = 10^6 has e = 5e-39, and P = 1.5e-38, not 0).  The
+    cap counts redraws, not their cost: each draws all n degrees, so a run
+    below it can still take minutes (see _AUTO_ATTEMPT_CAP).
     """
     support, probs = boltzmann_degree_law(degree_set, x)
     if n % 2:

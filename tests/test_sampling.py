@@ -237,7 +237,7 @@ class TestFloatScreen:
             screened = sampler.sample_degrees(make_rng(seed))
             monkeypatch.setattr(sampling, "_SCREEN_MARGIN", 1.0)
             draws = count_exact_draws(monkeypatch)
-            cells = count_off_band_cells(monkeypatch)
+            cells = count_power_coefficient_calls(monkeypatch)
             columns = Counter()
             column = sampling.column_coefficients
 
@@ -248,7 +248,7 @@ class TestFloatScreen:
             monkeypatch.setattr(sampling, "column_coefficients", counted)
             assert sampler.sample_degrees(make_rng(seed)) == screened
             assert draws["exact"] == columns["passes"] == n - 1
-            assert cells["off band"] == 1
+            assert cells["power_coefficient"] == 1
             monkeypatch.undo()
 
     def test_screen_term_matches_the_exact_ratio(self):
@@ -257,20 +257,21 @@ class TestFloatScreen:
         tolerance = Fraction(2e-9)
         for degrees, n, m in [("even", 200, 400), ("min=2", 200, 300)]:
             sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
-            cell = build_table(sampler.degree_set, n, 2 * m).value
+            table = build_table(sampler.degree_set, n, 2 * m)
+            cell = table.value
             checked = 0
             for seed in range(20):
                 seq = sampler.sample_degrees(make_rng(seed))
                 j = 2 * m
                 for i in range(n, 1, -1):
-                    top = sampler._log_cell(i, j)
+                    top = cell_log(table, i, j)
                     for d in sampler._members:
                         if d > seq[i - 1]:
                             break
                         w = cell(i - 1, j - d)
                         if not w:
                             continue
-                        term = math.exp(sampler._log_cell(i - 1, j - d) - top
+                        term = math.exp(cell_log(table, i - 1, j - d) - top
                                         - math.log(math.factorial(d)))
                         exact = Fraction(math.comb(j, d) * w, cell(i, j))
                         assert abs(Fraction(term) - exact) <= tolerance * exact
@@ -297,14 +298,14 @@ def check_exact_law_on_tiny_instances(ds):
             assert abs(counts[seq] / trials - p) <= 4 * sigma + 1e-9
 
 
-def count_off_band_cells(monkeypatch):
-    """Wrap power_coefficient, which computes every cell the sampler reads
-    off its band, and every cell of an exact draw."""
+def count_power_coefficient_calls(monkeypatch):
+    """Wrap power_coefficient, which computes the row total of an exact draw
+    that no exact draw before it handed on."""
     calls = Counter()
     exact = sampling.power_coefficient
 
     def counted(*args):
-        calls["off band"] += 1
+        calls["power_coefficient"] += 1
         return exact(*args)
 
     monkeypatch.setattr(sampling, "power_coefficient", counted)
@@ -323,15 +324,16 @@ class TestTableBand:
         narrow = DegreeSequenceSampler(ds, n, m)
         assert [narrow.sample_degrees(make_rng(s))
                 for s in range(10)] == expected
-        # without the slack too, most reads fall off the band
+        # without the slack too, most vertices meet a cell off the band
+        # and go to the exact draw
         monkeypatch.setattr(sampling, "_BAND_SLACK", 0)
         bare = DegreeSequenceSampler(ds, n, m)
-        calls = count_off_band_cells(monkeypatch)
+        calls = count_exact_draws(monkeypatch)
         assert [bare.sample_degrees(make_rng(s))
                 for s in range(10)] == expected
-        assert calls["off band"] > 10 * n
+        assert calls["exact"] > 5 * (n - 1)
         # a second pass is decided in part from prefix slots that the first
-        # filled from cells off the band
+        # filled
         for sampler in (narrow, bare):
             assert [sampler.sample_degrees(make_rng(s))
                     for s in range(10)] == expected
@@ -349,20 +351,21 @@ class TestTableBand:
 
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_cells_off_an_empty_band_are_exact(self, monkeypatch, ds):
-        # with no band at all only each row's centre is kept, and every
-        # other cell's log comes from its exact value
-        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
-        monkeypatch.setattr(sampling, "_BAND_SLACK", 0)
+        # with no band at all only each row's centre is kept, as the log of
+        # its exact value; every cell off it is read by the exact draw
+        # alone, so the draws are those of the default band
         n, m = 6, 6
         try:
-            sampler = DegreeSequenceSampler(ds, n, m)
+            wide = DegreeSequenceSampler(ds, n, m)
         except InfeasibleRegimeError:
             pytest.skip("no degree sequence")
-        full = build_table(ds, n, 2 * m)
+        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
+        monkeypatch.setattr(sampling, "_BAND_SLACK", 0)
+        sampler = DegreeSequenceSampler(ds, n, m)
         assert any(len(row) < 2 * m + 1 for row in sampler._log_cells)
-        for i in range(n + 1):
-            assert [sampler._log_cell(i, j) for j in range(2 * m + 1)] == \
-                [cell_log(full, i, j) for j in range(2 * m + 1)]
+        check_memo(sampler)
+        assert [sampler.sample_degrees(make_rng(s)) for s in range(10)] == \
+            [wide.sample_degrees(make_rng(s)) for s in range(10)]
 
     @pytest.mark.parametrize("slack", [0, 1])
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
@@ -383,11 +386,13 @@ class TestTableBand:
     @pytest.mark.parametrize("degrees, n, m", SCREENED,
                              ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED])
     def test_draws_stay_on_the_band(self, monkeypatch, degrees, n, m):
+        # a row total off the band would go to the exact draw, which
+        # computes it with power_coefficient
         sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
-        calls = count_off_band_cells(monkeypatch)
+        calls = count_power_coefficient_calls(monkeypatch)
         for seed in range(20):
             sampler.sample_degrees(make_rng(seed))
-        assert calls["off band"] == 0
+        assert calls["power_coefficient"] == 0
 
     @pytest.mark.parametrize("degrees, n, m, share",
                              [("even", 500, 250, 0.50), ("2,3", 300, 375, 0.15)])
@@ -447,12 +452,12 @@ class TestLogMemo:
         monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
         monkeypatch.setattr(sampling, "_BAND_SLACK", 0)
         sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
-        calls = count_off_band_cells(monkeypatch)
+        calls = count_exact_draws(monkeypatch)
         first = [sampler.sample_degrees(make_rng(s)) for s in range(10)]
-        assert calls["off band"] > 10 * n
+        assert calls["exact"] > 5 * (n - 1)
         check_memo(sampler)
-        # the same draws again, some now decided from prefix slots that
-        # scans filled from cells off the band, leave the memo as it was
+        # the same draws again, whose exact draws compute cells off the
+        # band, leave the memo as it was
         assert [sampler.sample_degrees(make_rng(s))
                 for s in range(10)] == first
         check_memo(sampler)
@@ -502,44 +507,77 @@ class ScanSpy(tuple):
 
 
 PREFIXED = SCREENED + [("min=2", 200, 300)]
-# (degrees, n, m, band of three cells a row) of the slot tests
-SLOTTED = ([(*case, False) for case in PREFIXED]
-           + [(*case, True) for case in NARROW])
+
+
+def memo_log(sampler, i, k):
+    """L(i, k) from the memo; the cell must lie on row i's band."""
+    lo, hi = sampler._spans[i]
+    assert lo <= k <= hi, (i, k)
+    return sampler._log_cells[i][k - lo]
+
+
+def check_stored_prefixes(sampler):
+    """Every filled prefix slot holds the scan's float sum, term by term in
+    the scan's order from math.exp, each term read from the memo; returns
+    how many slots are filled."""
+    stored = 0
+    for i, j, c, value in stored_prefixes(sampler):
+        top = memo_log(sampler, i, j)
+        acc = 0.0
+        for d in sampler._members[:c + 1]:
+            acc += math.exp(memo_log(sampler, i - 1, j - d) - top
+                            - sampler._log_fact[d])
+        assert value == acc, (i, j, c)
+        stored += 1
+    return stored
 
 
 class TestPrefixMemo:
-    @pytest.mark.parametrize(
-        "degrees, n, m, narrow", SLOTTED,
-        ids=[f"{d}-{n}-{m}" + ("-narrow" if narrow else "")
-             for d, n, m, narrow in SLOTTED])
-    def test_stored_prefixes_are_the_scans_floats(self, monkeypatch, degrees,
-                                                  n, m, narrow):
-        if narrow:
-            # on a band of three cells a row most reads fall off it, and a
-            # scan fills its slots from those reads as from the memo
-            monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
-            monkeypatch.setattr(sampling, "_BAND_SLACK", 1)
+    @pytest.mark.parametrize("degrees, n, m", PREFIXED,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in PREFIXED])
+    def test_stored_prefixes_are_the_scans_floats(self, degrees, n, m):
         sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
-        for seed in range(20 if narrow else 100):
+        for seed in range(100):
             sampler.sample_degrees(make_rng(seed))
-        members = sampler._members
-        spans = sampler._spans
-        stored = read_off_band = 0
-        for i, j, c, value in stored_prefixes(sampler):
-            # the scan's sum, term by term in its order, from math.exp
-            top = sampler._log_cell(i, j)
-            acc = 0.0
-            for d in members[:c + 1]:
-                acc += math.exp(sampler._log_cell(i - 1, j - d) - top
-                                - sampler._log_fact[d])
-            assert value == acc, (i, j, c)
-            stored += 1
-            lo, hi = spans[i - 1]
-            read_off_band += any(not lo <= j - d <= hi
-                                 for d in members[:c + 1])
-        assert stored > (100 if narrow else 1000)
-        if narrow:
-            assert read_off_band > 0
+        assert check_stored_prefixes(sampler) > 1000
+
+    @pytest.mark.parametrize("degrees, n, m", NARROW,
+                             ids=[f"{d}-{n}-{m}" for d, n, m in NARROW])
+    def test_screen_reads_only_the_memo(self, monkeypatch, degrees, n, m):
+        # on a band of three cells a row most vertices meet a cell off it:
+        # the screen computes none of them and hands those vertices to the
+        # exact draw, the only caller of power_coefficient, and no slot
+        # holds a sum that read a cell off the band
+        ds = parse_degree_set(degrees)
+        expected = [DegreeSequenceSampler(ds, n, m).sample_degrees(make_rng(s))
+                    for s in range(20)]
+        monkeypatch.setattr(sampling, "_BAND_SIGMAS", 0)
+        monkeypatch.setattr(sampling, "_BAND_SLACK", 1)
+        sampler = DegreeSequenceSampler(ds, n, m)
+        calls = Counter()
+        exact = DegreeSequenceSampler._draw_degree
+        power = sampling.power_coefficient
+
+        def draw(self, *args):
+            calls["exact"] += 1
+            calls["depth"] += 1
+            try:
+                return exact(self, *args)
+            finally:
+                calls["depth"] -= 1
+
+        def coefficient(*args):
+            calls["inside" if calls["depth"] else "outside"] += 1
+            return power(*args)
+
+        monkeypatch.setattr(DegreeSequenceSampler, "_draw_degree", draw)
+        monkeypatch.setattr(sampling, "power_coefficient", coefficient)
+        assert [sampler.sample_degrees(make_rng(s))
+                for s in range(20)] == expected
+        assert calls["outside"] == 0
+        assert calls["inside"] > 0
+        assert calls["exact"] > 20 * (n - 1) / 4
+        assert check_stored_prefixes(sampler) > 0
 
     @pytest.mark.parametrize("degrees, n, m", SCREENED[:2],
                              ids=[f"{d}-{n}-{m}" for d, n, m in SCREENED[:2]])
