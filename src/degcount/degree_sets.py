@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .records import FrozenRecord
+from .records import Record
 
 #: Marker for unbounded quantities (max of an infinite set, periodicity of a
 #: singleton).  Compares correctly against any finite integer.
@@ -33,7 +33,7 @@ def _logsumexp(logs):
     return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
-class DegreeSet(FrozenRecord):
+class DegreeSet(Record):
     """An immutable set of allowed vertex degrees, in its normal form.
 
     Either the ascending tuple `members` (step 0) or, with no members, the

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .degree_sets import DegreeSet
-from .tables import (band_rows, infeasibility_reason,
+from .tables import (_binomial_convolution, band_rows, infeasibility_reason,
                      multigraph_weight_and_reason)
 
 
@@ -69,8 +69,8 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
     # at most min(n, m) disjoint structures fit; D rows below n-cap are unread
     cap = min(n, m)
     heads = [(0, 2 * m - 2 * a) for a in range(cap + 1)]
-    shifted = list(band_rows(degree_set.shift(2), 2 * m, heads))
-    rows = band_rows(degree_set, 2 * m, [(1, 0)] * (n - cap) + heads[::-1])
+    shifted = list(band_rows(degree_set.shift(2), heads))
+    rows = band_rows(degree_set, [(1, 0)] * (n - cap) + heads[::-1])
     mixed = [0] * (cap + 1)
     for a, row in zip(range(n, -1, -1), rows):
         if a <= cap:
@@ -86,18 +86,3 @@ def marked_weight_and_reason(degree_set: DegreeSet, n: int, m: int,
             c = c * (n - a + 1) * (m - a + 1) // a
         total += c * g * mixed[a]
     return Fraction(total, scale * (1 << m) * math.factorial(m)), None
-
-
-def _binomial_convolution(row_a, row_b, j: int) -> int:
-    """The binomial convolution sum_k C(j, k) row_a[k] row_b[j-k], C(j, k)
-    stepped by C(j, k+1) = C(j, k)(j-k)/(k+1), which divides exactly."""
-    c = 1                           # C(j, k)
-    total = 0
-    for k in range(j + 1):
-        wa = row_a[k]
-        if wa:
-            wb = row_b[j - k]
-            if wb:
-                total += c * wa * wb
-        c = c * (j - k) // (k + 1)
-    return total

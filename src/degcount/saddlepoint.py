@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .degree_sets import INFINITE, DegreeSet
-from .records import FrozenRecord
+from .records import Record
 from .tables import infeasibility_reason
 
 _LN2 = math.log(2.0)
@@ -146,7 +146,7 @@ def loop_intensity(degree_set: DegreeSet, n: int, m: int, x: float) -> float:
     return _loop(n, m, x, math.exp(degree_set.shift(2).egf_log(x) - log0))
 
 
-class SaddlePoint(FrozenRecord):
+class SaddlePoint(Record):
     """Saddle-point bundle for one (degree set, n, m) instance."""
 
     __slots__ = ("x", "mean_degree", "slope", "loop_intensity", "log_egf")
@@ -166,7 +166,7 @@ def saddle_point(degree_set: DegreeSet, n: int, m: int) -> SaddlePoint:
                        loop_intensity=_loop(n, m, x, ratio), log_egf=log_egf)
 
 
-class Regime(FrozenRecord):
+class Regime(Record):
     """One of: infeasible (`reason`), forced to `degree`, interior (`saddle`).
 
     `loop_intensity` is L, the limiting expected number of loops, and
@@ -221,7 +221,7 @@ def resolve(degree_set: DegreeSet, n: int, m: int) -> Regime:
                   simple_reason=simple)
 
 
-class AsymptoticCount(FrozenRecord):
+class AsymptoticCount(Record):
     """A count estimate in natural-log space, with the saddle point it used
     (None unless interior) or the reason it is infeasible."""
 

@@ -179,19 +179,15 @@ class SamplerExhausted(RuntimeError):
 
 
 class SampleReport(Record):
-    """Counters for one sampling run; merge by adding fields.  Mutable, so
-    unhashable."""
+    """Counters for one sampling run; merge by adding fields."""
 
     __slots__ = ("samples_requested", "samples_produced", "rejections",
                  "odd_sum_retries")
-    __hash__ = None
 
     def __init__(self, samples_requested: int = 0, samples_produced: int = 0,
                  rejections: int = 0, odd_sum_retries: int = 0):
-        self.samples_requested = samples_requested
-        self.samples_produced = samples_produced
-        self.rejections = rejections
-        self.odd_sum_retries = odd_sum_retries
+        self._fill(samples_requested, samples_produced, rejections,
+                   odd_sum_retries)
 
     @property
     def attempts(self) -> int:
@@ -428,7 +424,7 @@ class DegreeSequenceSampler:
             array("d", [log(w) - log_fact[k] if w else zero
                         for k, w in enumerate(row, lo)])
             for (lo, _), row in zip(self._spans,
-                                    band_rows(degree_set, 2 * m, self._spans))]
+                                    band_rows(degree_set, self._spans))]
         # two prefix slots per band cell, cell (i, k) in slots 2(k - lo) and
         # 2(k - lo) + 1, NaN until a draw scans the cell; none unscreened
         unset = array("d", [math.nan])
@@ -597,17 +593,17 @@ class DegreeSequenceSampler:
         Takes its budget, or its refusal, from :func:`attempt_budget`.
         """
         max_attempts = attempt_budget(self.regime, max_attempts)
-        report = SampleReport(samples_requested=1)
-        for _ in range(max_attempts):
+        for rejections in range(max_attempts):
             # the same draws as sample_multigraph, but only an accepted
             # pairing is built into a graph
             codes = _edge_codes(self.sample_degrees(rng), rng)
             if _is_simple_pairing(codes, self.n):
-                report.samples_produced += 1
-                return _multigraph(self.n, codes), report
-            report.rejections += 1
+                return _multigraph(self.n, codes), SampleReport(
+                    samples_requested=1, samples_produced=1,
+                    rejections=rejections)
         raise SamplerExhausted(
-            f"no simple graph in {max_attempts} attempts", report)
+            f"no simple graph in {max_attempts} attempts",
+            SampleReport(samples_requested=1, rejections=max_attempts))
 
 
 # -- Boltzmann generator ------------------------------------------------------
@@ -677,15 +673,15 @@ def boltzmann_sample(degree_set: DegreeSet, n: int, x: float,
         if share < 1:
             p_even = -math.expm1(n * math.log1p(-share)) / 2
             _refuse_past_cap(-math.log(p_even), "sequence with an even sum")
-    report = SampleReport(samples_requested=1)
+    retries = 0
     while True:
         degrees = rng.choice(support, size=n, p=probs)
         if int(degrees.sum()) % 2 == 0:
             break
-        report.odd_sum_retries += 1
+        retries += 1
     graph = pair_half_edges(degrees, rng)
-    report.samples_produced = 1
-    return graph, report
+    return graph, SampleReport(samples_requested=1, samples_produced=1,
+                               odd_sum_retries=retries)
 
 
 def boltzmann_tune(degree_set: DegreeSet, target_mean_degree: float) -> float:

@@ -11,10 +11,11 @@ remainder.
 Rows come from one source, :func:`band_rows`, which streams row i as
 the span T[i][lo..hi] its caller asks for and computes each row only on
 the closure of those spans under the recurrence's reads, holding two or
-three rows at a time.  The exact sampler asks for a band of each row and
-keeps only float logs of it, and the marked sum the head of each row it
-convolves.  :func:`build_table` keeps whole rows as :class:`CoefficientTable`,
-which no package code builds.  The recurrences fill a row in O(1) big-integer
+three rows, as wide as the highest span, at a time.  The exact sampler
+asks for a band of each row and keeps only float logs of it, and the
+marked sum the head of each row it joins by :func:`_binomial_convolution`.
+:func:`build_table` keeps whole rows as :class:`CoefficientTable`, which
+no package code builds.  The recurrences fill a row in O(1) big-integer
 operations per cell instead of the generic O(|D|) convolution, and skip
 the cells they know are zero (outside [i*min D, i*max D] or off the
 periodicity lattice):
@@ -140,10 +141,10 @@ def _closure(spans, back: int, near: int, far: int) -> list:
     return need
 
 
-def band_rows(degree_set: DegreeSet, j_max: int, spans):
+def band_rows(degree_set: DegreeSet, spans):
     """Rows 0, 1, ... of T, one per span: the list T[i][lo..hi] for the
-    span (lo, hi) = spans[i], which must lie within [0, j_max] (lo > hi
-    asks for no cell).
+    span (lo, hi) = spans[i], which must have lo >= 0 (lo > hi asks for no
+    cell).
 
     The one row source of the tables and the exact sampler.  Its row
     recurrences fill a row in O(1) big-integer operations per cell instead
@@ -153,13 +154,13 @@ def band_rows(degree_set: DegreeSet, j_max: int, spans):
     (:func:`_closure`): a minimum-degree or parity row runs from its first
     cell up to the highest cell that it or a later row needs, and a finite
     list's row only between the lowest and highest such cells.  Two or
-    three full-width rows are alive at a time; a span that covers the whole
-    row yields the recurrence's own list, uncopied.
+    three rows are alive at a time, each as wide as the highest span.
     """
     spans = list(spans)
     for lo, hi in spans:
-        if lo <= hi and (lo < 0 or hi > j_max):
-            raise ValueError(f"span ({lo}, {hi}) leaves [0, {j_max}]")
+        if lo < 0 and lo <= hi:
+            raise ValueError(f"span ({lo}, {hi}) starts below 0")
+    j_max = max((hi for lo, hi in spans if lo <= hi), default=0)
     start, step = degree_set.start, degree_set.step
     if step == 1:
         # min=delta: cell j reads cell j - delta of the row below (none for
@@ -178,12 +179,7 @@ def band_rows(degree_set: DegreeSet, j_max: int, spans):
         rows = _rows_finite(members, 1 if p is INFINITE else p, j_max,
                             _closure(spans, 1, low, high))
     for (lo, hi), row in zip(spans, rows):
-        if lo > hi:
-            yield []
-        elif lo == 0 and hi == j_max:
-            yield row
-        else:
-            yield row[lo:hi + 1]
+        yield row[lo:hi + 1] if lo <= hi else []
 
 
 class CoefficientTable:
@@ -191,9 +187,7 @@ class CoefficientTable:
     :func:`build_table` for callers outside the package's exact paths (which
     stream theirs from :func:`band_rows`): rows[i] is the list T[i][0..j_max]."""
 
-    def __init__(self, degree_set: DegreeSet, j_max: int, rows):
-        self.degree_set = degree_set
-        self.j_max = j_max
+    def __init__(self, rows):
         self.rows = rows
 
     def value(self, i: int, j: int) -> int:
@@ -210,8 +204,8 @@ def build_table(degree_set: DegreeSet, n_max: int,
     j <= j_max, streamed from :func:`band_rows`."""
     if n_max < 0 or j_max < 0:
         raise ValueError("table bounds must be nonnegative")
-    rows = list(band_rows(degree_set, j_max, [(0, j_max)] * (n_max + 1)))
-    return CoefficientTable(degree_set, j_max, rows)
+    return CoefficientTable(
+        list(band_rows(degree_set, [(0, j_max)] * (n_max + 1))))
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -370,26 +364,36 @@ def _band_row(row: list, i: int, delta: int, cells: int) -> None:
         row[e] = t
 
 
+def _binomial_convolution(row_a, row_b, j: int, low: int = 0) -> int:
+    """The binomial convolution sum_e C(j, low + e) row_a[e] row_b[j-low-e]
+    over e <= j - low and within row_a, C(j, k) stepped by
+    C(j, k+1) = C(j, k)(j-k)/(k+1), which divides exactly."""
+    c = math.comb(j, low)
+    total = 0
+    for k, wa in enumerate(islice(row_a, j - low + 1), low):
+        if wa:
+            wb = row_b[j - k]
+            if wb:
+                total += c * wa * wb
+        c = c * (j - k) // (k + 1)
+    return total
+
+
 def _min_halves(delta: int, n: int, w: int) -> int:
     # The band e <= w up to row b = ceil(n/2), keeping row a = floor(n/2) on
     # the way, and Set^n = Set^a * Set^b joins the halves at j = delta*n + w:
-    #   T[n][j] = a! b! sum_e C(j, delta*a + e) S_a[e] S_b[w - e].
+    #   T[n][j] = a! b! sum_e C(j, delta*a + e) S_a[e] S_b[w - e],
+    # with S_b shifted up by delta*b to its columns.
     a = n // 2
     b = n - a
-    j = delta * n + w
     row = [1] + [0] * w
     half = row[:]
     for i in range(1, b + 1):
         _band_row(row, i, delta, w + 1)
         if i == a:
             half = row[:]
-    k = delta * a
-    c = math.comb(j, k)
-    total = 0
-    for e in range(w + 1):
-        total += c * half[e] * row[w - e]
-        c = c * (j - k) // (k + 1)      # C(j, k + 1), exactly
-        k += 1
+    total = _binomial_convolution(half, [0] * (delta * b) + row,
+                                  delta * n + w, delta * a)
     return math.factorial(a) * math.factorial(b) * total
 
 
@@ -427,8 +431,12 @@ def _peel_is_cheaper(delta: int, n: int, w: int) -> bool:
         halves = delta W b(b+1)/2 + b C(W, 2),
         peel = (delta+1)(W t(t+1)/2 - t(t+1)(2t+1)/6) + C(W, 3) - C(W-t, 3).
     They cross between w = 0.82n and 0.86n for delta from 2 to 10 and n
-    from 40 to 2048; BENCH_exact.json (min_delta_crossover) times both
-    routes from w = 0.5n to 2n.
+    from 40 to 2048.  Timed, the routes cross later as delta grows: at
+    about w = 0.88-0.90n for delta = 2, 0.89-0.97n for delta = 3 (n = 512
+    and 1024), 0.98n for delta = 5 and 1.03n for delta = 10 (n = 512), but
+    near 0.83n for delta = 3 at n = 2048, so no single constant matches
+    every point; BENCH_exact.json (min_delta_crossover) times both routes
+    from w = 0.5n to 2n.
     """
     cols = w + 1
     b = (n + 1) // 2

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -378,7 +379,7 @@ class TestTableBand:
         n, m = 24, 20
         spans = sampling._band(n, 2 * m, 1.5)
         full = build_table(ds, n, 2 * m)
-        rows = list(band_rows(ds, 2 * m, spans))
+        rows = list(band_rows(ds, spans))
         assert len(rows) == n + 1
         for i, ((lo, hi), row) in enumerate(zip(spans, rows)):
             assert row == full.rows[i][lo:hi + 1], i
@@ -664,7 +665,7 @@ class TestDegreeSequences:
             DegreeSequenceSampler(DegreeSet.finite(members), n, m)
 
     def test_memo_comes_from_band_rows(self, monkeypatch):
-        # the one row source, called once as (D, 2m, the band's spans)
+        # the one row source, called once as (D, the band's spans)
         ds, n, m = DegreeSet.even(), 12, 9
         calls = []
 
@@ -673,7 +674,7 @@ class TestDegreeSequences:
             return band_rows(*args)
         monkeypatch.setattr("degcount.sampling.band_rows", recorded)
         sampler = DegreeSequenceSampler(ds, n, m)
-        assert calls == [(ds, 2 * m, sampler._spans)]
+        assert calls == [(ds, sampler._spans)]
         check_memo(sampler)
 
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
@@ -1040,12 +1041,31 @@ class TestSimpleSampling:
         assert attempt_budget(sampler.regime) == 10
 
     def test_drawing_leaves_sampler_state_unchanged(self):
+        # draws write only prefix slots, each from NaN to the scan's float
         sampler = DegreeSequenceSampler(DegreeSet.finite([2, 3]), 12, 15)
-        before = dict(vars(sampler))
+        names = sorted(vars(sampler))
+        logs = [row.tobytes() for row in sampler._log_cells]
+        prefixes = [row.tobytes() for row in sampler._prefixes]
+        kept = (list(sampler._spans), sampler._members,
+                list(sampler._log_fact), sampler.regime)
         rng = make_rng(4)
         for _ in range(5):
             sampler.sample_simple(rng, max_attempts=10_000)
-        assert vars(sampler) == before
+        assert sorted(vars(sampler)) == names
+        assert [row.tobytes() for row in sampler._log_cells] == logs
+        assert (sampler._spans, sampler._members, sampler._log_fact,
+                sampler.regime) == kept
+        assert len(sampler._prefixes) == len(prefixes)
+        filled = 0
+        for before, row in zip(prefixes, sampler._prefixes):
+            old = array("d")
+            old.frombytes(before)
+            assert len(row) == len(old)
+            for a, b in zip(old, row):
+                if not math.isnan(a):
+                    assert b == a
+                filled += not math.isnan(b)
+        assert filled == check_stored_prefixes(sampler) > 0
 
     def test_determinism(self):
         ds = DegreeSet.min_degree(1)
