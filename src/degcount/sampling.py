@@ -15,12 +15,15 @@ checked range of instances (_SCREEN_LIMIT), and hands the rest to the
 integer one; it never reads a word, so the draws are those of the integer
 comparison alone, at word-size cost.  This is the floating-point filter
 with exact fallback of Denise and Zimmermann (Theoret. Comput. Sci. 218,
-1999).  The sampler keeps no integers: it streams the rows of T over a band
+1999).  The sampler keeps no integers: it keeps L of the cells of a band
 of each row, the part the draw can plausibly reach, a few standard
-deviations around the remaining total's mean (_BAND_SIGMAS), and keeps
-only L of each band cell, plus two prefix slots per band cell that any
-scan of the cell fills with the screen's own running sums, so that a warm
-cell decides most vertices without an exp.  The screen reads only that
+deviations around the remaining total's mean (_BAND_SIGMAS), plus two
+prefix slots per band cell that any scan of the cell fills with the
+screen's own running sums, so that a warm cell decides most vertices
+without an exp.  L comes from the rows of T streamed as integers for even,
+whose row recurrence subtracts, and from the same recurrences run in
+floats for every other family, with a bound on each cell's error
+(_log_memo).  The screen reads only that
 memo: a vertex whose row total, or any term its scan reaches, lies off the
 band goes to the exact comparison.  That one computes its cells from one
 `column_coefficients` pass per vertex, which keeps nothing for the next,
@@ -45,8 +48,9 @@ simple-graph estimate reads too).
 
 numpy is loaded only by sampling: the functions that make generators and
 seeds (`make_rng`, `spawn_seeds`), the word reader behind every exact draw,
-the half-edge pairing and the Boltzmann degree law import it when called,
-and the exact sampler's constructor imports `array` for its log memo.
+the half-edge pairing, the Boltzmann degree law and the float rows of the
+exact sampler's memo import it when called, and the exact sampler's
+constructor imports `array` for its log memo.
 So importing the package, or running a CLI command that only counts or
 estimates, loads neither.
 """
@@ -60,7 +64,8 @@ from .degree_sets import INFINITE, DegreeSet
 from .multigraph import Multigraph
 from .records import Record
 from .saddlepoint import InfeasibleRegimeError, Regime, resolve, solve_mean_degree
-from .tables import band_rows, column_coefficients, power_coefficient
+from .tables import (band_rows, column_coefficients, power_coefficient,
+                     row_spans)
 
 # typing.TYPE_CHECKING without loading typing; the annotations are strings
 TYPE_CHECKING = False
@@ -84,33 +89,45 @@ exact ones whenever p_d is within margin - 2^-52 - 2^-64 of c_d / T (the
 rounding of u and of u +- margin, and the word's width).
 
 Error bound, inside _SCREEN_LIMIT (every cell and every k! for k <= 2m below
-e^(2^20)): math.log of an int is log(x) + e*log(2) for its rounded 53-bit
-mantissa x and bit length e < 2^21, so it errs by under 2^-52 + 2^-53 (the
-mantissa and the float log) + 2^-33 (the error of the float ln 2, times e)
-+ 2 * 2^-34 (rounding the product and the sum), that is 2^-32 (1 + 2^-19).
-The exponent holds five such logs: T[i-1][j-e] and (j-e)! in one memo slot,
-T[i][j] and j! in the other, and e!.  Each slot rounds one difference below
-2^20 (2^-34 each), and the exponent rounds twice more below 2^21 (2^-33
-each; a term whose exponent is below -2^21 is 0 either way).  So it errs by
-under 6.5 * 2^-32 (1 + 2^-19) = 1.52e-9, and each exp term is off by that
-much relative; the terms sum to at most 1, and adding up to 2^20 of them
-costs 2^-33 = 1.2e-10 more.  So |p_d - c_d/T| < 1.7e-9, and the margin
-2^-27 = 7.45e-9 leaves more than four times that.  A draw falls back with
-probability about 2 * margin per prefix ratio it scans.  The prefix slots
-hold p_d of the first two members as the scan computes them, so the bound
-covers them as is.
+e^(2^20)): each memo slot lies within _MEMO_ERROR = 2^-29 of its L or holds
+NaN (_log_memo), and 2^-29 (1 + 2^-8) covers what the float rows' bound
+leaves out.  ln e! is math.log of an int, log(x) + e*log(2) for its rounded
+53-bit mantissa x and bit length e < 2^21, so it errs by under 2^-52 +
+2^-53 (the mantissa and the float log) + 2^-33 (the error of the float
+ln 2, times e) + 2 * 2^-34 (rounding the product and the sum), that is
+2^-32 (1 + 2^-19).  The exponent reads two slots and ln e!, and rounds
+twice below 2^21 (2^-33 each; a term whose exponent is below -2^21 is 0
+either way).  So it errs by under 2^-28 (1 + 2^-8) + 2^-32 (1 + 2^-19) +
+2^-32 = 4.21e-9, and each exp term is off by that much relative; the terms
+sum to at most 1, and adding up to 2^20 of them costs 2^-33 = 1.2e-10 more.
+So |p_d - c_d/T| < 4.4e-9, and the margin 2^-27 = 7.45e-9 leaves more than
+one and a half times that.  A NaN slot makes the scan's running sum NaN,
+which passes neither test, so the scan ends undecided and the vertex goes
+to the exact draw.  A draw falls back with probability about 2 * margin
+per prefix ratio it scans.  The prefix slots hold p_d of the first two
+members as the scan computes them, so the bound covers them as is.
 """
+
+_MEMO_ERROR = 2.0 ** -29
+"""Most a log memo slot may differ from L(i, k) = ln T[i][k] - ln k!; a
+float-built cell whose bound passes it is stored as NaN (_log_memo)."""
 
 _SCREEN_LIMIT = 2 ** 20
 """Range of instances the float screen is proven on; see _SCREEN_MARGIN.
 
-The constructor screens an instance only when 2m ln n and ln (2m)! are both
-below it.  T[i][j] counts maps of j labelled half-edges to i vertices with
-allowed fibre sizes, so every cell the memo holds is at most
-i^j <= n^(2m), and every factorial it reads is at most (2m)!; then
-no row has 2^20 members either.  Outside it (2m above 99,763 whatever n is,
-or above 2^20 / ln n once n passes about 2m/e: 91,076 at n = 10^5) every
-vertex goes to `_draw_degree`.
+The constructor screens an instance, and builds its memo, only when
+2m ln n and ln (2m)! are both below it.  T[i][j] counts maps of j labelled
+half-edges to i vertices with allowed fibre sizes, so every cell the memo
+holds is at most i^j <= n^(2m), and every factorial it reads is at most
+(2m)!; then no row has 2^20 members either, and a row has fewer than 2^17
+cells.  Outside it (2m above 99,763 whatever n is, or above 2^20 / ln n
+once n passes about 2m/e: 91,076 at n = 10^5) every vertex goes to
+`_draw_degree`.  Inside it the float rows' bound grows with n for min=delta
+and odd, about as n^2 (min=2 at mean degree 3: 2.5e-10 on the band at
+n = 2000, 9.4e-10 at 4000), because their first-order recurrence carries
+the rounding of a row's lower tail into later rows' bands; past about
+n = 5500 at that mean degree it passes _MEMO_ERROR on the late rows, whose
+vertices then take the exact draw (BENCH_sample.json, float_memo_build).
 """
 
 _BAND_SIGMAS = 6
@@ -353,6 +370,255 @@ def _log_factorials(limit: int) -> list[float]:
     return logs
 
 
+def _log_memo(degree_set: DegreeSet, spans, regime: Regime,
+              log_fact: list[float]) -> list:
+    """The sampler's log memo: for each row i, one array('d') holding
+    L(i, k) = ln T[i][k] - ln k! for k = lo..hi of spans[i] (-inf for a
+    zero cell), each within _MEMO_ERROR of L or NaN.
+
+    The one place that picks a family's route.  even's row recurrence
+    subtracts, so its rows come from :func:`~degcount.tables.band_rows` as
+    exact integers, and each cell is math.log of its integer minus ln k!:
+    two int logs and one rounding, 2^-31 (1 + 2^-19) + 2^-34 < _MEMO_ERROR
+    (see _SCREEN_MARGIN).  Every other family's rows add only nonnegative
+    terms and are computed in floats by :func:`_float_rows`, with a bound
+    on each cell's error; a cell whose bound passes _MEMO_ERROR is NaN,
+    which the screen never decides on.
+    """
+    from array import array
+
+    if degree_set.step == 2 and degree_set.start == 0:
+        log, zero = math.log, -math.inf
+        return [array("d", [log(w) - log_fact[k] if w else zero
+                            for k, w in enumerate(row, lo)])
+                for (lo, _), row in zip(spans, band_rows(degree_set, spans))]
+    return [array("d", logs.tobytes())
+            for logs, _ in _float_rows(degree_set, spans, regime, log_fact)]
+
+
+def _float_rows(degree_set: DegreeSet, spans, regime: Regime,
+                log_fact: list[float]):
+    """(L, bound) for each span (lo, hi) of `spans`: numpy arrays of
+    L(i, k), k = lo..hi, computed in floats, and of a bound on each one's
+    error (NaN for a zero cell); L is NaN where its bound passes
+    _MEMO_ERROR.  For every family but even.
+
+    The rows run on :func:`~degcount.tables.row_spans` in log space,
+    tilted: R(i, k) = L(i, k) + k ln x - i ln Set(x), with x the saddle
+    point (1 if forced), is the log of the chance that i Boltzmann degrees
+    at x sum to k, near 0 on the band where rounding is least.  ln x and
+    ln Set(x) are fixed floats, so the tilt is exact; min=0 is untilted,
+    L(i, k) = k ln i - ln k!.  A finite list sums R(i-1, k-d) + d ln x -
+    ln d! - ln Set(x) over its members with np.logaddexp.  min=delta >= 1
+    and odd solve their recurrence along the row, y(j+s) = a(j) (y(j) +
+    b(j)) (s = 1, a = x i/(j+1) and b from row i-1 at j - delta + 1 for
+    min=delta; s = 2, a = (x i)^2/((j+1)(j+2)) and b from row i-2 at j for
+    odd), as y(j) = A(j) sum_(t<j) b(t)/A(t), A = prod a: one np.cumsum of
+    ln a from the band's centre and one np.logaddexp.accumulate.
+
+    The bound is a first-order rounding analysis done in the same pass.
+    It assumes +, -, * round to nearest (2^-53 relative), math.log errs by
+    at most 1 ulp and numpy's exp, log and log1p by 2 (numpy's own tests
+    allow 1 ulp from the correctly rounded value), so np.logaddexp(a, b) =
+    max + log1p(exp(-|a-b|)) errs by at most 2^-53 |r| + 2^-50 for its
+    result r; `tests/test_sampling.py` checks these on the ranges used
+    here.  Each rounding enters the bound of each cell its sum feeds,
+    weighted by its share of that sum (a log-sum-exp's derivative in a
+    term), and each source cell passes on its bound with its share; a
+    share w of a term t <= r weighs t's rounding 2^-53 |t| by at most
+    2^-53 (|r| + 1).  Rows carry V = R + ln bound, which follows the rows'
+    recurrence plus each step's rounding.  Untilting adds 2^-52 (|k ln x|
+    + |i ln Set(x)| + |L|).  Products of two errors are left out: the
+    rounding of the bound's own sums (a relative p 2^-50 (|V| + |R| + 8)
+    after p terms) and shares read with their cells' errors; both stay
+    below a relative 2^-8 while p (|V| + |R| + 8) < 2^42 and the bounds
+    below 2^-9, and _SCREEN_MARGIN's bound takes each slot within
+    2^-29 (1 + 2^-8).
+    """
+    import numpy as np
+
+    if regime.saddle is not None:
+        x = regime.saddle.x
+        lx, ls = math.log(x), degree_set.egf_log(x)
+    else:       # forced: the one degree d has weight 1/d! at x = 1
+        lx, ls = 0.0, -math.lgamma(regime.degree + 1)
+    need = row_spans(degree_set, spans)
+    lf = np.array(log_fact)
+    start, step = degree_set.start, degree_set.step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if step == 0:   # members above 2m reach no cell
+            rows = _finite_rows([d for d in degree_set.members if d < len(lf)],
+                                need, lx, ls, lf)
+        elif start == 0 and step == 1:
+            lx = ls = 0.0
+            rows = _power_rows(need, lf)
+        else:
+            rows = _first_order_rows(start, step, need, spans, lx, ls, lf)
+        drop = np.arange(max(hi for _, hi in spans) + 1) * lx
+        bands, held = [], 0
+        for i, ((lo, hi), (first, row)) in enumerate(zip(spans, rows)):
+            end = first + row.shape[1]
+            if first <= lo and hi < end:
+                bands.append(row[:, lo - first:hi - first + 1])
+            else:   # the band reaches past the row's stored cells
+                band = np.full((2, hi - lo + 1), -np.inf)
+                at, to = max(lo, first), min(hi + 1, end)
+                band[:, at - lo:to - lo] = row[:, at - first:to - first]
+                bands.append(band)
+            # untilt in batches of rows: a few numpy calls per batch, not
+            # per row, with at most about 2^17 stored cells held
+            held += row.shape[1]
+            if held >= 1 << 17 or i == len(spans) - 1:
+                yield from _untilt(bands, spans[i + 1 - len(bands):i + 1],
+                                   i + 1 - len(bands), drop, ls)
+                bands, held = [], 0
+
+
+def _untilt(bands, spans, first_row: int, drop, ls: float):
+    """(L, bound) for the rows first_row, ... of `bands`, each [R; V] on
+    its span: L = R - k ln x + i ln Set(x), plus the rounding of that."""
+    import numpy as np
+
+    tilted, carried = np.concatenate(bands, axis=1)
+    lengths = [hi - lo + 1 for lo, hi in spans]
+    lift = np.repeat(np.arange(first_row, first_row + len(spans)) * ls,
+                     lengths)
+    dropped = np.concatenate([drop[lo:hi + 1] for lo, hi in spans])
+    logs = tilted + (lift - dropped)
+    bound = np.exp(carried - tilted)
+    bound += 2.0 ** -52 * (np.abs(dropped) + np.abs(lift) + np.abs(logs))
+    logs[bound > _MEMO_ERROR] = np.nan
+    at = 0
+    for length in lengths:
+        yield logs[at:at + length], bound[at:at + length]
+        at += length
+
+
+def _base_row(hi: int, pad: int = 0):
+    """Row 0 as (first, [R; V]) on columns -pad..hi: R(0, 0) = 0 exactly."""
+    import numpy as np
+
+    row = np.full((2, pad + hi + 1), -np.inf)
+    row[0, pad] = 0.0
+    return -pad, row
+
+
+def _power_rows(need, lf):
+    """min=0: L(i, k) = k ln i - ln k!, within 2^-51 (k ln i + ln k! + 1)
+    + 2^-53 |L| (math.log within 1 ulp, ln k! within 2^-51 (ln k! + 1))."""
+    import numpy as np
+
+    yield _base_row(need[0][1])
+    for i, (lo, hi) in enumerate(need[1:], 1):
+        rise = np.arange(lo, hi + 1) * math.log(i)
+        logs = rise - lf[lo:hi + 1]
+        bound = (2.0 ** -51 * (rise + lf[lo:hi + 1] + 1)
+                 + 2.0 ** -53 * np.abs(logs))
+        yield lo, np.array([logs, logs + np.log(bound)])
+
+
+def _finite_rows(members, need, lx, ls, lf):
+    """Tilted rows of a finite list, each cell R(i, k) the log-sum-exp over
+    the members d of R(i-1, k-d) + q_d, as (first, [R; V]), every row
+    padded by max D cells of zero on the left so that each read is a
+    slice."""
+    import numpy as np
+
+    pad = members[-1] if members else 0     # none only for n = 0
+    q = [(d, d * lx - lf[d] - ls) for d in members]
+    # q_d's two roundings and ln d!'s error, and the rounding of the sum's
+    # |D| logaddexps and adds, each weighted by its share
+    q_err = 2.0 ** -51 * max((abs(d * lx) + lf[d] + abs(ls) + 1
+                              for d in members), default=0.0)
+    count = len(members) + 1
+    first, prev = _base_row(need[0][1], pad)
+    yield first, prev
+    for lo, hi in need[1:]:
+        width = hi - lo + 1
+        row = np.empty((2, pad + width))
+        row[:, :pad] = -np.inf
+        sums = row[:, pad:]
+        for d, qd in q:
+            at = lo - d - first
+            if d == q[0][0]:
+                np.add(prev[:, at:at + width], qd, out=sums)
+            else:
+                np.logaddexp(sums, prev[:, at:at + width] + qd, out=sums)
+        tilted, carried = sums
+        # clipped, a zero cell's |R| = inf keeps its V at -inf
+        local = np.minimum(np.abs(tilted), 2.0 ** 1000)
+        local *= count * 2.0 ** -53
+        local += count * 2.0 ** -50 + q_err
+        np.logaddexp(carried, np.log(local) + tilted, out=carried)
+        first, prev = lo - pad, row
+        yield first, prev
+
+
+def _first_order_rows(delta, step, need, spans, lx, ls, lf):
+    """Tilted rows of min=delta >= 1 (step 1) or odd (step 2) as
+    (first, [R; V]), each from its first-order recurrence along the row."""
+    import numpy as np
+
+    rows = [_base_row(need[0][1])]
+    if step == 2 and len(need) > 1:     # row 1 of odd: x^k/k! / sinh x
+        top = need[1][1]
+        ks = np.arange(1, top + 1, 2)
+        one = ks * lx - lf[ks] - ls
+        bound = 2.0 ** -51 * (np.abs(ks * lx) + lf[ks] + abs(ls) + 1)
+        row = np.full((2, top), -np.inf)
+        row[:, ::2] = one, one + np.log(bound)
+        rows.append((1, row))
+    yield from rows
+    ax = step * (abs(lx) + 1)
+    for i in range(len(rows), len(need)):
+        hi = need[i][1]
+        first = delta * i - 1 if step == 1 else i - 2
+        size = max((hi - first) // step, 0)
+        cols = np.arange(first + 1, first + 1 + step * size, step)
+        # ln a(j) = s ln x + ln(i^s/((j+1)...(j+s))) and the source's
+        # constant: (delta-1) ln x - ln (delta-1)! - ln S for min=delta,
+        # ln((i-1)/i) - 2 ln S for odd
+        if step == 1:
+            alpha = lx + np.log(i / cols)
+            beta = (delta - 1) * lx - lf[delta - 1] - ls
+            b_err = 2.0 ** -51 * ((delta - 1) * abs(lx) + 2 * lf[delta - 1]
+                                  + abs(ls) + 1)
+            shift = delta - 1
+        else:
+            alpha = 2 * lx + np.log(i / cols * (i / (cols + 1)))
+            beta = math.log1p(-1 / i) - 2 * ls
+            b_err = 2.0 ** -51 * (abs(beta) + 1)
+            shift = 0
+        src_first, src = rows[-step]
+        at = first - shift - src_first
+        source = src[:, at:at + step * size:step]
+        # ln A(j) relative to the cell nearest the band's centre
+        ref = min(max(round((sum(spans[i]) / 2 - first) / step), 0), size)
+        lna = np.zeros(size + 1)
+        lna[ref + 1:] = np.cumsum(alpha[ref:])
+        lna[:ref] = -np.cumsum(alpha[:ref][::-1])[::-1]
+        head, tail = lna[:-1], lna[1:]
+        lnb = source[0] + beta
+        c = lnb - head
+        z = np.logaddexp.accumulate(c)
+        tilted = tail + z
+        # a source term's roundings (ln b, c = ln b - ln A and beta's),
+        # weighted by its share, and each step's (ln a(j), ln A's cumsum,
+        # the accumulate's and R = ln A + z's), by the partial sum's share
+        own = np.where(c > -np.inf, c + np.log(
+            2.0 ** -53 * (np.abs(lnb) + np.abs(c)) + b_err), -np.inf)
+        per_step = 2.0 ** -53 * (np.maximum(np.abs(head), np.abs(tail))
+                                 + np.abs(z) + np.abs(tilted))
+        per_step += 2.0 ** -50 * (np.abs(alpha) + ax + 1)
+        h = np.logaddexp.accumulate(np.logaddexp(
+            np.logaddexp(source[1] + beta - head, own), z + np.log(per_step)))
+        row = np.full((2, step * size + 1), -np.inf)
+        row[0, step::step] = tilted
+        row[1, step::step] = tail + h
+        rows = rows[1:] + [(first, row)] if step == 2 else [(first, row)]
+        yield first, row
+
+
 def _multigraph(n: int, codes) -> Multigraph:
     return Multigraph._from_sorted_codes(n, tuple(codes.tolist()))
 
@@ -373,15 +639,17 @@ class DegreeSequenceSampler:
     :func:`~degcount.tables.infeasibility_reason` finds no degree sequence.
     The constructor sets everything the sampler keeps: the band `_spans`,
     one clipped span (lo, hi) per row i <= n holding the cells a draw can
-    plausibly reach (_BAND_SIGMAS); the log memo, one array('d') per row
-    with L(i, k) = ln T[i][k] - ln k! (-inf for a zero cell) in slot k - lo;
-    the tuple of members up to 2m the draws scan; ln k! for k <= 2m; the
-    `regime` that `attempt_budget` reads for `sample_simple`; and, for a
-    screened instance, the prefix slots, two per band cell, NaN until a
-    draw fills them.  The memo comes from
-    :func:`~degcount.tables.band_rows`, which streams the rows of T on the
-    closure of the band, so no more than the two or three rows its
-    recurrence holds are ever alive as integers, and no integer is kept.
+    plausibly reach (_BAND_SIGMAS); for a screened instance, the log
+    memo, one array('d') per row with L(i, k) = ln T[i][k] - ln k! (-inf
+    for a zero cell) in slot k - lo, and the prefix slots, two per band
+    cell, NaN until a draw fills them; the tuple of members up to 2m the
+    draws scan; ln k! for k <= 2m; and the `regime` that `attempt_budget`
+    reads for `sample_simple`.  The memo comes from :func:`_log_memo`:
+    for even, :func:`~degcount.tables.band_rows` streams the rows of T on
+    the closure of the band, so no more than the two or three rows its
+    recurrence holds are ever alive as integers; every other family's rows
+    are computed in floats on the same closure, each cell within
+    _MEMO_ERROR of L or NaN.  No integer is kept.
     Draws write only prefix slots, each with the one float every draw
     computes for that cell, so one sampler can serve many concurrent
     generators as long as each worker owns its own rng stream.
@@ -393,9 +661,9 @@ class DegreeSequenceSampler:
     draw before handed it on.  The screen hands it a vertex with
     probability about 2 * _SCREEN_MARGIN per prefix ratio it scans, and
     every vertex whose row total, or any term its scan reaches, lies off
-    the band.  An instance outside _SCREEN_LIMIT is not screened, so
-    every vertex takes the exact draw; such instances (2m above about
-    10^5) are beyond the reach of the build anyway.  It pickles as
+    the band or reads a NaN slot.  An instance outside _SCREEN_LIMIT
+    (2m above about 10^5) is not screened and builds no memo, so every
+    vertex takes the exact draw.  It pickles as
     (degree_set, n, m), never as its memo: a forked process-pool worker
     shares the parent's sampler, and any other worker rebuilds the memo.
     """
@@ -414,22 +682,17 @@ class DegreeSequenceSampler:
         self._log_fact = log_fact = _log_factorials(2 * m)
         self._screened = (2 * m * math.log(max(n, 1)) < _SCREEN_LIMIT
                           and log_fact[-1] < _SCREEN_LIMIT)
+        # one memo row per band row, cell (i, k) in slot k - lo; only the
+        # screen reads it, so an unscreened sampler builds none
+        self._log_cells = (_log_memo(degree_set, self._spans, regime,
+                                     log_fact) if self._screened else [])
         # like numpy, loaded only by sampling, not by the counting commands
         from array import array
 
-        # one memo row per band row, cell (i, k) in slot k - lo; the rows
-        # are streamed, so their integers die as soon as they are logged
-        log, zero = math.log, -math.inf
-        self._log_cells = [
-            array("d", [log(w) - log_fact[k] if w else zero
-                        for k, w in enumerate(row, lo)])
-            for (lo, _), row in zip(self._spans,
-                                    band_rows(degree_set, self._spans))]
         # two prefix slots per band cell, cell (i, k) in slots 2(k - lo) and
-        # 2(k - lo) + 1, NaN until a draw scans the cell; none unscreened
+        # 2(k - lo) + 1, NaN until a draw scans the cell
         unset = array("d", [math.nan])
-        self._prefixes = ([unset * (2 * len(row)) for row in self._log_cells]
-                          if self._screened else [])
+        self._prefixes = [unset * (2 * len(row)) for row in self._log_cells]
 
     def __reduce__(self):
         # the memo is a pure function of the instance and far larger than it
@@ -498,7 +761,8 @@ class DegreeSequenceSampler:
         when u lies within _SCREEN_MARGIN of a ratio, when the row total
         L(i, j) lies off row i's band, when a term the scan reaches lies
         off row i-1's band (a slot the scan filled before it keeps its
-        sum), or when the instance lies outside the proven range
+        sum), when the scan reads a NaN slot (its sum turns NaN and passes
+        no test), or when the instance lies outside the proven range
         (_SCREEN_LIMIT), where the sampler keeps no slots.  The
         screen reads no word, and it decides only where the exact draw
         would return the same degree without one, so the words read and

@@ -10,10 +10,12 @@ remainder.
 
 Rows come from one source, :func:`band_rows`, which streams row i as
 the span T[i][lo..hi] its caller asks for and computes each row only on
-the closure of those spans under the recurrence's reads, holding two or
-three rows, as wide as the highest span, at a time.  The exact sampler
-asks for a band of each row and keeps only float logs of it, and the
-marked sum the head of each row it joins by :func:`_binomial_convolution`.
+the closure of those spans under the recurrence's reads
+(:func:`row_spans`), holding two or three rows, as wide as the highest
+span, at a time.  The marked sum asks for the head of each row, which it
+joins by :func:`_binomial_convolution`; the exact sampler asks for a band
+of each row only for even, whose recurrence subtracts, and keeps only
+float logs of it (it computes the other families' bands in floats).
 :func:`build_table` keeps whole rows as :class:`CoefficientTable`, which
 no package code builds.  The recurrences fill a row in O(1) big-integer
 operations per cell instead of the generic O(|D|) convolution, and skip
@@ -141,20 +143,37 @@ def _closure(spans, back: int, near: int, far: int) -> list:
     return need
 
 
+def row_spans(degree_set: DegreeSet, spans) -> list:
+    """The span of each row that the row recurrences compute so that every
+    span of `spans` is exact: the closure of the spans under their reads
+    (:func:`_closure`).  A minimum-degree or parity row runs from its first
+    nonzero cell up to the span's hi, whatever its lo; a finite list's row
+    only between the two ends.  :func:`band_rows` computes these spans in
+    integers and the exact sampler's float memo in floats."""
+    start, step = degree_set.start, degree_set.step
+    if step == 1:
+        # min=delta: cell j reads cell j - delta of the row below (none for
+        # delta = 0) and the cells below it in its own row
+        return list(spans) if start == 0 else _closure(spans, 1, start, start)
+    if step == 2:
+        return _closure(spans, 2, 2, 2)
+    members = degree_set.members
+    low, high = (members[0], members[-1]) if members else (0, 0)
+    return _closure(spans, 1, low, high)
+
+
 def band_rows(degree_set: DegreeSet, spans):
     """Rows 0, 1, ... of T, one per span: the list T[i][lo..hi] for the
     span (lo, hi) = spans[i], which must have lo >= 0 (lo > hi asks for no
     cell).
 
-    The one row source of the tables and the exact sampler.  Its row
-    recurrences fill a row in O(1) big-integer operations per cell instead
-    of the generic O(|D|) convolution, skip the cells they know are zero
-    (outside [i*min D, i*max D] or off the periodicity lattice), and compute
-    each row only on the closure of the spans under their reads
-    (:func:`_closure`): a minimum-degree or parity row runs from its first
-    cell up to the highest cell that it or a later row needs, and a finite
-    list's row only between the lowest and highest such cells.  Two or
-    three rows are alive at a time, each as wide as the highest span.
+    The one integer row source of the tables, the marked sum and the exact
+    sampler's even memo.  Its row recurrences fill a row in O(1)
+    big-integer operations per cell instead of the generic O(|D|)
+    convolution, skip the cells they know are zero (outside
+    [i*min D, i*max D] or off the periodicity lattice), and compute each
+    row only on :func:`row_spans`.  Two or three rows are alive at a time,
+    each as wide as the highest span.
     """
     spans = list(spans)
     for lo, hi in spans:
@@ -162,22 +181,15 @@ def band_rows(degree_set: DegreeSet, spans):
             raise ValueError(f"span ({lo}, {hi}) starts below 0")
     j_max = max((hi for lo, hi in spans if lo <= hi), default=0)
     start, step = degree_set.start, degree_set.step
+    need = row_spans(degree_set, spans)
     if step == 1:
-        # min=delta: cell j reads cell j - delta of the row below (none for
-        # delta = 0) and the cells below it in its own row
-        if start == 0:
-            need = spans
-        else:
-            need = _closure(spans, 1, start, start)
         rows = _rows_min(start, j_max, need)
     elif step == 2:
-        rows = _rows_parity(start == 1, j_max, _closure(spans, 2, 2, 2))
+        rows = _rows_parity(start == 1, j_max, need)
     else:
-        members = degree_set.members
         p = degree_set.periodicity     # INFINITE for one member: j = i*d
-        low, high = (members[0], members[-1]) if members else (0, 0)
-        rows = _rows_finite(members, 1 if p is INFINITE else p, j_max,
-                            _closure(spans, 1, low, high))
+        rows = _rows_finite(degree_set.members, 1 if p is INFINITE else p,
+                            j_max, need)
     for (lo, hi), row in zip(spans, rows):
         yield row[lo:hi + 1] if lo <= hi else []
 

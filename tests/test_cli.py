@@ -307,8 +307,9 @@ class TestSampling:
                                                schema, degrees, log10, jobs):
         from degcount import sampling
         rows = []
-        monkeypatch.setattr(sampling, "band_rows",
-                            lambda *args: rows.append(args) or iter(()))
+        for source in ("band_rows", "_float_rows"):
+            monkeypatch.setattr(sampling, source,
+                                lambda *args: rows.append(args) or iter(()))
         start = time.perf_counter()
         code, out = run(capsys, "sample", "--degrees", degrees, "--n", "1000",
                         "--m", "5000", "--jobs", jobs)

@@ -20,7 +20,7 @@ from degcount.tables import band_rows
 from degcount.sampling import (_WORD_BITS, _edge_codes, _is_simple_pairing,
                                _multigraph, _pair_endpoints)
 
-from conftest import FAMILY, FAMILY_IDS
+from conftest import FAMILY, FAMILY_IDS, SADDLE_FAMILY, WIDER
 from oracle import GraphClass, classify, edge_occurrences
 
 WORD = 1 << _WORD_BITS
@@ -353,8 +353,8 @@ class TestTableBand:
     @pytest.mark.parametrize("ds", FAMILY, ids=FAMILY_IDS)
     def test_cells_off_an_empty_band_are_exact(self, monkeypatch, ds):
         # with no band at all only each row's centre is kept, as the log of
-        # its exact value; every cell off it is read by the exact draw
-        # alone, so the draws are those of the default band
+        # its value; every cell off it is read by the exact draw alone, so
+        # the draws are those of the default band
         n, m = 6, 6
         try:
             wide = DegreeSequenceSampler(ds, n, m)
@@ -411,16 +411,26 @@ def cell_log(table, i, k):
 
 def check_memo(sampler):
     """The memo has one slot per band cell, cell (i, k) in slot k - lo of
-    row i, and every slot holds its cell's log."""
+    row i, and every slot holds its cell's log: exactly math.log of the
+    integer minus ln k! for even, within _MEMO_ERROR for the float-built
+    families, -inf exactly for a zero cell."""
     n, m = sampler.n, sampler.m
     table = build_table(sampler.degree_set, n, 2 * m)
     spans = sampler._spans
+    exact = sampler.degree_set == DegreeSet.even()
     assert len(sampler._log_cells) == len(spans) == n + 1
     for i, ((lo, hi), memo) in enumerate(zip(spans, sampler._log_cells)):
         assert 0 <= lo and hi <= 2 * m
         assert len(memo) == max(hi - lo + 1, 0)
-        assert list(memo) == [cell_log(table, i, k)
-                              for k in range(lo, hi + 1)], i
+        logs = [cell_log(table, i, k) for k in range(lo, hi + 1)]
+        if exact:
+            assert list(memo) == logs, i
+            continue
+        for got, want in zip(memo, logs):
+            if want == -math.inf:
+                assert got == -math.inf, i
+            else:
+                assert abs(got - want) <= sampling._MEMO_ERROR, i
 
 
 class TestLogMemo:
@@ -627,10 +637,130 @@ class TestPrefixMemo:
             [slots.tobytes() for slots in alone._prefixes]
 
     def test_unscreened_sampler_keeps_no_slots(self, monkeypatch):
+        # only the screen reads the memo, so neither row source runs
+        def no_rows(*args):
+            raise AssertionError("an unscreened sampler built a memo")
         monkeypatch.setattr(sampling, "_SCREEN_LIMIT", 1)
-        sampler = DegreeSequenceSampler(DegreeSet.even(), 60, 30)
-        sampler.sample_degrees(make_rng(0))
-        assert sampler._prefixes == []
+        monkeypatch.setattr(sampling, "band_rows", no_rows)
+        monkeypatch.setattr(sampling, "_float_rows", no_rows)
+        for degrees, n, m in NARROW:
+            sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+            sampler.sample_degrees(make_rng(0))
+            assert sampler._prefixes == [] and sampler._log_cells == []
+
+
+# every family the float rows build, with the spread of members of WIDER
+FLOAT_SETS = ([d for d in SADDLE_FAMILY + WIDER if d != DegreeSet.even()]
+              + [DegreeSet.finite([1, 2, 5]), DegreeSet.finite([0, 5, 7])])
+
+
+def float_instances(ds):
+    """(n, m) up to n = 60 for ds: each end of its range where it has one,
+    a step inside it, and mean degrees up to about 6."""
+    for n in (1, 2, 7, 24, 60):
+        low = ds.valuation * n
+        high = ds.max_degree * n if ds.members else low + 12 * n
+        for total in sorted({low, low + 2, (low + high) // 2, low + 4 * n,
+                             high - 2, high}):
+            if low <= total <= high and total % 2 == 0:
+                if resolve(ds, n, total // 2).reason is None:
+                    yield n, total // 2
+
+
+class TestFloatMemo:
+    @pytest.mark.parametrize("ds", FLOAT_SETS, ids=str)
+    def test_every_band_cell_within_its_bound(self, ds):
+        # the float rows against the logs of build_table's integers: each
+        # nonzero cell finite and within its own bound, the bound within
+        # _MEMO_ERROR, and each zero cell exactly -inf
+        checked = 0
+        for n, m in float_instances(ds):
+            sampler = DegreeSequenceSampler(ds, n, m)
+            table = build_table(ds, n, 2 * m)
+            rows = sampling._float_rows(ds, sampler._spans, sampler.regime,
+                                        sampler._log_fact)
+            for i, ((lo, hi), (logs, bound)) in enumerate(
+                    zip(sampler._spans, rows)):
+                assert len(logs) == len(bound) == hi - lo + 1
+                for k, got, err in zip(range(lo, hi + 1), logs, bound):
+                    want = cell_log(table, i, k)
+                    if want == -math.inf:
+                        assert got == -math.inf, (n, m, i, k)
+                        continue
+                    assert math.isfinite(got), (n, m, i, k)
+                    assert abs(got - want) <= err <= sampling._MEMO_ERROR, \
+                        (n, m, i, k)
+                    checked += 1
+            check_memo(sampler)
+        assert checked > 500
+
+    @pytest.mark.parametrize("degrees, n, m",
+                             [("min=2", 200, 300), ("odd", 200, 200),
+                              ("2,3", 300, 375)])
+    def test_float_families_build_without_band_rows(self, monkeypatch,
+                                                    degrees, n, m):
+        def no_rows(*args):
+            raise AssertionError("computed integer rows")
+        monkeypatch.setattr(sampling, "band_rows", no_rows)
+        sampler = DegreeSequenceSampler(parse_degree_set(degrees), n, m)
+        assert len(sampler._log_cells) == n + 1
+        assert not any(math.isnan(v) for row in sampler._log_cells
+                       for v in row)
+
+    @pytest.mark.parametrize("degrees, n, m", NARROW[1:],
+                             ids=[f"{d}-{n}-{m}" for d, n, m in NARROW[1:]])
+    def test_withheld_cells_go_to_the_exact_draw(self, monkeypatch,
+                                                 degrees, n, m):
+        # with no room for any error every nonzero cell past row 0 is NaN,
+        # which decides nothing: each vertex takes the exact draw, which
+        # draws the same sequences, and no prefix slot is filled
+        ds = parse_degree_set(degrees)
+        expected = [DegreeSequenceSampler(ds, n, m).sample_degrees(
+            make_rng(s)) for s in range(10)]
+        monkeypatch.setattr(sampling, "_MEMO_ERROR", 0.0)
+        sampler = DegreeSequenceSampler(ds, n, m)
+        assert all(math.isnan(v) or v == -math.inf
+                   for row in sampler._log_cells[1:] for v in row)
+        calls = count_exact_draws(monkeypatch)
+        assert [sampler.sample_degrees(make_rng(s))
+                for s in range(10)] == expected
+        assert calls["exact"] == 10 * (n - 1)
+        assert check_stored_prefixes(sampler) == 0
+
+    def test_float_arithmetic_within_the_assumed_ulps(self):
+        # the float rows' bound assumes numpy's exp, log and log1p within 2
+        # ulp, math.log within 1, and np.logaddexp within 2^-53 |r| + 2^-50;
+        # each against 100-digit values on the ranges the rows use
+        mpmath = pytest.importorskip("mpmath")
+        mpf = mpmath.mpf
+        rng = np.random.default_rng(2024)
+
+        def ulps(got, want):
+            return abs(mpf(float(got)) - want) / np.spacing(abs(float(want)))
+
+        with mpmath.workdps(100):
+            # logs of ratios i/(j+1), of bounds and of j + 1 up to 2^17
+            positive = np.exp2(rng.uniform(-60, 17, 3000))
+            for x, got in zip(positive, np.log(positive)):
+                assert ulps(got, mpmath.log(mpf(float(x)))) <= 2, x
+            for x in np.unique(rng.integers(1, 2 ** 17, 1000)).tolist():
+                assert ulps(math.log(x), mpmath.log(x)) <= 1, x
+            # exp of bound logs and of -|a - b| inside logaddexp
+            negative = -np.exp2(rng.uniform(-30, np.log2(745), 3000))
+            for x, got in zip(negative, np.exp(negative)):
+                assert ulps(got, mpmath.exp(mpf(float(x)))) <= 2, x
+            small = np.exp2(rng.uniform(-60, 0, 3000))
+            for x, got in zip(small, np.log1p(small)):
+                assert ulps(got, mpmath.log1p(mpf(float(x)))) <= 2, x
+            # logaddexp of tilted logs up to 2^21, the two up to 40 apart
+            a = rng.uniform(-1, 1, 3000) * np.exp2(rng.uniform(-4, 21, 3000))
+            b = a - np.exp2(rng.uniform(-30, np.log2(40), 3000)) \
+                * rng.choice([-1, 1], 3000)
+            for x, y, got in zip(a, b, np.logaddexp(a, b)):
+                want = mpmath.log(mpmath.exp(mpf(float(x)))
+                                  + mpmath.exp(mpf(float(y))))
+                assert abs(mpf(float(got)) - want) <= \
+                    2.0 ** -53 * abs(float(got)) + 2.0 ** -50, (x, y)
 
 
 class TestDegreeSequences:
@@ -661,6 +791,7 @@ class TestDegreeSequences:
         def no_table(*args):
             raise AssertionError("built a table for an empty instance")
         monkeypatch.setattr("degcount.sampling.band_rows", no_table)
+        monkeypatch.setattr("degcount.sampling._float_rows", no_table)
         with pytest.raises(InfeasibleRegimeError):
             DegreeSequenceSampler(DegreeSet.finite(members), n, m)
 
